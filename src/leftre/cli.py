@@ -146,9 +146,7 @@ def _run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
     B = zulu.build_maximal(omega, layout, hz)
     state = zulu.ZuluState(omega, layout)
     for s in range(0, hz.stages, max(1, hz.stages // 16)):
-        row = {"stage": s, "type": "markers",
-               "a": [state.a(n, s) for n in range(1, state.covered(s) + 1)]}
-        trace.line(row)
+        trace.line({"stage": s, "type": "markers", "a": list(state.markers(s))})
     target = A if minimal else B
     report = zulu.btt_check(A, B, layout, seed=seed)
     return {"validator": bool(validate_left_re(target)), "btt": report.ok}

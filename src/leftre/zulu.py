@@ -9,7 +9,9 @@ splitting, witness and gadget constructions that live over the same layout.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -28,6 +30,9 @@ class BlockLayout:
     I_n holds the full pairing range {offset(n) + x*2^(2^n) + y} for
     x, y < 2^(2^n), plus one spare slot so the interval maximum is never a
     pairing value.
+
+    The interval bounds are summed once per layout into a table, so
+    `offset` and `interval` are lookups and `interval_of` is a bisect.
     """
 
     n_cap: int
@@ -38,17 +43,27 @@ class BlockLayout:
     def size(self, n: int) -> int:
         return (1 << (1 << (n + 1))) + 1
 
-    def offset(self, n: int) -> int:
+    @cached_property
+    def _bounds(self) -> tuple[int, ...]:
+        """bounds[n] is the first position past I_n (bounds[0] = 0), for
+        n = 0 .. n_cap + 1."""
+        bounds = [0]
+        for n in range(1, self.n_cap + 2):
+            bounds.append(bounds[-1] + self.size(n))
+        return tuple(bounds)
+
+    def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.n_cap + 1:
             raise UsageError(f"interval index {n} outside layout cap {self.n_cap}")
-        total = 0
-        for k in range(1, n):
-            total += self.size(k)
-        return total
+
+    def offset(self, n: int) -> int:
+        self._check_index(n)
+        return self._bounds[n - 1]
 
     def interval(self, n: int) -> tuple[int, int]:
-        lo = self.offset(n)
-        return lo, lo + self.size(n) - 1
+        self._check_index(n)
+        bounds = self._bounds
+        return bounds[n - 1], bounds[n] - 1
 
     def pair(self, n: int, x: int, y: int) -> int:
         b = self.base(n)
@@ -59,11 +74,8 @@ class BlockLayout:
     def interval_of(self, u: int) -> Optional[int]:
         if u < 0:
             raise UsageError("positions are naturals")
-        for n in range(1, self.n_cap + 1):
-            lo, hi = self.interval(n)
-            if lo <= u <= hi:
-                return n
-        return None
+        n = bisect_right(self._bounds, u, 1, self.n_cap + 1)
+        return n if n <= self.n_cap else None
 
     def ind(self, u: int) -> int:
         n = self.interval_of(u)
@@ -107,19 +119,25 @@ def compute_c(omega: Schedule, n: int, s: int) -> int:
 
 @dataclass
 class ZuluState:
+    """Marker positions of one driving history over one layout.
+
+    The member markers a_1..a_k of the covered intervals at a stage, and
+    their mirrors b_1..b_k, are each computed once per stage into a tuple,
+    so membership of a position is an interval lookup plus one tuple read.
+    Block sums are not cached: they are read only while a stage's table is
+    built.
+    """
+
     omega: Schedule
     layout: BlockLayout
-    s0: int = 0
-    _c_cache: dict[tuple[int, int], int] = field(default_factory=dict)
+    _marker_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _mirror_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_omega(self.omega)
 
     def c(self, n: int, s: int) -> int:
-        key = (n, s)
-        if key not in self._c_cache:
-            self._c_cache[key] = compute_c(self.omega, n, s)
-        return self._c_cache[key]
+        return compute_c(self.omega, n, s)
 
     def d(self, n: int, s: int) -> int:
         if n < 1:
@@ -140,13 +158,21 @@ class ZuluState:
     def covered(self, s: int) -> int:
         return min(s, self.layout.n_cap)
 
+    def markers(self, s: int) -> tuple[int, ...]:
+        """(a_1, ..., a_k) at stage s, for the k = covered(s) intervals."""
+        marks = self._marker_cache.get(s)
+        if marks is None:
+            marks = tuple(self.a(n, s) for n in range(1, self.covered(s) + 1))
+            self._marker_cache[s] = marks
+        return marks
 
-def compute_markers(state: ZuluState, n: int, s: int) -> tuple[int, int]:
-    """Member marker and its mirror for interval n at stage s."""
-    if s < state.s0:
-        raise UsageError("stage precedes the start of the enumeration")
-    a = state.a(n, s)
-    return a, state.layout.mirror(a)
+    def mirrors(self, s: int) -> tuple[int, ...]:
+        """(b_1, ..., b_k) at stage s: the mirror of each entry of markers(s)."""
+        mirrors = self._mirror_cache.get(s)
+        if mirrors is None:
+            mirrors = tuple(self.layout.mirror(a) for a in self.markers(s))
+            self._mirror_cache[s] = mirrors
+        return mirrors
 
 
 def build_minimal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
@@ -156,15 +182,15 @@ def build_minimal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
 
     def bit(s: int, u: int) -> int:
         n = layout.interval_of(u)
-        if n is None or n > state.covered(s):
+        marks = state.markers(s)
+        if n is None or n > len(marks):
             return 0
-        return 1 if u == state.a(n, s) else 0
+        return 1 if u == marks[n - 1] else 0
 
     def prefix_value(s: int) -> int:
         N = horizon.bits
         value = 0
-        for n in range(1, state.covered(s) + 1):
-            a = state.a(n, s)
+        for a in state.markers(s):
             if a < N:
                 value |= 1 << (N - 1 - a)
         return value
@@ -179,19 +205,19 @@ def build_maximal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
 
     def bit(s: int, u: int) -> int:
         n = layout.interval_of(u)
-        if n is None or n > state.covered(s):
+        mirrors = state.mirrors(s)
+        if n is None or n > len(mirrors):
             return 0
-        return 0 if u == state.b(n, s) else 1
+        return 0 if u == mirrors[n - 1] else 1
 
     def prefix_value(s: int) -> int:
         N = horizon.bits
-        cov = state.covered(s)
-        if cov == 0:
+        mirrors = state.mirrors(s)
+        if not mirrors:
             return 0
-        end = min(N, layout.offset(cov + 1))
+        end = min(N, layout.offset(len(mirrors) + 1))
         value = ((1 << end) - 1) << (N - end) if end > 0 else 0
-        for n in range(1, cov + 1):
-            b = state.b(n, s)
+        for b in mirrors:
             if b < N:
                 value &= ~(1 << (N - 1 - b))
         return value
@@ -223,6 +249,7 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     for s in stages:
         for n in range(1, min(s, layout.n_cap) + 1):
             lo, hi = layout.interval(n)
+            # Every probe lies in I_n, so its mirror is hi + lo - u.
             if n < exhaustive_below:
                 probes = range(lo, hi + 1)
             else:
@@ -231,19 +258,19 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
                     probes.add(rng.randrange(lo, hi + 1))
                 # Probe both sides of every membership boundary we can find.
                 for u in list(probes):
-                    probes.add(layout.mirror(u))
+                    probes.add(hi + lo - u)
                 probes = sorted(probes)
             member_hits = []
             for u in probes:
                 checked += 1
-                if A.bit(s, u) != 1 - B.bit(s, layout.mirror(u)):
+                if A.bit(s, u) != 1 - B.bit(s, hi + lo - u):
                     return BttReport(False, (s, u), checked)
                 if A.bit(s, u):
                     member_hits.append(u)
             # Also probe the member marker itself via the mirror relation.
             for u in member_hits:
                 checked += 1
-                if B.bit(s, layout.mirror(u)) != 0:
+                if B.bit(s, hi + lo - u) != 0:
                     return BttReport(False, (s, u), checked)
     return BttReport(True, None, checked)
 

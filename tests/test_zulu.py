@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.core import (Horizon, InputError, Prefix, Schedule,
+from leftre.cli import _zulu_pair
+from leftre.core import (Horizon, InputError, Prefix, Schedule, UsageError,
                          validate_left_re)
 from leftre.fixtures import (omega_fixture, omega_worked_example,
                              one_per_stage_schedule, random_leftre_process)
-from leftre.zulu import (BlockLayout, ZuluState, btt_check, build_maximal,
-                         build_minimal, compute_c, lowerfarm_witness,
+from leftre.zulu import (BlockLayout, BttReport, ZuluState, btt_check,
+                         build_maximal, build_minimal, compute_c,
+                         lowerfarm_witness,
                          max_join_gadget, maxsep_superset, split_subset,
                          split_superset, tilde_set)
 
@@ -49,6 +51,56 @@ class TestLayout:
         assert LAYOUT.interval_of(0) == 1
         assert LAYOUT.interval_of(17) == 2
         assert LAYOUT.interval_of(10 ** 12) is None
+
+
+def oracle_offset(layout: BlockLayout, n: int) -> int:
+    """Reference offset: the block sizes summed afresh on every call."""
+    return sum(layout.size(k) for k in range(1, n))
+
+
+def oracle_interval_of(layout: BlockLayout, u: int):
+    """Reference interval lookup: a linear scan over the intervals."""
+    for n in range(1, layout.n_cap + 1):
+        lo = oracle_offset(layout, n)
+        if lo <= u <= lo + layout.size(n) - 1:
+            return n
+    return None
+
+
+class TestLayoutAgainstOracle:
+    @pytest.mark.parametrize("n_cap", [1, 2, 3])
+    def test_every_position(self, n_cap):
+        layout = BlockLayout(n_cap)
+        for n in range(1, n_cap + 2):
+            lo = oracle_offset(layout, n)
+            assert layout.offset(n) == lo
+            assert layout.interval(n) == (lo, lo + layout.size(n) - 1)
+        for u in range(oracle_offset(layout, n_cap + 1) + 6):
+            assert layout.interval_of(u) == oracle_interval_of(layout, u), u
+
+    @pytest.mark.parametrize("n_cap", [4, 5, 6])
+    def test_interval_edges(self, n_cap):
+        layout = BlockLayout(n_cap)
+        for n in range(1, n_cap + 1):
+            lo, hi = layout.interval(n)
+            assert lo == oracle_offset(layout, n)
+            assert hi == oracle_offset(layout, n + 1) - 1
+            for u in (lo - 1, lo, hi, hi + 1):
+                if u >= 0:
+                    assert layout.interval_of(u) == oracle_interval_of(layout, u)
+        assert layout.interval_of(layout.offset(n_cap + 1)) is None
+
+    @pytest.mark.parametrize("n_cap", [1, 3, 6])
+    def test_out_of_range_rejected(self, n_cap):
+        layout = BlockLayout(n_cap)
+        with pytest.raises(UsageError):
+            layout.interval_of(-1)
+        with pytest.raises(UsageError):
+            layout.offset(0)
+        with pytest.raises(UsageError):
+            layout.offset(n_cap + 2)
+        with pytest.raises(UsageError):
+            layout.interval(n_cap + 2)
 
 
 class TestWorkedExample:
@@ -100,6 +152,30 @@ class TestMinimalMaximal:
         B = build_maximal(om, LAYOUT, HZ)
         report = btt_check(A, B, LAYOUT, seed=seed)
         assert report.ok, report
+
+    @pytest.mark.parametrize("seed,checked", [(13, 21276), (29, 21275)])
+    def test_btt_probe_coverage_pinned(self, seed, checked):
+        omega, layout = _zulu_pair(HZ, seed, {"n_cap": 3})
+        A = build_minimal(omega, layout, HZ)
+        B = build_maximal(omega, layout, HZ)
+        assert btt_check(A, B, layout, seed=seed) == BttReport(True, None, checked)
+
+    @pytest.mark.parametrize("seed", [13, 29])
+    def test_bit_path_matches_prefix_path(self, seed):
+        omega, layout = _zulu_pair(HZ, seed, {"n_cap": 3})
+        for build in (build_minimal, build_maximal):
+            P = build(omega, layout, HZ)
+            for s in range(HZ.stages):
+                bits = "".join(str(P.bit_fn(s, u)) for u in range(HZ.bits))
+                assert int(bits, 2) == P.prefix_fn(s), (build.__name__, s)
+
+    def test_marker_tables_match_markers(self):
+        om = omega_fixture(3, HZ, top_bit=7)
+        st_ = ZuluState(om, LAYOUT)
+        for s in range(0, HZ.stages, 7):
+            n_range = range(1, st_.covered(s) + 1)
+            assert st_.markers(s) == tuple(st_.a(n, s) for n in n_range)
+            assert st_.mirrors(s) == tuple(st_.b(n, s) for n in n_range)
 
     def test_bit0_entry_rejected(self):
         bad = Schedule.from_pairs([(0, 2)], "omega-bits")
