@@ -226,7 +226,7 @@ def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
     alpha, state = relations.gazebo_run(beta)
     for row in state.trace:
         trace.line({"type": "gazebo", **{k: v for k, v in sorted(row.items())}})
-    oracle = relations.gazebo_lex_emissions(state, alpha)
+    oracle = relations.gazebo_lex_emissions(state)
     bad = relations.check_persistence(oracle, alpha)
     brute = relations.lex_oracle_bruteforce(alpha)
     return {
@@ -295,6 +295,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = TraceWriter(out)
         trace.line({"bits": hz.bits, "construction": construction, "seed": seed,
                     "stages": hz.stages, "type": "header"})
+        out.flush()  # a stuck run still shows which construction it is in
         checks = RUNNERS[construction](hz, seed, params, trace)
         ok = all(checks.values())
         trace.line({"checks": checks, "ok": ok, "type": "verdict"})

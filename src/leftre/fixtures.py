@@ -10,8 +10,8 @@ from __future__ import annotations
 from random import Random
 from typing import Optional
 
-from .core import (ApproxProcess, Horizon, LimitFunctionApprox, Numbering,
-                   Prefix, Schedule, process_from_stage_prefixes)
+from .core import (ApproxProcess, CapacityError, Horizon, LimitFunctionApprox,
+                   Numbering, Prefix, Schedule, process_from_stage_prefixes)
 from .genericity import RequirementList
 from .markers import MarkerSystem, build_retraceable
 from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
@@ -25,8 +25,12 @@ def small_horizon() -> Horizon:
     return Horizon(48, 96)
 
 
+FREEZE_TAIL = 10  # stages at the end of a random process with no moves
+MAX_REJECTED_DRAWS = 1000  # repeated or all-ones finals before a catalog gives up
+
+
 def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
-                          freeze_tail: int = 10, move_chance: float = 0.3,
+                          freeze_tail: int = FREEZE_TAIL, move_chance: float = 0.3,
                           head_zeros: int = 1) -> ApproxProcess:
     """Random valid process: occasional lex moves, then a frozen tail.
 
@@ -49,11 +53,23 @@ def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
 
 def random_catalog(seed: int, size: int, horizon: Horizon,
                    label: str = "catalog") -> Numbering:
-    """Random processes with pairwise distinct, non-all-ones limit estimates."""
+    """Random processes with pairwise distinct, non-all-ones limit estimates.
+
+    Raises CapacityError when the horizon leaves no stage for a move, or when
+    MAX_REJECTED_DRAWS draws repeat a final or are all-ones.
+    """
+    if horizon.stages <= FREEZE_TAIL:
+        raise CapacityError(
+            f"random catalog needs more than {FREEZE_TAIL} stages, got "
+            f"{horizon.stages}: every process would stay empty")
     processes: list[ApproxProcess] = []
     finals: set[int] = set()
     sub = 0
     while len(processes) < size:
+        if sub - len(processes) >= MAX_REJECTED_DRAWS:
+            raise CapacityError(
+                f"found only {len(processes)} of {size} distinct finals in "
+                f"{sub} draws on {horizon.stages}x{horizon.bits}")
         p = random_leftre_process(seed * 1000 + sub, horizon,
                                   f"{label}-{len(processes)}")
         sub += 1

@@ -12,6 +12,7 @@ established, so no emitted comparison is ever invalidated.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -151,10 +152,6 @@ class GazeboState:
     emissions: list[tuple[tuple[int, int], int]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
 
-    def is_dead(self, a: int, s: Optional[int] = None) -> bool:
-        t = self.obliterated.get(a)
-        return t is not None and (s is None or t <= s)
-
 
 def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     """Follower construction making the lex relation enumerable.
@@ -162,6 +159,12 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     Obliteration is triggered by any overtaking, in either index order; the
     emitted-pair cascade then takes down right-hand followers whose left
     partner died, and every affected index gets a fresh follower.
+
+    The run is incremental: beta's stage values are read once as packed ints,
+    emitted pairs are indexed by their left side, and each stage only tests
+    the pairs that can change there.  At every stage end an emitted pair with
+    a dead left side has a dead right side too, so the cascade starts from
+    this stage's kills alone.
     """
     hz = beta.horizon
     n = beta.index_range
@@ -173,61 +176,60 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         for j in range(i):
             if finals[j].value == f.value:
                 raise InputError(f"catalog indices {j} and {i} coincide")
+    bv = [[beta.at(i).prefix(s).value for s in range(hz.stages)]
+          for i in range(n)]
 
     state = GazeboState()
     for j in range(n):
         state.followers[j] = j
         state.established[j] = (j, 0)
     state.next_fresh = n
-    emitted: set[tuple[int, int]] = set()
+    right_of = [0] * n  # bit b of right_of[a] is set once (a, b) is emitted
+    dead = state.obliterated  # read for membership only
 
-    def emit_stage(s: int) -> None:
-        defined = state.next_fresh
-        live_beta = {a: b for b, a in state.followers.items()
-                     if not state.is_dead(a)}
-        new = []
-        for a in range(defined):
-            for b in range(defined):
-                if (a, b) in emitted:
-                    continue
-                if a == b or state.is_dead(b, s):
-                    new.append((a, b))
-                elif a in live_beta and b in live_beta:
-                    if lex_cmp(beta.at(live_beta[a]).prefix(s),
-                               beta.at(live_beta[b]).prefix(s)) != GREATER:
-                        new.append((a, b))
-        for p in new:
-            emitted.add(p)
+    def emit_stage(s: int, fresh: range, killed: set[int]) -> None:
+        # Pairs with a dead left side never emit; a pair with a dead right
+        # side emits once both sides are defined; live pairs follow beta.
+        new = set()
+        live = [(a, bv[b][s]) for b, a in state.followers.items()]
+        for a, va in live:
+            seen = right_of[a]
+            new.update((a, b) for b, vb in live
+                       if not seen >> b & 1 and (a == b or va <= vb))
+        for b in killed:
+            new.update((a, b) for a in range(state.next_fresh)
+                       if not right_of[a] >> b & 1)
+        for a in fresh:
+            new.update((a, b) for b in dead)
+        for p in sorted(new):
+            right_of[p[0]] |= 1 << p[1]
             state.emissions.append((p, s))
 
-    emit_stage(0)
+    emit_stage(0, range(n), set())
     state.trace.append({"stage": 0, "followers": dict(state.followers),
                         "obliterated": []})
     for s in range(1, hz.stages):
         killed: set[int] = set()
         for i in range(n):
+            pi, ci = bv[i][s - 1], bv[i][s]
             for j in range(n):
-                if i == j:
-                    continue
-                prev = lex_cmp(beta.at(i).prefix(s - 1), beta.at(j).prefix(s - 1))
-                cur = lex_cmp(beta.at(i).prefix(s), beta.at(j).prefix(s))
-                if prev != GREATER and cur == GREATER:
+                if i != j and pi <= bv[j][s - 1] and ci > bv[j][s]:
                     # i overtook j: the follower of j and everything above go.
-                    threshold = state.followers[j]
-                    for a in range(threshold, state.next_fresh):
-                        if not state.is_dead(a):
-                            killed.add(a)
+                    killed.update(a for a in range(state.followers[j],
+                                                   state.next_fresh)
+                                  if a not in dead)
         # Cascade: an emitted pair with a dead left side must not outlive its
         # right side, or the comparison flips when the left goes all-ones.
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in emitted:
-                a_dead = state.is_dead(a) or a in killed
-                b_dead = state.is_dead(b) or b in killed
-                if a_dead and not b_dead and a != b:
+        work = list(killed)
+        while work:
+            rights = right_of[work.pop()]
+            while rights:
+                b = rights.bit_length() - 1
+                rights ^= 1 << b
+                if b not in dead and b not in killed:
                     killed.add(b)
-                    changed = True
+                    work.append(b)
+        fresh_from = state.next_fresh
         if killed:
             for a in killed:
                 state.obliterated[a] = s
@@ -235,10 +237,12 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                 state.followers[j] = state.next_fresh
                 state.established[state.next_fresh] = (j, s)
                 state.next_fresh += 1
-        emit_stage(s)
+                right_of.append(0)
+        emit_stage(s, range(fresh_from, state.next_fresh), killed)
         state.trace.append({"stage": s, "followers": dict(state.followers),
                             "obliterated": sorted(killed)})
 
+    zeros, all_ones = Prefix.zeros(hz.bits), Prefix.ones(hz.bits)
     processes = []
     for a in range(state.next_fresh):
         i, t = state.established[a]
@@ -246,24 +250,57 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         prefixes = []
         for s in range(hz.stages):
             if s < t:
-                prefixes.append(Prefix.zeros(hz.bits))
+                prefixes.append(zeros)
             elif s < o:
                 prefixes.append(beta.at(i).prefix(s))
             else:
-                prefixes.append(Prefix.ones(hz.bits))
+                prefixes.append(all_ones)
         processes.append(process_from_stage_prefixes(prefixes, hz, f"alpha-{a}"))
     return Numbering(processes, label="followers"), state
 
 
-def gazebo_lex_emissions(state: GazeboState, alpha: Numbering) -> RelationOracle:
+def gazebo_lex_emissions(state: GazeboState) -> RelationOracle:
     """Package the run's emissions; every pair is lex-valid from its stage on."""
     return RelationOracle(tuple(state.emissions), "lex")
 
 
 def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tuple]:
-    """First ((i, j), stage) whose comparison fails after emission, or None."""
+    """First ((i, j), stage) whose comparison fails after emission, or None.
+
+    Entries are scanned in oracle order and stages from the emission stage
+    up.  Each index's stage values are read once, and only from the earliest
+    stage an entry asks of it, so the prefix cache fills no further than a
+    stage-by-stage scan would.  Suffix maxima and minima of those values skip
+    every entry whose left side never exceeds its right side's least value,
+    such as pairs whose right side is already all-ones.
+    """
+    S = alpha.horizon.stages
+    rows: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    lowest: dict[int, int] = {}
+
+    def read(e: int, t: int) -> tuple[list[int], list[int], list[int]]:
+        """Extend index e's values and their suffix max and min down to t."""
+        r = rows.get(e)
+        if r is None:
+            r = rows[e] = ([0] * S, [0] * S, [0] * S)
+        v, top, bottom = r
+        lo = lowest.get(e, S)
+        p = alpha.at(e)
+        v[t:lo] = [p.prefix(s).value for s in range(t, lo)]
+        for s in range(lo - 1, t - 1, -1):
+            if s == S - 1:
+                top[s] = bottom[s] = v[s]
+            else:
+                top[s] = max(v[s], top[s + 1])
+                bottom[s] = min(v[s], bottom[s + 1])
+        lowest[e] = t
+        return r
+
     for (i, j), t in oracle.entries:
-        for s in range(t, alpha.horizon.stages):
-            if lex_cmp(alpha.at(i).prefix(s), alpha.at(j).prefix(s)) == GREATER:
-                return ((i, j), s)
+        if t >= S:
+            continue  # no stage left to compare
+        vi, top_i, _ = rows[i] if lowest.get(i, S) <= t else read(i, t)
+        vj, _, bottom_j = rows[j] if lowest.get(j, S) <= t else read(j, t)
+        if top_i[t] > bottom_j[t] and any(map(operator.gt, vi[t:], vj[t:])):
+            return ((i, j), next(s for s in range(t, S) if vi[s] > vj[s]))
     return None

@@ -203,7 +203,7 @@ def test_10_gazebo_persistence_and_oracle_equality():
     for seed in (0, 1, 2):
         beta = random_catalog(seed, 5, hz, "gz")
         alpha, state = relations.gazebo_run(beta)
-        oracle = relations.gazebo_lex_emissions(state, alpha)
+        oracle = relations.gazebo_lex_emissions(state)
         assert relations.check_persistence(oracle, alpha) is None
         assert oracle.pairs() == relations.lex_oracle_bruteforce(alpha).pairs()
         for a, t in state.obliterated.items():

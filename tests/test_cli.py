@@ -1,16 +1,31 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import leftre
+from leftre import cli
 from leftre.cli import CONSTRUCTIONS, load_numbering, main, save_numbering
 from leftre.core import Horizon
 from leftre.fixtures import random_catalog
 
 HZ = Horizon(48, 96)
+SRC = str(Path(leftre.__file__).resolve().parent.parent)
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv, timeout=60):
+    """The CLI in a child process, killed if it outlives `timeout` seconds."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "leftre.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestRun:
@@ -44,6 +59,44 @@ class TestRun:
             assert run_cli("run", construction, "--stages", "48", "--bits",
                            "96", "--seed", "7", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_header_flushed_before_runner(self, tmp_path, monkeypatch):
+        out = tmp_path / "trace.jsonl"
+        seen = []
+
+        def stub(hz, seed, params, trace):
+            seen.append(out.read_text())
+            return {"stub": True}
+
+        monkeypatch.setitem(cli.RUNNERS, "gazebo", stub)
+        assert run_cli("run", "gazebo", "--stages", "48", "--bits", "96",
+                       "--seed", "1", "--out", str(out)) == 0
+        assert seen[0].endswith("\n")
+        assert json.loads(seen[0]) == {"bits": 96, "construction": "gazebo",
+                                       "seed": 1, "stages": 48,
+                                       "type": "header"}
+
+    @pytest.mark.parametrize("construction",
+                             ["gazebo", "selfref", "bambam", "excise"])
+    @pytest.mark.parametrize("horizon", [("8", "16"), ("10", "512")],
+                             ids=["8x16", "10x512"])
+    def test_catalog_horizon_too_short_exits_2(self, construction, horizon):
+        stages, bits = horizon
+        done = run_cli_process("run", construction, "--stages", stages,
+                               "--bits", bits, "--seed", "1")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: random catalog needs more than")
+        assert "Traceback" not in done.stderr
+
+    def test_too_few_distinct_finals_exits_2(self):
+        # 11 stages leave one stage for a move, and 4 bits with a zero head
+        # give only 4 distinct finals, fewer than the catalog's 5.
+        done = run_cli_process("run", "gazebo", "--stages", "11", "--bits", "4",
+                               "--seed", "1")
+        assert done.returncode == 2
+        assert "distinct finals" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestValidate:

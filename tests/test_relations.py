@@ -1,16 +1,31 @@
+import hashlib
+import json
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.core import (Horizon, InputError, Numbering, Prefix, Schedule,
-                         UsageError, process_from_stage_prefixes,
-                         validate_left_re)
+from leftre.core import (GREATER, Horizon, InputError, Numbering, Prefix,
+                         Schedule, UsageError, lex_cmp,
+                         process_from_stage_prefixes, validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
-from leftre.relations import (b_from_k, check_persistence, decide_k_below,
-                              gazebo_lex_emissions, gazebo_run,
+from leftre.relations import (RelationOracle, b_from_k, check_persistence,
+                              decide_k_below, gazebo_lex_emissions, gazebo_run,
                               inc_oracle_bruteforce, lex_oracle_bruteforce,
                               pair_code)
 
 HZ = Horizon(48, 96)
+AUDIT_HZ = Horizon(64, 128)
+
+
+def check_persistence_bruteforce(oracle, alpha):
+    """Slow oracle for check_persistence: every entry, every stage from its
+    emission on, compared through prefixes and lex_cmp."""
+    for (i, j), t in oracle.entries:
+        for s in range(t, alpha.horizon.stages):
+            if lex_cmp(alpha.at(i).prefix(s), alpha.at(j).prefix(s)) == GREATER:
+                return ((i, j), s)
+    return None
 
 
 def constant_numbering(sets, hz=HZ):
@@ -136,7 +151,7 @@ class TestGazebo:
     def test_persistence_and_oracle_equality(self, seed):
         beta = random_catalog(seed, 5, HZ, "gz")
         alpha, state = gazebo_run(beta)
-        oracle = gazebo_lex_emissions(state, alpha)
+        oracle = gazebo_lex_emissions(state)
         assert check_persistence(oracle, alpha) is None
         assert oracle.pairs() == lex_oracle_bruteforce(alpha).pairs()
 
@@ -158,7 +173,7 @@ class TestGazebo:
     def test_diagonal_pairs_emitted(self):
         beta = random_catalog(3, 4, HZ, "gz")
         alpha, state = gazebo_run(beta)
-        emitted = gazebo_lex_emissions(state, alpha).pairs()
+        emitted = gazebo_lex_emissions(state).pairs()
         for a in range(state.next_fresh):
             assert (a, a) in emitted
 
@@ -172,6 +187,91 @@ class TestGazebo:
         hz = Horizon(16, 8)
         with pytest.raises(InputError):
             gazebo_run(constant_numbering([{1}, {1}], hz))
+
+
+def audit_catalogs():
+    rng = random.Random(2012)
+    return [(c, size) for size in (5, 8) for c in rng.sample(range(10 ** 6), 10)]
+
+
+def corrupted(oracle, alpha, rng):
+    """Up to 2000 of the oracle's entries in random order, with a few pairs
+    injected at random stages: pairs whose final comparison fails, and pairs
+    drawn uniformly.  The sample keeps the stage-by-stage audit affordable."""
+    finals = [alpha.at(e).final_prefix().value for e in range(alpha.index_range)]
+    failing = [(i, j) for i, fi in enumerate(finals)
+               for j, fj in enumerate(finals) if fi > fj]
+    entries = rng.sample(oracle.entries, min(len(oracle.entries), 2000))
+    for _ in range(rng.randrange(1, 6)):
+        if failing and rng.random() < 0.5:
+            pair = rng.choice(failing)
+        else:
+            pair = (rng.randrange(len(finals)), rng.randrange(len(finals)))
+        entries.insert(rng.randrange(len(entries) + 1),
+                       (pair, rng.randrange(alpha.horizon.stages)))
+    return RelationOracle(tuple(entries), "lex")
+
+
+class TestPersistenceAudit:
+    @pytest.mark.parametrize("catalog,size", audit_catalogs())
+    def test_fast_audit_matches_bruteforce(self, catalog, size):
+        alpha, state = gazebo_run(random_catalog(catalog, size, AUDIT_HZ, "gz"))
+        oracle = gazebo_lex_emissions(state)
+        assert check_persistence(oracle, alpha) is None
+        assert check_persistence_bruteforce(oracle, alpha) is None
+        rng = random.Random(catalog)
+        for _ in range(4):
+            bad = corrupted(oracle, alpha, rng)
+            assert check_persistence(bad, alpha) == \
+                check_persistence_bruteforce(bad, alpha)
+
+    def test_witness_is_first_entry_then_first_stage(self):
+        hz = Horizon(16, 16)
+        climber = Schedule.from_pairs([(0, 5)]).as_process(hz)
+        static = Schedule.from_pairs([(1, 0)]).as_process(hz)
+        nu = Numbering([climber, static])
+        oracle = RelationOracle((((1, 0), 9), ((0, 1), 2), ((0, 1), 0)), "lex")
+        assert check_persistence(oracle, nu) == ((0, 1), 5)
+        assert check_persistence_bruteforce(oracle, nu) == ((0, 1), 5)
+
+
+def state_digest(state):
+    blob = json.dumps({
+        "emissions": state.emissions,
+        "obliterated": sorted(state.obliterated.items()),
+        "established": sorted(state.established.items()),
+        "trace": state.trace,
+    }, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of the full run state (emissions, obliterations, establishments and
+# trace), recorded from the stage-by-stage implementation the incremental run
+# replaced.  Keyed by (catalog seed, catalog size, stages, bits).
+STATE_SHA256 = {
+    (0, 5, 64, 128): "31834dda38ae532160c2fc44a825e2f9ef0af6aab800d678fcad77a69088d9d8",
+    (1, 5, 64, 128): "5ed55f83bb21f1e57937c12312406bf10b823e06538e2f9c7cd24727173740d7",
+    (2, 5, 64, 128): "1f490ea2816d6d304e142eaa597d107df2faf86668f925581c216c40f61287dd",
+    (0, 8, 64, 128): "f926bb97871682fff0bd684a4b0cd0231cab39ef2ff812bd85e50e5c01b70c56",
+    (1, 8, 64, 128): "45bf95c18f5234e41b8f338857a0d74158f7bdb661682d5192fa221e4285d911",
+    (2, 8, 64, 128): "08cb381532e395da4a4e7392342103d42bb181e56cd5924bdad1bbc78391a643",
+    (13, 10, 256, 512): "4d627924ffe536f94c62583cc0b8f054ffca954d973960bfefda93fb3c76a91e",
+}
+
+
+class TestGazeboState:
+    @pytest.mark.parametrize("case", sorted(STATE_SHA256))
+    def test_full_state_pinned(self, case):
+        seed, size, stages, bits = case
+        beta = random_catalog(seed, size, Horizon(stages, bits), "gazebo-beta")
+        _, state = gazebo_run(beta)
+        assert state_digest(state) == STATE_SHA256[case]
+        # Cascade invariant: a pair whose left side died takes its right side
+        # down no later than the pair's emission or the left side's death.
+        dead = state.obliterated
+        for (a, b), t in state.emissions:
+            if a in dead:
+                assert b in dead and dead[b] <= max(t, dead[a])
 
 
 class TestPairCode:
