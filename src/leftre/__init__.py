@@ -7,13 +7,12 @@ from .core import (ApproxProcess, CapacityError, Horizon, HorizonPredicate,
                    InputError, LimitFunctionApprox, Numbering, Prefix,
                    Schedule, UsageError, ValidationReport, first_difference,
                    index_set_estimate, join, lex_cmp, limit_estimate,
-                   validate_left_re, validate_monotone_membership,
-                   validate_omega)
+                   validate_left_re, validate_monotone_membership)
 
 __all__ = [
     "ApproxProcess", "CapacityError", "Horizon", "HorizonPredicate",
     "InputError", "LimitFunctionApprox", "Numbering", "Prefix", "Schedule",
     "UsageError", "ValidationReport", "first_difference",
     "index_set_estimate", "join", "lex_cmp", "limit_estimate",
-    "validate_left_re", "validate_monotone_membership", "validate_omega",
+    "validate_left_re", "validate_monotone_membership",
 ]

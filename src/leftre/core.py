@@ -98,7 +98,15 @@ class Prefix:
         return tuple(self.bit(n) for n in range(self.length))
 
     def members(self) -> frozenset[int]:
-        return frozenset(n for n in range(self.length) if self.bit(n))
+        """Positions of the 1 bits, found by walking the set bits of `value`."""
+        top = self.length - 1
+        value = self.value
+        out = []
+        while value:
+            b = value.bit_length() - 1
+            out.append(top - b)
+            value ^= 1 << b
+        return frozenset(out)
 
     def to_string(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
@@ -122,6 +130,22 @@ class Prefix:
         if self.length != other.length:
             raise UsageError("subset comparison needs equal lengths")
         return self.value & ~other.value == 0
+
+
+def rank_parity(value: int, length: int) -> int:
+    """Prefix XOR of a packed stage value from position 0.
+
+    Bit x of the result (position 0 most significant) is the parity of the
+    1 bits of `value` at positions 0..x, so a 1 bit of `value` keeps a 1 in
+    the result exactly when an even number of 1 bits precede it:
+    `value & rank_parity(value, length)` holds every second 1 bit, starting
+    with the first.  Takes log2(length) shift/xor steps.
+    """
+    shift = 1
+    while shift < length:
+        value ^= value >> shift
+        shift <<= 1
+    return value
 
 
 def lex_cmp(a: Prefix, b: Prefix) -> int:
@@ -363,9 +387,18 @@ class Schedule:
         return 1 if t is not None and t <= s else 0
 
     def as_process(self, horizon: Horizon, label: str = "") -> ApproxProcess:
+        N = horizon.bits
+        entries = sorted(self.entries, key=lambda e: e[1])
         stage_values = []
+        value = 0
+        i = 0
         for s in range(horizon.stages):
-            stage_values.append(Prefix.from_set(self.members_at(s), horizon.bits).value)
+            while i < len(entries) and entries[i][1] <= s:
+                x = entries[i][0]
+                if x < N:
+                    value |= 1 << (N - 1 - x)
+                i += 1
+            stage_values.append(value)
         return ApproxProcess(lambda s, n: self.bit(n, s), horizon,
                              label or f"schedule-{self.kind}",
                              prefix_fn=lambda s: stage_values[s])
@@ -393,17 +426,6 @@ def schedule_member(W: Schedule, x: int, s: int) -> int:
     if W.kind not in ("re-set", "k-set"):
         raise UsageError(f"schedule_member needs an enumeration schedule, got {W.kind!r}")
     return W.bit(x, s)
-
-
-def validate_omega(omega: Schedule, horizon: Horizon,
-                   require_zero_bit0: bool = False) -> ValidationReport:
-    """Check an omega-bits schedule: bit history lex-monotone on the horizon."""
-    if omega.kind != "omega-bits":
-        return ValidationReport(False, reason=f"expected omega-bits, got {omega.kind!r}")
-    if require_zero_bit0 and omega.entry_stage(0) is not None:
-        return ValidationReport(False, reason="bit 0 must stay 0 for this construction")
-    proc = omega.as_process(horizon, "omega")
-    return validate_left_re(proc)
 
 
 def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
@@ -490,21 +512,5 @@ class LimitFunctionApprox:
             raise InputError("change schedule extends beyond the stage horizon")
         return cls(lambda s, n: table[s][n], len(initial), stages)
 
-    @classmethod
-    def load(cls, path, stages: int) -> "LimitFunctionApprox":
-        with open(path) as fh:
-            obj = json.load(fh)
-        return cls.from_changes(obj["initial"],
-                                [tuple(c) for c in obj.get("changes", [])], stages)
-
     def final(self, n: int) -> int:
         return self.value(self.stages - 1, n)
-
-    def validate_settles(self, window: int = 1) -> ValidationReport:
-        for n in range(self.arg_count):
-            last = self.final(n)
-            for k in range(1, min(window, self.stages - 1) + 1):
-                if self.value(self.stages - 1 - k, n) != last:
-                    return ValidationReport(False, self.stages - 1 - k, n,
-                                            f"argument {n} still changing near the horizon")
-        return ValidationReport(True)

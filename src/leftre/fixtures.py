@@ -17,14 +17,6 @@ from .markers import MarkerSystem, build_retraceable
 from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
 
 
-def default_horizon() -> Horizon:
-    return Horizon(256, 512)
-
-
-def small_horizon() -> Horizon:
-    return Horizon(48, 96)
-
-
 FREEZE_TAIL = 10  # stages at the end of a random process with no moves
 MAX_REJECTED_DRAWS = 1000  # repeated or all-ones finals before a catalog gives up
 
@@ -35,10 +27,16 @@ def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
     """Random valid process: occasional lex moves, then a frozen tail.
 
     A move sets a 0 bit at a random position past the protected head and
-    clears everything after it, the canonical lex increase.
+    clears everything after it, the canonical lex increase.  Raises
+    CapacityError when a move stage exists but the head covers every
+    position.
     """
     rng = Random(seed)
     N = horizon.bits
+    if head_zeros >= N and horizon.stages > freeze_tail:
+        raise CapacityError(
+            f"no position past the {head_zeros}-bit protected head on a "
+            f"{N}-bit horizon")
     value = 0
     prefixes = []
     for s in range(horizon.stages):
@@ -147,7 +145,9 @@ def bambam_infinite_process(horizon: Horizon) -> ApproxProcess:
     """Enters position 2s at stage s, so the approximation moves at every
     stage and the limit holds exactly the tracked evens."""
     if 2 * (horizon.stages - 1) >= horizon.bits:
-        raise ValueError("bit horizon too small for one even entry per stage")
+        raise CapacityError(
+            f"{horizon.stages} stages need {2 * horizon.stages - 1} bits for "
+            f"one even entry per stage, got {horizon.bits}")
     prefixes = []
     value = 0
     N = horizon.bits
@@ -173,9 +173,16 @@ def selfref_fixture(seed: int, horizon: Horizon, checkpoint: int = 40,
                     indices: Optional[int] = None) -> SelfRefPlan:
     """A full self-reference plan: a zero-headed catalog (so every switch
     string is just "1"), markers from the settling fixture, a schedule-driven
-    membership approximation, and a late boundary set."""
+    membership approximation, and a late boundary set.  Raises CapacityError
+    when the checkpoint, moved one position on past the switch string, lies
+    beyond the bit horizon: no switched process could then meet the class
+    predicate."""
     size = indices or min(12, horizon.stages - 1)
     base = random_catalog(seed, size, horizon, "selfref-base")
+    if checkpoint + 1 >= horizon.bits:
+        raise CapacityError(
+            f"checkpoint {checkpoint} after a 1-bit switch string needs "
+            f"{checkpoint + 2} bits, got {horizon.bits}")
     markers = marker_fixture(horizon)
     rng = Random(seed + 7)
     entries = [(e, rng.randrange(1, horizon.stages)) for e in range(size)

@@ -152,12 +152,6 @@ def interval_function_values(A: Prefix, Ws: RequirementList, levels: int) -> lis
     return f
 
 
-def build_interval_function(A: Prefix, Ws: RequirementList, levels: int,
-                            stages: int) -> LimitFunctionApprox:
-    return LimitFunctionApprox.from_final_values(
-        interval_function_values(A, Ws, levels), stages)
-
-
 def intervals_from_values(f: Sequence[int]) -> list[range]:
     """J_k runs from f(k)+1 through f(k+1), inclusive."""
     return [range(f[k] + 1, f[k + 1] + 1) for k in range(len(f) - 1)]

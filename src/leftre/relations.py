@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .core import (ApproxProcess, CapacityError, GREATER, Horizon, InputError,
@@ -33,11 +34,14 @@ class RelationOracle:
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for p, _ in self.entries)
 
-    def emitted_by(self, s: int) -> frozenset[tuple[int, int]]:
-        return frozenset(p for p, t in self.entries if t <= s)
+    @cached_property
+    def _pair_set(self) -> frozenset[tuple[int, int]]:
+        # Built once for has().  pairs() stays a fresh set, so a caller that
+        # reads it once does not keep it alive with the oracle.
+        return self.pairs()
 
     def has(self, i: int, j: int) -> bool:
-        return (i, j) in self.pairs()
+        return (i, j) in self._pair_set
 
     def max_stage(self) -> int:
         return max((t for _, t in self.entries), default=0)
@@ -124,9 +128,19 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
     limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
                 S - 1) + 1
     candidates = [e for e in range(nu.index_range) if e not in (a_index, b_index)]
+    # The stage-s views grow by the entries of stage s, taken in stage order.
+    emissions = sorted(oracle.entries, key=lambda e: e[1])
+    k_entries = sorted(K.entries, key=lambda e: e[1])
+    emitted: set[tuple[int, int]] = set()
+    k_view: set[int] = set()
+    i = k = 0
     for s in range(limit):
-        emitted = oracle.emitted_by(s)
-        k_view = K.members_at(s)
+        while i < len(emissions) and emissions[i][1] <= s:
+            emitted.add(emissions[i][0])
+            i += 1
+        while k < len(k_entries) and k_entries[k][1] <= s:
+            k_view.add(k_entries[k][0])
+            k += 1
         for e in candidates:
             if (e, a_index) not in emitted or (e, b_index) not in emitted:
                 continue

@@ -16,7 +16,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError, Prefix,
-                   Schedule, UsageError, join, schedule_member)
+                   Schedule, UsageError, join, rank_parity, schedule_member)
 
 
 class InternalInvariantError(RuntimeError):
@@ -293,25 +293,23 @@ def maxsep_superset(A: Schedule, horizon: Horizon,
                 raise InputError(
                     f"stage {t} enumerates {len(by_stage.get(t, ()))} elements; "
                     "exactly one per stage is required")
+    # One element per stage from stage 0 on: the stage-s members are the
+    # first s + 1 elements in stage order.
+    order = [by_stage[t][0] for t in sorted(by_stage)]
     N = horizon.bits
-    members_per_stage: list[frozenset[int]] = []
+    full = (1 << N) - 1
     values: list[int] = []
+    M = 0
     for s in range(horizon.stages):
-        members = A.members_at(s)
-        members_per_stage.append(members)
-        value = 0
-        comp_rank = 0
-        for x in range(N):
-            if x in members:
-                value |= 1 << (N - 1 - x)
-            else:
-                if comp_rank % 2 == 1:
-                    value |= 1 << (N - 1 - x)
-                comp_rank += 1
-        values.append(value)
+        if s < len(order) and order[s] < N:
+            M |= 1 << (N - 1 - order[s])
+        C = full & ~M
+        values.append(M | (C & ~rank_parity(C, N)))
 
     def bit(s: int, x: int) -> int:
-        members = members_per_stage[s]
+        if x < N:
+            return (values[s] >> (N - 1 - x)) & 1
+        members = frozenset(order[:s + 1])
         if x in members:
             return 1
         comp_rank = x - sum(1 for m in members if m < x)
@@ -320,26 +318,29 @@ def maxsep_superset(A: Schedule, horizon: Horizon,
     return ApproxProcess(bit, horizon, label, prefix_fn=lambda s: values[s])
 
 
-def _stage_members(p: ApproxProcess, s: int) -> list[int]:
-    value = p.prefix(s).value
-    N = p.horizon.bits
-    return [n for n in range(N) if (value >> (N - 1 - n)) & 1]
+def _even_positions(N: int) -> int:
+    """Packed mask of positions 0, 2, 4, ... below N."""
+    return int(("10" * N)[:N], 2)
+
+
+def _split(value: int, N: int) -> int:
+    """Keep every second 1 bit of `value`, starting with the first, and move
+    each of the others to the position just before it."""
+    kept = value & rank_parity(value, N)
+    return kept | ((value ^ kept) << 1)
 
 
 def split_subset(A: ApproxProcess, label: str = "split-E") -> ApproxProcess:
     """From an all-odd-members process, keep the even-indexed members and the
     predecessors of the odd-indexed ones."""
     N = A.horizon.bits
+    evens = _even_positions(N)
     values = []
     for s in range(A.horizon.stages):
-        members = _stage_members(A, s)
-        if any(m % 2 == 0 for m in members):
+        members = A.prefix(s).value
+        if members & evens:
             raise InputError("splitting requires all members odd at every stage")
-        value = 0
-        for k, m in enumerate(members):
-            target = m if k % 2 == 0 else m - 1
-            value |= 1 << (N - 1 - target)
-        values.append(value)
+        values.append(_split(members, N))
     return ApproxProcess(
         lambda s, n: (values[s] >> (N - 1 - n)) & 1 if n < N else 0,
         A.horizon, label, prefix_fn=lambda s: values[s])
@@ -350,17 +351,13 @@ def split_superset(B: ApproxProcess, label: str = "split-F") -> ApproxProcess:
     even-indexed non-members and the predecessors of the odd-indexed ones."""
     N = B.horizon.bits
     full = (1 << N) - 1
+    evens = _even_positions(N)
     values = []
     for s in range(B.horizon.stages):
-        value = B.prefix(s).value
-        non_members = [n for n in range(N) if not (value >> (N - 1 - n)) & 1]
-        if any(m % 2 == 0 for m in non_members):
+        non_members = full & ~B.prefix(s).value
+        if non_members & evens:
             raise InputError("dual splitting requires all non-members odd")
-        removed = 0
-        for k, m in enumerate(non_members):
-            target = m if k % 2 == 0 else m - 1
-            removed |= 1 << (N - 1 - target)
-        values.append(full & ~removed)
+        values.append(full & ~_split(non_members, N))
     return ApproxProcess(
         lambda s, n: (values[s] >> (N - 1 - n)) & 1 if n < N else 0,
         B.horizon, label, prefix_fn=lambda s: values[s])
@@ -372,7 +369,7 @@ def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
     avoids it: output t is (B at stage s_t, restricted to [0, t]) union R."""
     N = B.horizon.bits
     S = B.horizon.stages
-    final_members = frozenset(_stage_members(B, S - 1))
+    final_members = B.prefix(S - 1).members()
     if R & final_members:
         raise InputError("the fixed set must avoid the final content")
     r_value = Prefix.from_set(R, N).value

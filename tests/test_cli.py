@@ -98,6 +98,21 @@ class TestRun:
         assert "distinct finals" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("argv,message", [
+        # one even entry per stage needs 2 * 300 - 1 bits
+        (("bambam", "--stages", "300", "--bits", "512"), "599 bits"),
+        # the 8-bit protected head leaves no position for a move
+        (("lowerfarm", "--bits", "8"), "protected head"),
+        # checkpoint 40 past the switch string needs 42 bits
+        (("selfref", "--bits", "8"), "needs 42 bits"),
+        (("selfref", "--bits", "41"), "needs 42 bits"),
+    ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41"])
+    def test_horizon_too_small_exits_2(self, argv, message):
+        done = run_cli_process("run", *argv)
+        assert done.returncode == 2
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestValidate:
     def test_round_trip_and_verdicts(self, tmp_path, capsys):

@@ -37,3 +37,23 @@ def test_trace_matches_golden(construction, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[construction]
+
+
+# The packed-kernel constructions at 1024x2048, seed 13: hashes recorded
+# from the per-bit implementations they replaced.
+WIDE_GOLDEN_SHA256 = {
+    "maxsep": "8c7d019d55159e49b26614b6bc1778fae3839be5388e6ed158fd4c6da3cbef73",
+    "split": "426903100b2faf622af6345bf0af721a60033608df9f7f06f809758e66d5cefd",
+    "lowerfarm": "5725b5f1889e386700cdb8f6f04bc9bb68fd4e8a301ebd6b3ac58b1e568c126f",
+    "inc-decode": "a4fed25d94183d1dbe68580561ebfa757cf07acd939ed33996784ea7048ebfbc",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(WIDE_GOLDEN_SHA256))
+def test_wide_trace_matches_golden(construction, tmp_path):
+    out = tmp_path / "trace.jsonl"
+    code = main(["run", construction, "--stages", "1024", "--bits", "2048",
+                 "--seed", "13", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == WIDE_GOLDEN_SHA256[construction]

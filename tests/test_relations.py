@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.core import (GREATER, Horizon, InputError, Numbering, Prefix,
-                         Schedule, UsageError, lex_cmp,
+from leftre.core import (GREATER, CapacityError, Horizon, InputError,
+                         Numbering, Prefix, Schedule, UsageError, lex_cmp,
                          process_from_stage_prefixes, validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
 from leftre.relations import (RelationOracle, b_from_k, check_persistence,
@@ -61,6 +61,22 @@ class TestIncOracle:
                 if i != j and oracle.has(i, j) and oracle.has(j, i):
                     assert finals[i] == finals[j]
 
+    def test_has_builds_pairs_once(self, monkeypatch):
+        nu = random_catalog(3, 5, HZ)
+        oracle = inc_oracle_bruteforce(nu)
+        twin = RelationOracle(oracle.entries, oracle.mode)
+        built = []
+        real_pairs = RelationOracle.pairs
+        monkeypatch.setattr(RelationOracle, "pairs",
+                            lambda self: built.append(1) or real_pairs(self))
+        pairs = real_pairs(oracle)
+        for i in range(6):
+            for j in range(6):
+                assert oracle.has(i, j) == ((i, j) in pairs)
+        assert len(built) == 1
+        # The cached set is no field: equality and hashing are unchanged.
+        assert twin == oracle and hash(twin) == hash(oracle)
+
     def test_unstable_estimate_refused(self):
         moving = process_from_stage_prefixes(
             [Prefix(HZ.bits, v) for v in range(HZ.stages)], HZ)
@@ -104,7 +120,58 @@ def decode_family(K, x, hz=HZ):
     return Numbering([odds, B] + cands)
 
 
+def decide_k_below_reference(oracle, nu, x, K, a_index=0, b_index=1):
+    """Slow oracle for decide_k_below: the emitted pairs and the K view are
+    rebuilt from scratch at every stage."""
+    if x == 0:
+        return set()
+    S = nu.horizon.stages
+    limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
+                S - 1) + 1
+    for s in range(limit):
+        emitted = frozenset(p for p, t in oracle.entries if t <= s)
+        k_view = K.members_at(s)
+        for e in range(nu.index_range):
+            if e in (a_index, b_index) or (e, a_index) not in emitted \
+                    or (e, b_index) not in emitted:
+                continue
+            E = nu.at(e).prefix(min(s, S - 1)).members()
+            if all((y in k_view) != (2 * y + 1 in E) for y in range(x)):
+                return {y for y in range(x) if 2 * y + 1 not in E}
+    return None
+
+
 class TestDecoding:
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10), st.data())
+    def test_matches_reference_on_random_oracles(self, x, data):
+        # The inclusion pairs of the final sets, and the schedule's entries,
+        # at arbitrary stages up to past the horizon and in any order: both
+        # searches stop at the same candidate, or both find none.
+        K = Schedule.from_pairs(data.draw(st.lists(st.tuples(
+            st.integers(0, x + 2), st.integers(0, 2 * HZ.stages)),
+            max_size=x + 3)), "k-set")
+        nu = decode_family(K, x)
+        finals = [p.final_prefix() for p in nu]
+        pairs = [(i, j) for i, a in enumerate(finals)
+                 for j, b in enumerate(finals) if a.is_subset_of(b)]
+        stages = data.draw(st.lists(st.integers(0, 2 * HZ.stages),
+                                    min_size=len(pairs), max_size=len(pairs)))
+        oracle = RelationOracle(
+            tuple(data.draw(st.permutations(list(zip(pairs, stages))))),
+            "inclusion")
+        expected = decide_k_below_reference(oracle, nu, x, K)
+        if expected is not None and expected != \
+                {y for y in K.final_members() if y < x}:
+            expected = "audit"
+        try:
+            got = decide_k_below(oracle, nu, x, K)
+        except CapacityError:
+            got = None
+        except RuntimeError:
+            got = "audit"
+        assert got == expected
+
     @pytest.mark.parametrize("i", range(5))
     @pytest.mark.parametrize("x", [0, 3, 16])
     def test_recovers_k_below(self, i, x):
