@@ -132,23 +132,21 @@ def _run_bambam(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
             "validator": all(bool(r) for r in gamma.validate())}
 
 
-def _zulu_pair(hz: Horizon, seed: int, params: dict):
+def _zulu_state(hz: Horizon, seed: int, params: dict) -> zulu.ZuluState:
     n_cap = params.get("n_cap", 3)
     omega = fixtures.omega_fixture(seed, hz, top_bit=min(2 ** n_cap - 1, 32))
-    layout = zulu.BlockLayout(n_cap)
-    return omega, layout
+    return zulu.ZuluState(omega, zulu.BlockLayout(n_cap))
 
 
 def _run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
               minimal: bool) -> dict:
-    omega, layout = _zulu_pair(hz, seed, params)
-    A = zulu.build_minimal(omega, layout, hz)
-    B = zulu.build_maximal(omega, layout, hz)
-    state = zulu.ZuluState(omega, layout)
+    state = _zulu_state(hz, seed, params)
+    A = zulu.build_minimal(state, hz)
+    B = zulu.build_maximal(state, hz)
     for s in range(0, hz.stages, max(1, hz.stages // 16)):
         trace.line({"stage": s, "type": "markers", "a": list(state.markers(s))})
     target = A if minimal else B
-    report = zulu.btt_check(A, B, layout, seed=seed)
+    report = zulu.btt_check(A, B, state.layout, seed=seed)
     return {"validator": bool(validate_left_re(target)), "btt": report.ok}
 
 
@@ -186,10 +184,10 @@ def _run_lowerfarm(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> 
 
 
 def _run_tilde(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    omega, layout = _zulu_pair(hz, seed, params)
-    A = zulu.build_minimal(omega, layout, hz)
+    state = _zulu_state(hz, seed, params)
+    A = zulu.build_minimal(state, hz)
     W = Schedule.from_pairs([(1, 2), (3, 5)], "re-set")
-    T = zulu.tilde_set(A, W, layout)
+    T = zulu.tilde_set(A, W, state.layout)
     _process_rows(T, trace)
     return {"validator": bool(validate_left_re(T))}
 

@@ -2,8 +2,9 @@
 
 Everything in this package works over a fixed horizon of S stages and N bit
 positions.  A set is identified with its characteristic bit sequence; a
-stage-indexed approximation of a set is a total function (stage, position) ->
-bit whose per-stage prefixes are nondecreasing in lexicographic order.  This
+stage-indexed approximation of a set is its S packed N-bit stage prefixes,
+nondecreasing in lexicographic order, plus an optional arithmetic answer for
+positions past the horizon where a construction needs one.  This
 module provides the prefix/process/numbering/schedule types and the
 validators every construction in the package is checked against.
 """
@@ -172,49 +173,53 @@ def first_difference(a: Prefix, b: Prefix) -> Optional[int]:
 
 
 class ApproxProcess:
-    """A total stage-indexed bit function with a lex-monotone contract.
+    """A stage-indexed approximation of a set: its packed stage values.
 
-    `bit_fn(s, n)` must be defined for all stages s < horizon.stages and is
-    allowed to accept positions beyond horizon.bits (sparse constructions
-    decide membership arithmetically for huge positions).  `prefix_fn`, when
-    given, returns the stage prefix as a packed integer and is used as a fast
-    path; it must agree with `bit_fn` on the horizon.
+    `prefix_fn(s)` is called once per stage s < horizon.stages, when the
+    process is built, and must return the stage-s prefix as a packed integer
+    of horizon.bits bits; a value out of that range raises UsageError.
+    `prefix(s)` and `bit(s, n)` for n < horizon.bits read the stored values.
+    Positions at or past the bit horizon are answered by the optional
+    `bit_fn(s, n)`, which sparse constructions give to decide membership
+    arithmetically for huge positions; without one they read 0.
     """
 
-    def __init__(self, bit_fn: Callable[[int, int], int], horizon: Horizon,
-                 label: str = "", prefix_fn: Optional[Callable[[int], int]] = None):
-        self.bit_fn = bit_fn
+    def __init__(self, prefix_fn: Callable[[int], int], horizon: Horizon,
+                 label: str = "",
+                 bit_fn: Optional[Callable[[int, int], int]] = None):
+        N = horizon.bits
+        prefixes = []
+        p = None
+        for s in range(horizon.stages):
+            value = prefix_fn(s)
+            # A stage that repeats its predecessor's value shares its Prefix.
+            if p is None or value != p.value:
+                try:
+                    p = Prefix(N, value)
+                except UsageError:
+                    raise UsageError(f"process {label!r}: stage {s} value "
+                                     f"does not fit {N} bits") from None
+            prefixes.append(p)
+        self._prefixes = tuple(prefixes)
         self.horizon = horizon
         self.label = label
-        self.prefix_fn = prefix_fn
-        self._prefix_cache: dict[int, Prefix] = {}
-
-    def bit(self, s: int, n: int) -> int:
-        return self.bit_fn(s, n)
+        self.bit_fn = bit_fn
 
     def prefix(self, s: int) -> Prefix:
-        cached = self._prefix_cache.get(s)
-        if cached is not None:
-            return cached
         if not 0 <= s < self.horizon.stages:
             raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
-        N = self.horizon.bits
-        if self.prefix_fn is not None:
-            p = Prefix(N, self.prefix_fn(s))
-        else:
-            value = 0
-            for n in range(N):
-                b = self.bit_fn(s, n)
-                if b not in (0, 1):
-                    raise UsageError(
-                        f"process {self.label!r} not 0/1-valued at ({s}, {n})")
-                value = (value << 1) | b
-            p = Prefix(N, value)
-        self._prefix_cache[s] = p
-        return p
+        return self._prefixes[s]
+
+    def bit(self, s: int, n: int) -> int:
+        if not 0 <= s < self.horizon.stages:
+            raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
+        p = self._prefixes[s]
+        if n < p.length:
+            return p.bit(n)
+        return 0 if self.bit_fn is None else self.bit_fn(s, n)
 
     def final_prefix(self) -> Prefix:
-        return self.prefix(self.horizon.stages - 1)
+        return self._prefixes[-1]
 
     def __repr__(self) -> str:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
@@ -223,26 +228,24 @@ class ApproxProcess:
 def constant_process(prefix: Prefix, horizon: Horizon, label: str = "") -> ApproxProcess:
     if prefix.length != horizon.bits:
         raise UsageError("constant prefix must match the bit horizon")
-    return ApproxProcess(lambda s, n: prefix.bit(n) if n < prefix.length else 0,
-                         horizon, label, prefix_fn=lambda s: prefix.value)
+    return ApproxProcess(lambda s: prefix.value, horizon, label)
 
 
 def finite_set_process(members: Iterable[int], horizon: Horizon,
                        label: str = "") -> ApproxProcess:
-    mem = frozenset(members)
-    value = Prefix.from_set(mem, horizon.bits).value
-    return ApproxProcess(lambda s, n: 1 if n in mem else 0, horizon, label,
-                         prefix_fn=lambda s: value)
+    value = Prefix.from_set(members, horizon.bits).value
+    return ApproxProcess(lambda s: value, horizon, label)
 
 
 def process_from_stage_prefixes(prefixes: Sequence[Prefix], horizon: Horizon,
                                 label: str = "") -> ApproxProcess:
     if len(prefixes) != horizon.stages:
         raise UsageError("need one prefix per stage")
-    values = [p.value for p in prefixes]
-    return ApproxProcess(
-        lambda s, n: (values[s] >> (horizon.bits - 1 - n)) & 1 if n < horizon.bits else 0,
-        horizon, label, prefix_fn=lambda s: values[s])
+    for s, p in enumerate(prefixes):
+        if p.length != horizon.bits:
+            raise UsageError(f"process {label!r}: stage {s} prefix has "
+                             f"{p.length} bits, expected {horizon.bits}")
+    return ApproxProcess(lambda s: prefixes[s].value, horizon, label)
 
 
 @dataclass(frozen=True)
@@ -257,20 +260,14 @@ class ValidationReport:
 
 
 def validate_left_re(p: ApproxProcess) -> ValidationReport:
-    """Check totality/0-1-valuedness and stage-wise lex monotonicity.
+    """Check stage-wise lex monotonicity.
 
     Reports the earliest violating (stage, position) pair; `stage` is the
     stage whose prefix exceeds its successor's.
     """
-    try:
-        prev = p.prefix(0)
-    except UsageError as exc:
-        return ValidationReport(False, 0, None, str(exc))
+    prev = p.prefix(0)
     for s in range(1, p.horizon.stages):
-        try:
-            cur = p.prefix(s)
-        except UsageError as exc:
-            return ValidationReport(False, s, None, str(exc))
+        cur = p.prefix(s)
         if lex_cmp(prev, cur) == GREATER:
             pos = first_difference(prev, cur)
             return ValidationReport(False, s - 1, pos,
@@ -399,9 +396,8 @@ class Schedule:
                     value |= 1 << (N - 1 - x)
                 i += 1
             stage_values.append(value)
-        return ApproxProcess(lambda s, n: self.bit(n, s), horizon,
-                             label or f"schedule-{self.kind}",
-                             prefix_fn=lambda s: stage_values[s])
+        return ApproxProcess(lambda s: stage_values[s], horizon,
+                             label or f"schedule-{self.kind}")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "entries": [[x, s] for x, s in self.entries]}
@@ -434,17 +430,12 @@ def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
         raise UsageError("join requires a shared horizon")
     hz = e.horizon
 
-    def bit(s: int, n: int) -> int:
-        return e.bit(s, n // 2) if n % 2 == 0 else f.bit(s, n // 2)
-
     def prefix_value(s: int) -> int:
-        value = 0
-        for n in range(hz.bits):
-            value = (value << 1) | bit(s, n)
-        return value
+        evens = [2 * x for x in e.prefix(s).members()]
+        odds = [2 * y + 1 for y in f.prefix(s).members()]
+        return Prefix.from_set(evens + odds, hz.bits).value
 
-    return ApproxProcess(bit, hz, label or f"join({e.label},{f.label})",
-                         prefix_fn=prefix_value)
+    return ApproxProcess(prefix_value, hz, label or f"join({e.label},{f.label})")
 
 
 def limit_estimate(p: ApproxProcess, stability_window: int = 8) -> tuple[Prefix, bool]:

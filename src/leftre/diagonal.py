@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import (ApproxProcess, CapacityError, Numbering, Schedule,
+from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
                    UsageError, schedule_member)
 
 
@@ -49,16 +49,13 @@ class DiagonalState:
     x: list[list[int]] = field(default_factory=list)
     trigger_stages: dict[int, list[int]] = field(default_factory=dict)
 
-    def active(self, s: int) -> int:
-        """Number of tracked indices at stage s.
+    def active(self) -> int:
+        """Number of tracked indices, the same at every stage.
 
         Every index is tracked from stage 0: activating index e only at stage
         e would remove its point mid-run, a lex decrease.
         """
         return self.e_cap + 1
-
-    def points_at(self, s: int) -> list[int]:
-        return self.x[s]
 
     def trace_rows(self) -> list[dict]:
         rows = []
@@ -85,7 +82,7 @@ def build_diagonal(nu: Numbering, Ws: Sequence[Schedule], e_cap: int = 8,
     bumped: dict[int, bool] = {}
     for s in range(hz.stages):
         row_F, row_d, row_x = [], [], []
-        for e in range(state.active(s)):
+        for e in range(state.active()):
             F = compute_F(nu, e, s)
             if e not in cur_F or cur_F[e] != F:
                 cur_F[e] = F
@@ -108,18 +105,12 @@ def build_diagonal(nu: Numbering, Ws: Sequence[Schedule], e_cap: int = 8,
         state.x.append(row_x)
 
     point_sets = [frozenset(row) for row in state.x]
-    N = hz.bits
-    full = (1 << N) - 1
-    values = []
-    for s in range(hz.stages):
-        v = full
-        for x in point_sets[s]:
-            if x < N:
-                v &= ~(1 << (N - 1 - x))
-        values.append(v)
+    full = (1 << hz.bits) - 1
 
     def bit(s: int, y: int) -> int:
         return 0 if y in point_sets[s] else 1
 
-    B = ApproxProcess(bit, hz, "diagonal", prefix_fn=lambda s: values[s])
+    B = ApproxProcess(
+        lambda s: full & ~Prefix.from_set(point_sets[s], hz.bits).value,
+        hz, "diagonal", bit_fn=bit)
     return B, state

@@ -89,7 +89,14 @@ def one_per_stage_schedule(seed: int, horizon: Horizon) -> Schedule:
 
 def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32,
                   entries: int = 12) -> Schedule:
-    """Bit-entry history with bit 0 pinned to 0."""
+    """Bit-entry history with bit 0 pinned to 0.
+
+    Raises CapacityError below two stages, where no stage after 0 is left
+    for a bit to enter at.
+    """
+    if horizon.stages < 2:
+        raise CapacityError(
+            f"a bit-entry history needs at least 2 stages, got {horizon.stages}")
     rng = Random(seed)
     bits = rng.sample(range(1, top_bit + 1), min(entries, top_bit))
     return Schedule.from_pairs(

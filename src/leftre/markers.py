@@ -68,8 +68,7 @@ class MarkerSystem:
             for p in by_stage.get(s, ()):
                 mask |= 1 << (hz.bits - 1 - p)
             removed_masks.append(mask)
-        return ApproxProcess(lambda s, n: 0 if self.removed(n, s) else 1, hz, label,
-                             prefix_fn=lambda s: full & ~removed_masks[s])
+        return ApproxProcess(lambda s: full & ~removed_masks[s], hz, label)
 
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""

@@ -103,12 +103,7 @@ def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
             if 2 * x + 1 < N:
                 v &= ~(1 << (N - 1 - (2 * x + 1)))
         values.append(v)
-
-    def bit(s: int, y: int) -> int:
-        in_k = K.bit(y // 2, s)
-        return in_k if y % 2 == 0 else 1 - in_k
-
-    return ApproxProcess(bit, horizon, "coded-k", prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], horizon, "coded-k")
 
 
 def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
@@ -283,8 +278,7 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
 
     Entries are scanned in oracle order and stages from the emission stage
     up.  Each index's stage values are read once, and only from the earliest
-    stage an entry asks of it, so the prefix cache fills no further than a
-    stage-by-stage scan would.  Suffix maxima and minima of those values skip
+    stage an entry asks of it.  Suffix maxima and minima of those values skip
     every entry whose left side never exceeds its right side's least value,
     such as pairs whose right side is already all-ones.
     """

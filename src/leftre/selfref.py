@@ -214,12 +214,6 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
     N = hz.bits
     cutoffs = [W.max_member_at(s) for s in range(hz.stages)]
 
-    def bit(s: int, x: int) -> int:
-        c = cutoffs[s]
-        if c is None or x >= c:
-            return 0
-        return B.bit(s, x)
-
     def prefix_value(s: int) -> int:
         c = cutoffs[s]
         if c is None:
@@ -228,7 +222,7 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
         mask = ((1 << keep) - 1) << (N - keep) if keep else 0
         return B.prefix(s).value & mask
 
-    return ApproxProcess(bit, hz, label, prefix_fn=prefix_value)
+    return ApproxProcess(prefix_value, hz, label)
 
 
 def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:

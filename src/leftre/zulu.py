@@ -175,10 +175,10 @@ class ZuluState:
         return mirrors
 
 
-def build_minimal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
+def build_minimal(state: ZuluState, horizon: Horizon,
                   label: str = "minimal") -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals."""
-    state = ZuluState(omega, layout)
+    layout = state.layout
 
     def bit(s: int, u: int) -> int:
         n = layout.interval_of(u)
@@ -187,21 +187,16 @@ def build_minimal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
             return 0
         return 1 if u == marks[n - 1] else 0
 
-    def prefix_value(s: int) -> int:
-        N = horizon.bits
-        value = 0
-        for a in state.markers(s):
-            if a < N:
-                value |= 1 << (N - 1 - a)
-        return value
-
-    return ApproxProcess(bit, horizon, label, prefix_fn=prefix_value)
+    return ApproxProcess(
+        lambda s: Prefix.from_set(state.markers(s), horizon.bits).value,
+        horizon, label, bit_fn=bit)
 
 
-def build_maximal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
+def build_maximal(state: ZuluState, horizon: Horizon,
                   label: str = "maximal") -> ApproxProcess:
     """The set missing exactly the mirror markers of the covered intervals."""
-    state = ZuluState(omega, layout)
+    layout = state.layout
+    N = horizon.bits
 
     def bit(s: int, u: int) -> int:
         n = layout.interval_of(u)
@@ -211,18 +206,14 @@ def build_maximal(omega: Schedule, layout: BlockLayout, horizon: Horizon,
         return 0 if u == mirrors[n - 1] else 1
 
     def prefix_value(s: int) -> int:
-        N = horizon.bits
         mirrors = state.mirrors(s)
         if not mirrors:
             return 0
         end = min(N, layout.offset(len(mirrors) + 1))
-        value = ((1 << end) - 1) << (N - end) if end > 0 else 0
-        for b in mirrors:
-            if b < N:
-                value &= ~(1 << (N - 1 - b))
-        return value
+        covered = ((1 << end) - 1) << (N - end)
+        return covered & ~Prefix.from_set(mirrors, N).value
 
-    return ApproxProcess(bit, horizon, label, prefix_fn=prefix_value)
+    return ApproxProcess(prefix_value, horizon, label, bit_fn=bit)
 
 
 @dataclass(frozen=True)
@@ -263,9 +254,10 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
             member_hits = []
             for u in probes:
                 checked += 1
-                if A.bit(s, u) != 1 - B.bit(s, hi + lo - u):
+                a = A.bit(s, u)
+                if a != 1 - B.bit(s, hi + lo - u):
                     return BttReport(False, (s, u), checked)
-                if A.bit(s, u):
+                if a:
                     member_hits.append(u)
             # Also probe the member marker itself via the mirror relation.
             for u in member_hits:
@@ -307,15 +299,13 @@ def maxsep_superset(A: Schedule, horizon: Horizon,
         values.append(M | (C & ~rank_parity(C, N)))
 
     def bit(s: int, x: int) -> int:
-        if x < N:
-            return (values[s] >> (N - 1 - x)) & 1
         members = frozenset(order[:s + 1])
         if x in members:
             return 1
         comp_rank = x - sum(1 for m in members if m < x)
         return comp_rank % 2
 
-    return ApproxProcess(bit, horizon, label, prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], horizon, label, bit_fn=bit)
 
 
 def _even_positions(N: int) -> int:
@@ -341,9 +331,7 @@ def split_subset(A: ApproxProcess, label: str = "split-E") -> ApproxProcess:
         if members & evens:
             raise InputError("splitting requires all members odd at every stage")
         values.append(_split(members, N))
-    return ApproxProcess(
-        lambda s, n: (values[s] >> (N - 1 - n)) & 1 if n < N else 0,
-        A.horizon, label, prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], A.horizon, label)
 
 
 def split_superset(B: ApproxProcess, label: str = "split-F") -> ApproxProcess:
@@ -358,9 +346,7 @@ def split_superset(B: ApproxProcess, label: str = "split-F") -> ApproxProcess:
         if non_members & evens:
             raise InputError("dual splitting requires all non-members odd")
         values.append(full & ~_split(non_members, N))
-    return ApproxProcess(
-        lambda s, n: (values[s] >> (N - 1 - n)) & 1 if n < N else 0,
-        B.horizon, label, prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], B.horizon, label)
 
 
 def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
@@ -387,9 +373,7 @@ def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
             raise CapacityError(f"no admissible stage for window [0, {t}]")
         s_prev = s_t
         values.append((B.prefix(s_t).value & window_mask) | r_value)
-    return ApproxProcess(
-        lambda s, n: (values[s] >> (N - 1 - n)) & 1 if n < N else 0,
-        B.horizon, label, prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], B.horizon, label)
 
 
 def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
@@ -400,21 +384,33 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
     drops the 3x+2 leg)."""
     if W.kind != "re-set":
         raise UsageError("the index set must be an enumeration schedule")
-    hz = A.horizon
+    N = A.horizon.bits
+
+    def prefix_value(s: int) -> int:
+        members = []
+        for x in A.prefix(s).members():
+            if 3 * x >= N:  # no leg of x inside the horizon
+                continue
+            if schedule_member(W, layout.ind(x), s):
+                members.append(3 * x)
+            else:
+                members.append(3 * x + 1)
+                if not subset_form:
+                    members.append(3 * x + 2)
+        return Prefix.from_set(members, N).value
 
     def bit(s: int, y: int) -> int:
         x, r = divmod(y, 3)
         if A.bit(s, x) == 0:
             return 0
-        n = layout.ind(x)
-        in_w = schedule_member(W, n, s)
+        in_w = schedule_member(W, layout.ind(x), s)
         if r == 0:
             return in_w
         if r == 2 and subset_form:
             return 0
         return 1 - in_w
 
-    return ApproxProcess(bit, hz, label)
+    return ApproxProcess(prefix_value, A.horizon, label, bit_fn=bit)
 
 
 def max_join_gadget(B: ApproxProcess, W: Schedule,

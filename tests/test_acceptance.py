@@ -26,9 +26,9 @@ def test_01_universal_validator_over_fixture_suite():
     layout = zulu.BlockLayout(3)
     processes = []
     for seed in (0, 1, 2):
-        om = omega_fixture(seed, FULL, top_bit=7)
-        processes.append(zulu.build_minimal(om, layout, FULL))
-        processes.append(zulu.build_maximal(om, layout, FULL))
+        state = zulu.ZuluState(omega_fixture(seed, FULL, top_bit=7), layout)
+        processes.append(zulu.build_minimal(state, FULL))
+        processes.append(zulu.build_maximal(state, FULL))
         processes.append(zulu.maxsep_superset(
             one_per_stage_schedule(seed, FULL), FULL))
         processes.append(random_leftre_process(seed + 50, FULL))
@@ -134,9 +134,9 @@ def test_06_zulu_intervals_btt_and_worked_example():
     assert st.a(2, 2) == layout.offset(2) + c1 * 16 + (16 - 1 - d2)
 
     om = omega_fixture(2, FULL, top_bit=31)
-    A = zulu.build_minimal(om, layout, FULL)
-    B = zulu.build_maximal(om, layout, FULL)
     state = zulu.ZuluState(om, layout)
+    A = zulu.build_minimal(state, FULL)
+    B = zulu.build_maximal(state, FULL)
     for s in range(1, FULL.stages, 15):
         for n in range(1, state.covered(s) + 1):
             lo, hi = layout.interval(n)

@@ -106,7 +106,12 @@ class TestRun:
         # checkpoint 40 past the switch string needs 42 bits
         (("selfref", "--bits", "8"), "needs 42 bits"),
         (("selfref", "--bits", "41"), "needs 42 bits"),
-    ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41"])
+        # a bit-entry history has no stage after 0 to enter a bit at
+        (("zulu-min", "--stages", "1"), "at least 2 stages"),
+        (("zulu-max", "--stages", "1"), "at least 2 stages"),
+        (("tilde-a", "--stages", "1"), "at least 2 stages"),
+    ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41",
+            "zulu-min-1", "zulu-max-1", "tilde-a-1"])
     def test_horizon_too_small_exits_2(self, argv, message):
         done = run_cli_process("run", *argv)
         assert done.returncode == 2
@@ -145,6 +150,18 @@ class TestValidate:
         path.write_text(json.dumps(
             {"horizon": {"stages": 4, "bits": 4}, "processes": []}))
         assert run_cli("validate", str(path)) == 0
+
+    @pytest.mark.parametrize("rows,message", [
+        (["1", "11"], "stage 0 prefix has 1 bits, expected 8"),
+        (["00000001", "000000011"], "stage 1 prefix has 9 bits, expected 8"),
+    ], ids=["short", "long"])
+    def test_row_of_wrong_length_exits_2(self, rows, message, tmp_path, capsys):
+        # A short row is not right-aligned into the horizon: it is an error.
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps(
+            {"horizon": {"stages": 2, "bits": 8}, "processes": [rows]}))
+        assert run_cli("validate", str(path)) == 2
+        assert message in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -89,10 +89,19 @@ class TestValidators:
         assert not r.ok and r.stage == 1
         assert r.position == first_difference(Prefix(HZ.bits, 8), Prefix(HZ.bits, 4))
 
-    def test_non_binary_bit_caught(self):
-        bad = ApproxProcess(lambda s, n: 2 if (s, n) == (3, 1) else 0, HZ)
-        r = validate_left_re(bad)
-        assert not r.ok and r.stage == 3
+    @pytest.mark.parametrize("s", [-1, HZ.stages])
+    def test_stage_outside_horizon_raises(self, s):
+        p = staged([0, 5])
+        with pytest.raises(UsageError):
+            p.prefix(s)
+        with pytest.raises(UsageError):
+            p.bit(s, 0)
+
+    @pytest.mark.parametrize("value", [-1, 1 << HZ.bits],
+                             ids=["negative", "too-wide"])
+    def test_out_of_range_stage_value_raises(self, value):
+        with pytest.raises(UsageError, match="stage 3"):
+            ApproxProcess(lambda s: value if s == 3 else 0, HZ, "bad")
 
     def test_membership_direction(self):
         up = staged([0, 1, 3])
@@ -171,7 +180,7 @@ class TestNumbering:
     def test_horizon_mismatch(self):
         with pytest.raises(UsageError):
             Numbering([staged([0]),
-                       ApproxProcess(lambda s, n: 0, Horizon(8, 8))])
+                       ApproxProcess(lambda s: 0, Horizon(8, 8))])
 
     def test_validate_all(self):
         nu = Numbering([staged([0, 3]), staged([1, 1, 9])])

@@ -1,19 +1,25 @@
-"""Packed rank-parity kernels against the per-bit loops they replaced.
+"""Packed kernels against the per-bit loops they replaced.
 
 The reference implementations below walk every bit of every stage, as the
 constructions did before `rank_parity`; the fast versions must give the same
-stage values, the same `bit_fn` answers (maxsep also past the bit horizon)
-and the same `InputError`s.
+stage values, the same answers past the bit horizon and the same
+`InputError`s.  Every construction that keeps a `bit_fn` for positions past
+the horizon is also checked against its own packed stage values below it.
 """
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
                          UsageError, process_from_stage_prefixes, rank_parity)
-from leftre.fixtures import one_per_stage_schedule
-from leftre.zulu import maxsep_superset, split_subset, split_superset
+from leftre.diagonal import build_diagonal
+from leftre.fixtures import (diagonal_catalog, diagonal_schedules,
+                             omega_fixture, one_per_stage_schedule)
+from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
+                         maxsep_superset, split_subset, split_superset,
+                         tilde_set)
 
 
 # -- reference implementations (per-bit loops) ------------------------------
@@ -51,7 +57,7 @@ def maxsep_superset_reference(A: Schedule, horizon: Horizon) -> ApproxProcess:
             return 1
         return (x - sum(1 for m in members if m < x)) % 2
 
-    return ApproxProcess(bit, horizon, "ref", prefix_fn=lambda s: values[s])
+    return ApproxProcess(lambda s: values[s], horizon, "ref", bit_fn=bit)
 
 
 def stage_members_reference(p: ApproxProcess, s: int) -> list[int]:
@@ -94,6 +100,10 @@ def prefix_members_reference(p: Prefix) -> frozenset[int]:
     return frozenset(n for n in range(p.length) if p.bit(n))
 
 
+def stage_values_of(P: ApproxProcess) -> list[int]:
+    return [P.prefix(s).value for s in range(P.horizon.stages)]
+
+
 def schedule_values_reference(W: Schedule, horizon: Horizon) -> list[int]:
     return [Prefix.from_set(W.members_at(s), horizon.bits).value
             for s in range(horizon.stages)]
@@ -125,15 +135,24 @@ def stage_values(draw, horizon, mask):
     return [draw(st.integers(0, top)) & mask for _ in range(horizon.stages)]
 
 
+def assert_bit_fn_matches_stage_values(P: ApproxProcess) -> None:
+    """A process reads its `bit_fn` only past the bit horizon; below it the
+    same function must agree with the packed stage values."""
+    for s in range(P.horizon.stages):
+        got = tuple(P.bit_fn(s, n) for n in range(P.horizon.bits))
+        assert got == P.prefix(s).bits(), (P.label, s)
+
+
 def check_maxsep(hz: Horizon, A: Schedule) -> None:
-    """Same stage values, and the same `bit_fn` answers up to 8 positions
-    past the bit horizon."""
+    """Same stage values, the same answers up to 8 positions past the bit
+    horizon, and a `bit_fn` that agrees with the stage values below it."""
     fast = maxsep_superset(A, hz)
     slow = maxsep_superset_reference(A, hz)
     for s in range(hz.stages):
-        assert fast.prefix_fn(s) == slow.prefix_fn(s), s
-        for x in range(hz.bits + 8):
-            assert fast.bit_fn(s, x) == slow.bit_fn(s, x), (s, x)
+        assert fast.prefix(s) == slow.prefix(s), s
+        for x in range(hz.bits, hz.bits + 8):
+            assert fast.bit(s, x) == slow.bit(s, x), (s, x)
+    assert_bit_fn_matches_stage_values(fast)
 
 
 # -- tests ----------------------------------------------------------------------
@@ -186,16 +205,12 @@ def check_split(hz: Horizon, odd_values: list[int]) -> None:
     N = hz.bits
     A = process_from_stage_prefixes([Prefix(N, v) for v in odd_values], hz)
     E = split_subset(A)
-    assert [E.prefix_fn(s) for s in range(hz.stages)] == split_subset_reference(A)
-    for s in range(hz.stages):
-        for x in range(N + 2):
-            expected = (E.prefix_fn(s) >> (N - 1 - x)) & 1 if x < N else 0
-            assert E.bit_fn(s, x) == expected
+    assert stage_values_of(E) == split_subset_reference(A)
     full = (1 << N) - 1
     B = process_from_stage_prefixes(
         [Prefix(N, full & ~v) for v in odd_values], hz)
     F = split_superset(B)
-    assert [F.prefix_fn(s) for s in range(hz.stages)] == split_superset_reference(B)
+    assert stage_values_of(F) == split_superset_reference(B)
 
 
 class TestSplit:
@@ -253,13 +268,42 @@ class TestScheduleProcess:
         W = Schedule.from_pairs(pairs, data.draw(st.sampled_from(
             ["re-set", "k-set", "omega-bits"])))
         P = W.as_process(hz)
-        assert [P.prefix_fn(s) for s in range(hz.stages)] == \
-            schedule_values_reference(W, hz)
+        assert stage_values_of(P) == schedule_values_reference(W, hz)
         for s in range(0, hz.stages, 7):
-            for x in range(hz.bits + 3):
-                assert P.bit_fn(s, x) == W.bit(x, s)
+            for x in range(hz.bits):
+                assert P.bit(s, x) == W.bit(x, s)
 
     @pytest.mark.parametrize("hz", EDGE_HORIZONS)
     def test_empty_schedule(self, hz):
         P = Schedule.from_pairs([]).as_process(hz)
-        assert [P.prefix_fn(s) for s in range(hz.stages)] == [0] * hz.stages
+        assert stage_values_of(P) == [0] * hz.stages
+
+
+class TestBitFnBelowHorizon:
+    """Each construction that answers past the bit horizon, checked against
+    its own stage values at every position below it (maxsep: `check_maxsep`)."""
+
+    HZ = Horizon(64, 128)
+
+    @pytest.mark.parametrize("seed", [13, 29])
+    def test_zulu_minimal_maximal(self, seed):
+        state = _zulu_state(self.HZ, seed, {"n_cap": 3})
+        assert_bit_fn_matches_stage_values(build_minimal(state, self.HZ))
+        assert_bit_fn_matches_stage_values(build_maximal(state, self.HZ))
+
+    @pytest.mark.parametrize("subset_form", [False, True])
+    def test_tilde(self, subset_form):
+        layout = BlockLayout(3)
+        A = build_minimal(ZuluState(omega_fixture(3, self.HZ, top_bit=7),
+                                    layout), self.HZ)
+        W = Schedule.from_pairs([(1, 2), (3, 5)])
+        assert_bit_fn_matches_stage_values(tilde_set(A, W, layout, subset_form))
+
+    def test_diagonal(self):
+        nu = diagonal_catalog(self.HZ)
+        empty = [Schedule.from_pairs([])] * 4
+        _, settled = build_diagonal(nu, empty, e_cap=3)
+        Ws = diagonal_schedules(settled.x[-1], self.HZ, fire_for=(0, 2))
+        B, state = build_diagonal(nu, Ws, e_cap=3)
+        assert state.trigger_stages
+        assert_bit_fn_matches_stage_values(B)

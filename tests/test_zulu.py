@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.cli import _zulu_pair
+from leftre.cli import _zulu_state
 from leftre.core import (Horizon, InputError, Prefix, Schedule, UsageError,
                          validate_left_re)
 from leftre.fixtures import (omega_fixture, omega_worked_example,
@@ -129,14 +129,16 @@ class TestMinimalMaximal:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_validators(self, seed):
         om = omega_fixture(seed, HZ, top_bit=7)
-        assert validate_left_re(build_minimal(om, LAYOUT, HZ)).ok
-        assert validate_left_re(build_maximal(om, LAYOUT, HZ)).ok
+        state = ZuluState(om, LAYOUT)
+        assert validate_left_re(build_minimal(state, HZ)).ok
+        assert validate_left_re(build_maximal(state, HZ)).ok
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_exactly_one_per_covered_interval(self, seed):
         om = omega_fixture(seed, HZ, top_bit=7)
-        A = build_minimal(om, LAYOUT, HZ)
-        B = build_maximal(om, LAYOUT, HZ)
+        state = ZuluState(om, LAYOUT)
+        A = build_minimal(state, HZ)
+        B = build_maximal(state, HZ)
         for s in range(1, HZ.stages, 5):
             for n in range(1, min(s, LAYOUT.n_cap) + 1):
                 lo, hi = LAYOUT.interval(n)
@@ -148,26 +150,19 @@ class TestMinimalMaximal:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_btt_link(self, seed):
         om = omega_fixture(seed, HZ, top_bit=7)
-        A = build_minimal(om, LAYOUT, HZ)
-        B = build_maximal(om, LAYOUT, HZ)
+        state = ZuluState(om, LAYOUT)
+        A = build_minimal(state, HZ)
+        B = build_maximal(state, HZ)
         report = btt_check(A, B, LAYOUT, seed=seed)
         assert report.ok, report
 
     @pytest.mark.parametrize("seed,checked", [(13, 21276), (29, 21275)])
     def test_btt_probe_coverage_pinned(self, seed, checked):
-        omega, layout = _zulu_pair(HZ, seed, {"n_cap": 3})
-        A = build_minimal(omega, layout, HZ)
-        B = build_maximal(omega, layout, HZ)
-        assert btt_check(A, B, layout, seed=seed) == BttReport(True, None, checked)
-
-    @pytest.mark.parametrize("seed", [13, 29])
-    def test_bit_path_matches_prefix_path(self, seed):
-        omega, layout = _zulu_pair(HZ, seed, {"n_cap": 3})
-        for build in (build_minimal, build_maximal):
-            P = build(omega, layout, HZ)
-            for s in range(HZ.stages):
-                bits = "".join(str(P.bit_fn(s, u)) for u in range(HZ.bits))
-                assert int(bits, 2) == P.prefix_fn(s), (build.__name__, s)
+        state = _zulu_state(HZ, seed, {"n_cap": 3})
+        A = build_minimal(state, HZ)
+        B = build_maximal(state, HZ)
+        assert btt_check(A, B, state.layout, seed=seed) == \
+            BttReport(True, None, checked)
 
     def test_marker_tables_match_markers(self):
         om = omega_fixture(3, HZ, top_bit=7)
@@ -180,7 +175,7 @@ class TestMinimalMaximal:
     def test_bit0_entry_rejected(self):
         bad = Schedule.from_pairs([(0, 2)], "omega-bits")
         with pytest.raises(InputError):
-            build_minimal(bad, LAYOUT, HZ)
+            ZuluState(bad, LAYOUT)
 
     def test_static_history_static_markers(self):
         om = Schedule.from_pairs([], "omega-bits")
@@ -253,9 +248,8 @@ class TestSplit:
         odd_sched = Schedule.from_pairs([(2 * x + 1, s) for x, s in half.entries])
         from leftre.core import ApproxProcess
         B = ApproxProcess(
-            lambda s, n: 1 if n % 2 == 0 else odd_sched.bit(n, s), HZ, "dual",
-            prefix_fn=lambda s: evens
-            | Prefix.from_set(odd_sched.members_at(s), N).value)
+            lambda s: evens | Prefix.from_set(odd_sched.members_at(s), N).value,
+            HZ, "dual")
         F = split_superset(B)
         assert validate_left_re(F).ok
         non = [n for n in range(N) if n not in B.final_prefix().members()]
@@ -283,7 +277,7 @@ class TestLowerfarm:
 class TestTilde:
     def test_validator_and_coding(self):
         om = omega_fixture(3, HZ, top_bit=7)
-        A = build_minimal(om, LAYOUT, HZ)
+        A = build_minimal(ZuluState(om, LAYOUT), HZ)
         W = Schedule.from_pairs([(1, 2)])
         T = tilde_set(A, W, LAYOUT)
         assert validate_left_re(T).ok
@@ -300,7 +294,7 @@ class TestTilde:
 
     def test_subset_form_drops_third_leg(self):
         om = omega_fixture(3, HZ, top_bit=7)
-        A = build_minimal(om, LAYOUT, HZ)
+        A = build_minimal(ZuluState(om, LAYOUT), HZ)
         T = tilde_set(A, Schedule.from_pairs([]), LAYOUT, subset_form=True)
         s = HZ.stages - 1
         a1 = ZuluState(om, LAYOUT).a(1, s)
@@ -310,7 +304,7 @@ class TestTilde:
 class TestJoinGadget:
     def test_interleaving(self):
         om = omega_fixture(3, HZ, top_bit=7)
-        B = build_maximal(om, LAYOUT, HZ)
+        B = build_maximal(ZuluState(om, LAYOUT), HZ)
         W = Schedule.from_pairs([(2, 1), (5, 3)])
         J = max_join_gadget(B, W)
         assert validate_left_re(J).ok
