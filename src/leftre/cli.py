@@ -151,6 +151,10 @@ def _run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
 
 
 def _run_maxsep(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    if hz.bits < 3:
+        raise CapacityError(
+            f"a strict superset needs at least 3 bits, got {hz.bits}: the "
+            f"complement has no second position to add")
     A = fixtures.one_per_stage_schedule(seed, hz)
     E = zulu.maxsep_superset(A, hz)
     _process_rows(E, trace)

@@ -168,9 +168,15 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
     """All zeros until the final stage, then a single 1 at the checkpoint.
 
     Frozen tails taken at any earlier stage miss the checkpoint bit, which is
-    exactly the asymmetry the self-reference construction needs.
+    exactly the asymmetry the self-reference construction needs.  Raises
+    CapacityError when the checkpoint lies past the bit horizon, where the
+    process would stay empty.
     """
     N = horizon.bits
+    if checkpoint >= N:
+        raise CapacityError(
+            f"boundary checkpoint {checkpoint} needs {checkpoint + 1} bits, "
+            f"got {N}")
     prefixes = [Prefix.zeros(N)] * (horizon.stages - 1)
     prefixes.append(Prefix.from_set({checkpoint}, N))
     return process_from_stage_prefixes(prefixes, horizon, "late-boundary")

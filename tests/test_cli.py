@@ -110,8 +110,16 @@ class TestRun:
         (("zulu-min", "--stages", "1"), "at least 2 stages"),
         (("zulu-max", "--stages", "1"), "at least 2 stages"),
         (("tilde-a", "--stages", "1"), "at least 2 stages"),
+        # the complement of the enumerated elements has no second position
+        (("maxsep", "--bits", "1"), "at least 3 bits, got 1"),
+        (("maxsep", "--bits", "2"), "at least 3 bits, got 2"),
+        # the late boundary's checkpoint 20 lies past the horizon
+        (("excise", "--stages", "64", "--bits", "16"), "needs 21 bits"),
+        # the fixed set {0, 2, 4} reaches past the horizon
+        (("lowerfarm", "--stages", "8", "--bits", "4"), "needs 5 bits"),
     ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41",
-            "zulu-min-1", "zulu-max-1", "tilde-a-1"])
+            "zulu-min-1", "zulu-max-1", "tilde-a-1", "maxsep-1", "maxsep-2",
+            "excise-64x16", "lowerfarm-8x4"])
     def test_horizon_too_small_exits_2(self, argv, message):
         done = run_cli_process("run", *argv)
         assert done.returncode == 2

@@ -1,9 +1,12 @@
+from functools import lru_cache
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.cli import _zulu_state
-from leftre.core import (Horizon, InputError, Prefix, Schedule, UsageError,
-                         validate_left_re)
+from leftre.core import (ApproxProcess, CapacityError, Horizon, InputError,
+                         Prefix, Schedule, UsageError, validate_left_re)
 from leftre.fixtures import (omega_fixture, omega_worked_example,
                              one_per_stage_schedule, random_leftre_process)
 from leftre.zulu import (BlockLayout, BttReport, ZuluState, btt_check,
@@ -164,6 +167,12 @@ class TestMinimalMaximal:
         assert btt_check(A, B, state.layout, seed=seed) == \
             BttReport(True, None, checked)
 
+    @pytest.mark.parametrize("seed,checked", [(13, 175371), (29, 175362)])
+    def test_btt_probe_coverage_pinned_512x1024(self, seed, checked):
+        _, A, B, layout = zulu_pair(512, 1024, seed)
+        assert btt_check(A, B, layout, seed=seed) == \
+            BttReport(True, None, checked)
+
     def test_marker_tables_match_markers(self):
         om = omega_fixture(3, HZ, top_bit=7)
         st_ = ZuluState(om, LAYOUT)
@@ -183,6 +192,123 @@ class TestMinimalMaximal:
         assert st_.a(1, 1) == st_.a(1, 40)
         # Empty history: d = 0, so the marker sits at the pairing maximum.
         assert st_.a(1, 1) == LAYOUT.pair(1, 0, 3)
+
+
+def btt_check_reference(A, B, layout, stages=None, exhaustive_below=3,
+                        samples_per_interval=32, seed=0) -> BttReport:
+    """Slow oracle for `btt_check`: every probe reads one bit of A and one of
+    B, and every member's mirror is read again."""
+    if A.horizon != B.horizon:
+        raise UsageError("processes must share a horizon")
+    rng = Random(seed)
+    if stages is None:
+        stages = range(A.horizon.stages)
+    checked = 0
+    for s in stages:
+        for n in range(1, min(s, layout.n_cap) + 1):
+            lo, hi = layout.interval(n)
+            if n < exhaustive_below:
+                probes = range(lo, hi + 1)
+            else:
+                probes = {lo, lo + 1, hi - 1, hi}
+                for _ in range(samples_per_interval):
+                    probes.add(rng.randrange(lo, hi + 1))
+                for u in list(probes):
+                    probes.add(hi + lo - u)
+                probes = sorted(probes)
+            member_hits = []
+            for u in probes:
+                checked += 1
+                a = A.bit(s, u)
+                if a != 1 - B.bit(s, hi + lo - u):
+                    return BttReport(False, (s, u), checked)
+                if a:
+                    member_hits.append(u)
+            for u in member_hits:
+                checked += 1
+                if B.bit(s, hi + lo - u) != 0:
+                    return BttReport(False, (s, u), checked)
+    return BttReport(True, None, checked)
+
+
+@lru_cache(maxsize=None)
+def zulu_pair(stages: int, bits: int, seed: int):
+    """The driver's zulu state and its minimal/maximal pair."""
+    hz = Horizon(stages, bits)
+    state = _zulu_state(hz, seed, {})
+    return state, build_minimal(state, hz), build_maximal(state, hz), state.layout
+
+
+def flipped(p: ApproxProcess, stage: int, position: int) -> ApproxProcess:
+    """`p` with the stage-`stage` bit at `position` (below the horizon)
+    inverted; positions past the horizon still go to `p`'s bit_fn."""
+    mask = Prefix.from_set({position}, p.horizon.bits).value
+    return ApproxProcess(
+        lambda s: p.prefix(s).value ^ (mask if s == stage else 0),
+        p.horizon, p.label, bit_fn=p.bit_fn)
+
+
+class TestBttAgainstReference:
+    """The packed-window `btt_check` against the per-probe oracle.  At 64x128
+    I_2 straddles the bit horizon; from 300 bits on, I_1 and I_2 lie inside
+    it and I_3 straddles it."""
+
+    @pytest.mark.parametrize("seed", [13, 29])
+    @pytest.mark.parametrize("stages,bits", [(64, 128), (64, 300), (512, 1024),
+                                             (1024, 2048)])
+    def test_same_report_as_reference(self, stages, bits, seed):
+        _, A, B, layout = zulu_pair(stages, bits, seed)
+        report = btt_check(A, B, layout, seed=seed)
+        assert report.ok
+        assert report == btt_check_reference(A, B, layout, seed=seed)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sampled_from([128, 300, 512]), st.sampled_from([13, 29]),
+           st.booleans(), st.data())
+    def test_one_flipped_bit(self, bits, seed, flip_a, data):
+        # Every position below the horizon lies in I_1, I_2 or the part of
+        # I_3 inside the horizon.
+        _, A, B, layout = zulu_pair(64, bits, seed)
+        stage = data.draw(st.integers(0, 63), label="stage")
+        position = data.draw(st.integers(0, bits - 1), label="position")
+        if flip_a:
+            A = flipped(A, stage, position)
+        else:
+            B = flipped(B, stage, position)
+        report = btt_check(A, B, layout, seed=seed)
+        assert report == btt_check_reference(A, B, layout, seed=seed)
+        if position <= layout.interval(2)[1] and stage >= layout.ind(position):
+            # An exhaustively scanned interval always finds the flip.
+            u = position if flip_a else layout.mirror(position)
+            assert report.witness == (stage, u)
+
+    def test_mirror_at_the_member_found(self):
+        # B misses each I_1 marker itself instead of its mirror: unreversed,
+        # B's window would be the complement of A's.
+        state, A, B, layout = zulu_pair(64, 300, 13)
+        swap = {s: Prefix.from_set(set(state.markers(s)[:1])
+                                   | set(state.mirrors(s)[:1]), 300).value
+                for s in range(64)}
+        bad_b = ApproxProcess(lambda s: B.prefix(s).value ^ swap[s],
+                              B.horizon, "swapped", bit_fn=B.bit_fn)
+        report = btt_check(A, bad_b, layout, seed=13)
+        assert report == btt_check_reference(A, bad_b, layout, seed=13)
+        assert not report.ok and report.witness[0] == 1
+
+    def test_in_horizon_intervals_read_no_single_bits(self):
+        # At 64x300 the packed windows decide I_1 and I_2, so no position
+        # below I_3 is read one bit at a time.
+        _, A, B, layout = zulu_pair(64, 300, 13)
+        lo_3 = layout.interval(3)[0]
+        read = []
+        for p in (A, B):
+            proc_bit = p.bit
+            p.bit = lambda s, u, proc_bit=proc_bit: read.append(u) or proc_bit(s, u)
+        try:
+            assert btt_check(A, B, layout, seed=13).ok
+        finally:
+            del A.bit, B.bit
+        assert read and min(read) >= lo_3
 
 
 class TestMaxsep:
@@ -266,6 +392,11 @@ class TestLowerfarm:
         E = lowerfarm_witness(B, R)
         assert validate_left_re(E).ok
         assert R <= E.final_prefix().members()
+
+    def test_fixed_position_past_horizon_rejected(self):
+        B = random_leftre_process(2, HZ, head_zeros=8)
+        with pytest.raises(CapacityError, match="needs 129 bits"):
+            lowerfarm_witness(B, frozenset({0, HZ.bits}))
 
     def test_overlapping_fixed_set_rejected(self):
         B = random_leftre_process(2, HZ, head_zeros=8)
