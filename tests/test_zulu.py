@@ -233,7 +233,8 @@ def btt_check_reference(A, B, layout, stages=None, exhaustive_below=3,
 
 @lru_cache(maxsize=None)
 def zulu_pair(stages: int, bits: int, seed: int):
-    """The driver's zulu state and its minimal/maximal pair."""
+    """The CLI's zulu state for a horizon and seed, its minimal and maximal
+    sets, and its layout."""
     hz = Horizon(stages, bits)
     state = _zulu_state(hz, seed, {})
     return state, build_minimal(state, hz), build_maximal(state, hz), state.layout
