@@ -31,6 +31,10 @@ class CapacityError(RuntimeError):
     """The configured horizon is too small for the requested construction."""
 
 
+class InternalInvariantError(RuntimeError):
+    """An invariant of a construction failed: a bug, never clamped."""
+
+
 @dataclass(frozen=True)
 class Horizon:
     stages: int
@@ -297,8 +301,7 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
 class Numbering:
     """An indexed family of approximation processes on a shared horizon."""
 
-    def __init__(self, processes: Sequence[ApproxProcess],
-                 provenance: str = "derived-by-construction", label: str = ""):
+    def __init__(self, processes: Sequence[ApproxProcess], label: str = ""):
         if not processes:
             self._horizon = None
         else:
@@ -307,7 +310,6 @@ class Numbering:
                 if p.horizon != self._horizon:
                     raise UsageError("all indices must share one horizon")
         self._processes = list(processes)
-        self.provenance = provenance
         self.label = label
 
     @property
@@ -438,11 +440,14 @@ def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
     return ApproxProcess(prefix_value, hz, label or f"join({e.label},{f.label})")
 
 
-def limit_estimate(p: ApproxProcess, stability_window: int = 8) -> tuple[Prefix, bool]:
-    """Final-stage prefix plus a flag: unchanged over the last `stability_window` stages."""
+STABILITY_WINDOW = 8  # trailing stages a limit estimate must hold still over
+
+
+def limit_estimate(p: ApproxProcess) -> tuple[Prefix, bool]:
+    """Final-stage prefix plus a flag: unchanged over the last STABILITY_WINDOW stages."""
     S = p.horizon.stages
     final = p.prefix(S - 1)
-    window = min(stability_window, S - 1)
+    window = min(STABILITY_WINDOW, S - 1)
     stable = all(p.prefix(S - 1 - k).value == final.value for k in range(1, window + 1))
     return final, stable
 
@@ -456,16 +461,14 @@ class LimitFunctionApprox:
     """A stage approximation to a total function that settles on the horizon.
 
     `value(s, n)` is the stage-s guess for argument n; `arg_count` bounds the
-    tracked argument range.  `settled_by` is an optional diagnostic map from
-    argument to a stage bound after which the value no longer changes.
+    tracked argument range.
     """
 
     def __init__(self, value: Callable[[int, int], int], arg_count: int,
-                 stages: int, settled_by: Optional[dict[int, int]] = None):
+                 stages: int):
         self.value = value
         self.arg_count = arg_count
         self.stages = stages
-        self.settled_by = settled_by
 
     @classmethod
     def from_final_values(cls, values: Sequence[int], stages: int) -> "LimitFunctionApprox":
@@ -480,8 +483,7 @@ class LimitFunctionApprox:
             v = vals[n] if n < len(vals) else 0
             return v if v < s else 0
 
-        settled = {n: (vals[n] + 1 if n < len(vals) else 0) for n in range(len(vals))}
-        return cls(value, len(vals), stages, settled_by=settled)
+        return cls(value, len(vals), stages)
 
     @classmethod
     def from_changes(cls, initial: Sequence[int], changes: Sequence[tuple[int, int, int]],

@@ -15,6 +15,8 @@ from typing import Sequence
 from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
                    UsageError, schedule_member)
 
+D_CAP = 12  # largest exponent d(e) a point may reach
+
 
 def compute_F(nu: Numbering, e: int, s: int) -> int:
     """Maximum over i <= e of the position of the (e+1)-st zero of the stage-s
@@ -43,7 +45,6 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
 @dataclass
 class DiagonalState:
     e_cap: int
-    d_cap: int
     F: list[list[int]] = field(default_factory=list)  # per stage, per e
     d: list[list[int]] = field(default_factory=list)
     x: list[list[int]] = field(default_factory=list)
@@ -66,17 +67,17 @@ class DiagonalState:
         return rows
 
 
-def build_diagonal(nu: Numbering, Ws: Sequence[Schedule], e_cap: int = 8,
-                   d_cap: int = 12) -> tuple[ApproxProcess, DiagonalState]:
+def build_diagonal(nu: Numbering, Ws: Sequence[Schedule],
+                   e_cap: int = 8) -> tuple[ApproxProcess, DiagonalState]:
     """Run the point-moving construction against a catalog and schedules."""
     for W in Ws:
         if W.kind != "re-set":
             raise UsageError("diagonalization schedules must be enumerations")
     hz = nu.horizon
-    e_cap = min(e_cap, nu.index_range - 1, len(Ws) - 1, hz.stages - 1)
+    e_cap = min(e_cap, nu.index_range - 1, len(Ws) - 1)
     if e_cap < 0:
         raise UsageError("need at least one catalog index and one schedule")
-    state = DiagonalState(e_cap, d_cap)
+    state = DiagonalState(e_cap)
     cur_F: dict[int, int] = {}
     cur_d: dict[int, int] = {}
     bumped: dict[int, bool] = {}
@@ -95,7 +96,7 @@ def build_diagonal(nu: Numbering, Ws: Sequence[Schedule], e_cap: int = 8,
                 bumped[e] = True
                 state.trigger_stages.setdefault(e, []).append(s)
                 x = 3 * x
-            if cur_d[e] > d_cap:
+            if cur_d[e] > D_CAP:
                 raise CapacityError(f"exponent for index {e} exceeds the cap")
             row_F.append(F)
             row_d.append(cur_d[e])

@@ -8,7 +8,6 @@ stable enough for the brute-force oracles.
 from __future__ import annotations
 
 from random import Random
-from typing import Optional
 
 from .core import (ApproxProcess, CapacityError, Horizon, LimitFunctionApprox,
                    Numbering, Prefix, Schedule, process_from_stage_prefixes)
@@ -18,11 +17,11 @@ from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
 
 
 FREEZE_TAIL = 10  # stages at the end of a random process with no moves
+MOVE_CHANCE = 0.3  # chance of a lex move at each earlier stage
 MAX_REJECTED_DRAWS = 1000  # repeated or all-ones finals before a catalog gives up
 
 
 def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
-                          freeze_tail: int = FREEZE_TAIL, move_chance: float = 0.3,
                           head_zeros: int = 1) -> ApproxProcess:
     """Random valid process: occasional lex moves, then a frozen tail.
 
@@ -33,14 +32,14 @@ def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
     """
     rng = Random(seed)
     N = horizon.bits
-    if head_zeros >= N and horizon.stages > freeze_tail:
+    if head_zeros >= N and horizon.stages > FREEZE_TAIL:
         raise CapacityError(
             f"no position past the {head_zeros}-bit protected head on a "
             f"{N}-bit horizon")
     value = 0
     prefixes = []
     for s in range(horizon.stages):
-        if s < horizon.stages - freeze_tail and rng.random() < move_chance:
+        if s < horizon.stages - FREEZE_TAIL and rng.random() < MOVE_CHANCE:
             p = rng.randrange(head_zeros, N)
             if not (value >> (N - 1 - p)) & 1:
                 keep = value >> (N - p) << (N - p) if p else 0
@@ -87,9 +86,8 @@ def one_per_stage_schedule(seed: int, horizon: Horizon) -> Schedule:
     return Schedule.from_pairs([(x, s) for s, x in enumerate(elements)], "re-set")
 
 
-def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32,
-                  entries: int = 12) -> Schedule:
-    """Bit-entry history with bit 0 pinned to 0.
+def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32) -> Schedule:
+    """Bit-entry history of up to twelve bits from 1..top_bit; bit 0 stays 0.
 
     Raises CapacityError below two stages, where no stage after 0 is left
     for a bit to enter at.
@@ -98,7 +96,7 @@ def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32,
         raise CapacityError(
             f"a bit-entry history needs at least 2 stages, got {horizon.stages}")
     rng = Random(seed)
-    bits = rng.sample(range(1, top_bit + 1), min(entries, top_bit))
+    bits = rng.sample(range(1, top_bit + 1), min(12, top_bit))
     return Schedule.from_pairs(
         sorted((m, rng.randrange(1, horizon.stages)) for m in bits), "omega-bits")
 
@@ -121,9 +119,10 @@ def k_fixtures(horizon: Horizon) -> list[Schedule]:
     return [Schedule.from_pairs(pairs, "k-set") for pairs in raw]
 
 
-def settle_plus5(stages: int, count: int = 20) -> LimitFunctionApprox:
+def settle_plus5(stages: int) -> LimitFunctionApprox:
+    """Twenty arguments, argument n settling to n + 5."""
     return LimitFunctionApprox.from_final_values(
-        [n + 5 for n in range(count)], stages)
+        [n + 5 for n in range(20)], stages)
 
 
 def requirement_fixture() -> RequirementList:
@@ -144,8 +143,8 @@ def dense_requirement(length: int) -> RequirementList:
         [format(v, f"0{length}b") for v in range(1 << length)]])
 
 
-def marker_fixture(horizon: Horizon, count: int = 20) -> MarkerSystem:
-    return build_retraceable(settle_plus5(horizon.stages, count), horizon)
+def marker_fixture(horizon: Horizon) -> MarkerSystem:
+    return build_retraceable(settle_plus5(horizon.stages), horizon)
 
 
 def bambam_infinite_process(horizon: Horizon) -> ApproxProcess:
@@ -155,13 +154,8 @@ def bambam_infinite_process(horizon: Horizon) -> ApproxProcess:
         raise CapacityError(
             f"{horizon.stages} stages need {2 * horizon.stages - 1} bits for "
             f"one even entry per stage, got {horizon.bits}")
-    prefixes = []
-    value = 0
-    N = horizon.bits
-    for s in range(horizon.stages):
-        value |= 1 << (N - 1 - 2 * s)
-        prefixes.append(Prefix(N, value))
-    return process_from_stage_prefixes(prefixes, horizon, "evens-stream")
+    return Schedule.from_pairs([(2 * s, s) for s in range(horizon.stages)]
+                               ).as_process(horizon, "evens-stream")
 
 
 def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
@@ -182,15 +176,15 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
     return process_from_stage_prefixes(prefixes, horizon, "late-boundary")
 
 
-def selfref_fixture(seed: int, horizon: Horizon, checkpoint: int = 40,
-                    indices: Optional[int] = None) -> SelfRefPlan:
+def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
     """A full self-reference plan: a zero-headed catalog (so every switch
     string is just "1"), markers from the settling fixture, a schedule-driven
     membership approximation, and a late boundary set.  Raises CapacityError
     when the checkpoint, moved one position on past the switch string, lies
     beyond the bit horizon: no switched process could then meet the class
     predicate."""
-    size = indices or min(12, horizon.stages - 1)
+    checkpoint = 40  # the boundary set's one bit
+    size = min(12, horizon.stages - 1)
     base = random_catalog(seed, size, horizon, "selfref-base")
     if checkpoint + 1 >= horizon.bits:
         raise CapacityError(
@@ -206,7 +200,7 @@ def selfref_fixture(seed: int, horizon: Horizon, checkpoint: int = 40,
                               has_one_at_or_beyond(checkpoint), indices=size)
 
 
-def diagonal_catalog(horizon: Horizon, size: int = 4) -> Numbering:
+def diagonal_catalog(horizon: Horizon) -> Numbering:
     """Zero-rich static catalog: empty, evens, multiples of three, and the
     complement of the first eight positions."""
     N = horizon.bits
@@ -216,7 +210,7 @@ def diagonal_catalog(horizon: Horizon, size: int = 4) -> Numbering:
         frozenset(range(0, N, 3)),
         frozenset(range(8, N)),
     ]
-    prefixes = [Prefix.from_set(m, N) for m in shapes[:size]]
+    prefixes = [Prefix.from_set(m, N) for m in shapes]
     return Numbering([process_from_stage_prefixes([p] * horizon.stages, horizon,
                                                   f"diag-{i}")
                       for i, p in enumerate(prefixes)], label="diag-catalog")

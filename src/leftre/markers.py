@@ -58,17 +58,8 @@ class MarkerSystem:
         """Characteristic process of the surviving set (1 until removed)."""
         hz = self.horizon
         full = (1 << hz.bits) - 1
-        removed_masks: list[int] = []
-        mask = 0
-        by_stage: dict[int, list[int]] = {}
-        for p, t in self.removal_stage.items():
-            if p < hz.bits:
-                by_stage.setdefault(t, []).append(p)
-        for s in range(hz.stages):
-            for p in by_stage.get(s, ()):
-                mask |= 1 << (hz.bits - 1 - p)
-            removed_masks.append(mask)
-        return ApproxProcess(lambda s: full & ~removed_masks[s], hz, label)
+        removed = self.complement_schedule().as_process(hz)
+        return ApproxProcess(lambda s: full & ~removed.prefix(s).value, hz, label)
 
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""

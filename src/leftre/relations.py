@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (ApproxProcess, CapacityError, GREATER, Horizon, InputError,
-                   Numbering, Prefix, Schedule, UsageError, lex_cmp,
-                   limit_estimate, process_from_stage_prefixes)
+                   InternalInvariantError, Numbering, Prefix, Schedule,
+                   UsageError, lex_cmp, limit_estimate)
 
 
 def pair_code(i: int, j: int) -> int:
@@ -89,21 +89,12 @@ def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
     10 afterwards."""
     if K.kind != "k-set":
         raise UsageError("coding expects a k-set schedule")
-    N = horizon.bits
-    odds = 0
-    for n in range(N):
-        if n % 2 == 1:
-            odds |= 1 << (N - 1 - n)
-    values = []
-    for s in range(horizon.stages):
-        v = odds
-        for x in K.members_at(s):
-            if 2 * x < N:
-                v |= 1 << (N - 1 - 2 * x)
-            if 2 * x + 1 < N:
-                v &= ~(1 << (N - 1 - (2 * x + 1)))
-        values.append(v)
-    return ApproxProcess(lambda s: values[s], horizon, "coded-k")
+    odds = Prefix.from_set(range(1, horizon.bits, 2), horizon.bits).value
+    # Entering x flips the pair 2x, 2x+1 from 01 to 10.
+    flips = Schedule.from_pairs([(2 * x + r, t) for x, t in K.entries
+                                 for r in (0, 1)]).as_process(horizon)
+    return ApproxProcess(lambda s: odds ^ flips.prefix(s).value, horizon,
+                         "coded-k")
 
 
 def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
@@ -144,7 +135,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
                 result = {y for y in range(x) if 2 * y + 1 not in E}
                 expected = {y for y in K.final_members() if y < x}
                 if result != expected:
-                    raise RuntimeError(
+                    raise InternalInvariantError(
                         f"decoded {sorted(result)} but the schedule holds "
                         f"{sorted(expected)} below {x}")
                 return result
@@ -251,20 +242,15 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         state.trace.append({"stage": s, "followers": dict(state.followers),
                             "obliterated": sorted(killed)})
 
-    zeros, all_ones = Prefix.zeros(hz.bits), Prefix.ones(hz.bits)
+    # A follower reads 0 before it is established, follows its beta index
+    # until obliterated, and is all-ones from then on.
+    S = hz.stages
     processes = []
     for a in range(state.next_fresh):
         i, t = state.established[a]
-        o = state.obliterated.get(a, hz.stages)
-        prefixes = []
-        for s in range(hz.stages):
-            if s < t:
-                prefixes.append(zeros)
-            elif s < o:
-                prefixes.append(beta.at(i).prefix(s))
-            else:
-                prefixes.append(all_ones)
-        processes.append(process_from_stage_prefixes(prefixes, hz, f"alpha-{a}"))
+        o = max(t, state.obliterated.get(a, S))
+        values = [0] * t + bv[i][t:o] + [ones] * (S - o)
+        processes.append(ApproxProcess(values.__getitem__, hz, f"alpha-{a}"))
     return Numbering(processes, label="followers"), state
 
 

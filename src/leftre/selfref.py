@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import (ApproxProcess, CapacityError, Horizon, HorizonPredicate,
-                   InputError, Numbering, Prefix, Schedule, UsageError,
-                   constant_process, finite_set_process, lex_cmp, GREATER,
-                   LESS, limit_estimate, process_from_stage_prefixes)
+from .core import (ApproxProcess, CapacityError, HorizonPredicate, InputError,
+                   Numbering, Prefix, Schedule, UsageError,
+                   constant_process, finite_set_process, first_difference,
+                   lex_cmp, GREATER, LESS, limit_estimate,
+                   process_from_stage_prefixes)
 from .markers import MarkerSystem, count_h
 
 
@@ -25,7 +26,7 @@ def sigma_above(p: Prefix) -> Prefix:
     """Cheapest string strictly lex-above: copy to the first 0, set it, stop."""
     if p.value == (1 << p.length) - 1:
         raise CapacityError("no string lex-above an all-ones prefix on this horizon")
-    first_zero = next(n for n in range(p.length) if p.bit(n) == 0)
+    first_zero = first_difference(p, Prefix.ones(p.length))
     return Prefix(first_zero + 1, (p.value >> (p.length - 1 - first_zero)) | 1)
 
 

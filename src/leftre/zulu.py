@@ -15,12 +15,9 @@ from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
-from .core import (ApproxProcess, CapacityError, Horizon, InputError, Prefix,
-                   Schedule, UsageError, join, rank_parity, schedule_member)
-
-
-class InternalInvariantError(RuntimeError):
-    """An arithmetic invariant of the construction failed; never clamped."""
+from .core import (ApproxProcess, CapacityError, Horizon, InputError,
+                   InternalInvariantError, Prefix, Schedule, UsageError, join,
+                   rank_parity, schedule_member)
 
 
 @dataclass(frozen=True)
@@ -308,11 +305,10 @@ def maxsep_superset(A: Schedule, horizon: Horizon,
     order = [by_stage[t][0] for t in sorted(by_stage)]
     N = horizon.bits
     full = (1 << N) - 1
+    members = A.as_process(horizon)
     values: list[int] = []
-    M = 0
     for s in range(horizon.stages):
-        if s < len(order) and order[s] < N:
-            M |= 1 << (N - 1 - order[s])
+        M = members.prefix(s).value
         C = full & ~M
         values.append(M | (C & ~rank_parity(C, N)))
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import leftre
 from leftre import cli
 from leftre.cli import CONSTRUCTIONS, load_numbering, main, save_numbering
-from leftre.core import Horizon
+from leftre.core import Horizon, InternalInvariantError
 from leftre.fixtures import random_catalog
 
 HZ = Horizon(48, 96)
@@ -77,6 +80,22 @@ class TestRun:
                                        "seed": 1, "stages": 48,
                                        "type": "header"}
 
+    def test_internal_invariant_is_a_failed_verdict(self, tmp_path,
+                                                    monkeypatch, capsys):
+        out = tmp_path / "trace.jsonl"
+
+        def stub(hz, seed, params, trace):
+            raise InternalInvariantError("decoded {1} but the schedule holds {2}")
+
+        monkeypatch.setitem(cli.RUNNERS, "inc-decode", stub)
+        assert run_cli("run", "inc-decode", "--stages", "48", "--bits", "96",
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "error: decoded {1} but the schedule holds {2}\n"
+        verdict = json.loads(out.read_text().splitlines()[-1])
+        assert verdict == {"checks": {"internal-invariant": False},
+                           "ok": False, "type": "verdict"}
+
     @pytest.mark.parametrize("construction",
                              ["gazebo", "selfref", "bambam", "excise"])
     @pytest.mark.parametrize("horizon", [("8", "16"), ("10", "512")],
@@ -117,14 +136,35 @@ class TestRun:
         (("excise", "--stages", "64", "--bits", "16"), "needs 21 bits"),
         # the fixed set {0, 2, 4} reaches past the horizon
         (("lowerfarm", "--stages", "8", "--bits", "4"), "needs 5 bits"),
+        # every catalog index is tracked, and the evens have too few zeros
+        (("diagonal", "--stages", "1", "--bits", "3"), "fewer than 2 zeros"),
     ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41",
             "zulu-min-1", "zulu-max-1", "tilde-a-1", "maxsep-1", "maxsep-2",
-            "excise-64x16", "lowerfarm-8x4"])
+            "excise-64x16", "lowerfarm-8x4", "diagonal-1x3"])
     def test_horizon_too_small_exits_2(self, argv, message):
         done = run_cli_process("run", *argv)
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr
+
+
+class TestSmallHorizonSweep:
+    """Any construction on any horizon from 1x1 to 64x128 ends in a verdict
+    (exit 0) or a typed error (exit 2).  No fixture here fails a check, so an
+    exit 1 would be a horizon too small read as a failed check."""
+
+    @settings(deadline=None, max_examples=600)
+    @given(st.sampled_from(CONSTRUCTIONS), st.integers(1, 64),
+           st.integers(1, 128), st.integers(0, 1000))
+    def test_exit_0_or_2(self, construction, stages, bits, seed):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("run", construction, "--stages", str(stages),
+                           "--bits", str(bits), "--seed", str(seed))
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue().splitlines()[-1])["type"] == \
+                "verdict"
 
 
 class TestValidate:

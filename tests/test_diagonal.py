@@ -1,5 +1,6 @@
 import pytest
 
+from leftre.cli import main
 from leftre.core import (CapacityError, Horizon, Numbering, Prefix, Schedule,
                          limit_estimate, process_from_stage_prefixes,
                          validate_left_re)
@@ -96,3 +97,14 @@ class TestBuildDiagonal:
         rows = state.trace_rows()
         assert len(rows) == HZ.stages * 4
         assert set(rows[0]) == {"stage", "e", "F", "d", "x"}
+
+    def test_one_stage_tracks_every_index(self):
+        # Every index is tracked from stage 0, so one stage tracks all four
+        # and the run compares B with the whole catalog.
+        hz = Horizon(1, 8)
+        nu = diagonal_catalog(hz)
+        B, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        assert state.active() == 4
+        assert all(B.final_prefix() != limit_estimate(nu.at(e))[0]
+                   for e in range(4))
+        assert main(["run", "diagonal", "--stages", "1", "--bits", "8"]) == 0

@@ -1,7 +1,8 @@
 """Packed kernels against the per-bit loops they replaced.
 
 The reference implementations below walk every bit of every stage, as the
-constructions did before `rank_parity`; the fast versions must give the same
+constructions did before `rank_parity` and before they packed their stage
+values through `Schedule.as_process`; the fast versions must give the same
 stage values, the same answers past the bit horizon and the same
 `InputError`s.  Every construction that keeps a `bit_fn` for positions past
 the horizon is also checked against its own packed stage values below it.
@@ -15,8 +16,11 @@ from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
                          UsageError, process_from_stage_prefixes, rank_parity)
 from leftre.diagonal import build_diagonal
-from leftre.fixtures import (diagonal_catalog, diagonal_schedules,
-                             omega_fixture, one_per_stage_schedule)
+from leftre.fixtures import (diagonal_catalog, diagonal_schedules, k_fixtures,
+                             marker_fixture, omega_fixture,
+                             one_per_stage_schedule)
+from leftre.markers import MarkerSystem
+from leftre.relations import b_from_k
 from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
                          maxsep_superset, split_subset, split_superset,
                          tilde_set)
@@ -109,6 +113,40 @@ def schedule_values_reference(W: Schedule, horizon: Horizon) -> list[int]:
             for s in range(horizon.stages)]
 
 
+def b_from_k_reference(K: Schedule, horizon: Horizon) -> list[int]:
+    N = horizon.bits
+    odds = 0
+    for n in range(N):
+        if n % 2 == 1:
+            odds |= 1 << (N - 1 - n)
+    values = []
+    for s in range(horizon.stages):
+        v = odds
+        for x in K.members_at(s):
+            if 2 * x < N:
+                v |= 1 << (N - 1 - 2 * x)
+            if 2 * x + 1 < N:
+                v &= ~(1 << (N - 1 - (2 * x + 1)))
+        values.append(v)
+    return values
+
+
+def membership_values_reference(m: MarkerSystem) -> list[int]:
+    hz = m.horizon
+    full = (1 << hz.bits) - 1
+    removed_masks: list[int] = []
+    mask = 0
+    by_stage: dict[int, list[int]] = {}
+    for p, t in m.removal_stage.items():
+        if p < hz.bits:
+            by_stage.setdefault(t, []).append(p)
+    for s in range(hz.stages):
+        for p in by_stage.get(s, ()):
+            mask |= 1 << (hz.bits - 1 - p)
+        removed_masks.append(full & ~mask)
+    return removed_masks
+
+
 # -- strategies ---------------------------------------------------------------
 
 horizons = st.builds(Horizon, st.integers(1, 64), st.integers(1, 128))
@@ -122,6 +160,15 @@ def one_per_stage(draw, horizon):
                              max_size=horizon.stages + 3))
     return Schedule.from_pairs([(x, t) for t, x in enumerate(elements)],
                                draw(st.sampled_from(["re-set", "k-set"])))
+
+
+@st.composite
+def schedule_entries(draw, horizon, top):
+    """(element, stage) pairs in any stage order, with repeated elements,
+    elements up to `top` and stages past the last one."""
+    return draw(st.lists(st.tuples(st.integers(0, top),
+                                   st.integers(0, horizon.stages + 5)),
+                         max_size=2 * horizon.stages))
 
 
 def odd_positions(N: int) -> int:
@@ -261,10 +308,7 @@ class TestScheduleProcess:
     @settings(deadline=None, max_examples=60)
     @given(horizons, st.data())
     def test_stage_values_match_reference(self, hz, data):
-        # Any stage order, repeats, elements and stages past the horizon.
-        pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, hz.bits + 5), st.integers(0, hz.stages + 5)),
-            max_size=2 * hz.stages))
+        pairs = data.draw(schedule_entries(hz, hz.bits + 5))
         W = Schedule.from_pairs(pairs, data.draw(st.sampled_from(
             ["re-set", "k-set", "omega-bits"])))
         P = W.as_process(hz)
@@ -277,6 +321,40 @@ class TestScheduleProcess:
     def test_empty_schedule(self, hz):
         P = Schedule.from_pairs([]).as_process(hz)
         assert stage_values_of(P) == [0] * hz.stages
+
+
+class TestCodedK:
+    @settings(deadline=None, max_examples=60)
+    @given(horizons, st.data())
+    def test_matches_reference(self, hz, data):
+        # Pairs 2x, 2x+1 reach past the horizon, and one may straddle it.
+        K = Schedule.from_pairs(
+            data.draw(schedule_entries(hz, hz.bits // 2 + 3)), "k-set")
+        assert stage_values_of(b_from_k(K, hz)) == b_from_k_reference(K, hz)
+
+    @pytest.mark.parametrize("hz", EDGE_HORIZONS)
+    def test_edge_horizons(self, hz):
+        for K in k_fixtures(hz):
+            assert stage_values_of(b_from_k(K, hz)) == b_from_k_reference(K, hz)
+
+
+class TestMarkerMembership:
+    @settings(deadline=None, max_examples=60)
+    @given(horizons, st.data())
+    def test_matches_reference(self, hz, data):
+        removals = data.draw(st.dictionaries(
+            st.integers(0, hz.bits + 5), st.integers(0, hz.stages + 5),
+            max_size=2 * hz.stages))
+        m = MarkerSystem(hz, removals)
+        assert stage_values_of(m.membership_process()) == \
+            membership_values_reference(m)
+
+    @pytest.mark.parametrize("hz", [Horizon(2, 1), Horizon(9, 33),
+                                    Horizon(64, 128)])
+    def test_marker_fixture(self, hz):
+        m = marker_fixture(hz)
+        assert stage_values_of(m.membership_process()) == \
+            membership_values_reference(m)
 
 
 class TestBitFnBelowHorizon:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.core import (GREATER, CapacityError, Horizon, InputError,
-                         Numbering, Prefix, Schedule, UsageError, lex_cmp,
-                         process_from_stage_prefixes, validate_left_re)
+                         InternalInvariantError, Numbering, Prefix, Schedule,
+                         UsageError, lex_cmp, process_from_stage_prefixes,
+                         validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
 from leftre.relations import (RelationOracle, b_from_k, check_persistence,
                               decide_k_below, gazebo_lex_emissions, gazebo_run,
@@ -168,7 +169,7 @@ class TestDecoding:
             got = decide_k_below(oracle, nu, x, K)
         except CapacityError:
             got = None
-        except RuntimeError:
+        except InternalInvariantError:
             got = "audit"
         assert got == expected
 
