@@ -231,10 +231,20 @@ def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
         trace.line({"type": "gazebo", **{k: v for k, v in sorted(row.items())}})
     oracle = relations.gazebo_lex_emissions(state)
     bad = relations.check_persistence(oracle, alpha)
+    if bad is not None:
+        (i, j), s = bad
+        print(f"persistence: emitted pair ({i}, {j}) compares greater at "
+              f"stage {s}", file=sys.stderr)
     brute = relations.lex_oracle_bruteforce(alpha)
+    mismatch = relations.first_mismatch(oracle, brute)
+    if mismatch is not None:
+        i, j = mismatch
+        holder = "follower" if oracle.has(i, j) else "brute-force"
+        print(f"matches-bruteforce: left side {i} first differs at right side "
+              f"{j}, held only by the {holder} oracle", file=sys.stderr)
     return {
         "persistence": bad is None,
-        "matches-bruteforce": oracle.pairs() == brute.pairs(),
+        "matches-bruteforce": mismatch is None,
         "validator": all(bool(r) for r in alpha.validate()),
     }
 

@@ -12,43 +12,97 @@ established, so no emitted comparison is ever invalidated.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from itertools import zip_longest
+from typing import Iterable, Iterator, Optional
 
-from .core import (ApproxProcess, CapacityError, GREATER, Horizon, InputError,
+from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Schedule,
-                   UsageError, lex_cmp, limit_estimate)
+                   UsageError, limit_estimate)
 
 
 def pair_code(i: int, j: int) -> int:
     return (i + j) * (i + j + 1) // 2 + j
 
 
+def _members(bits: int) -> Iterator[int]:
+    """Indices of the 1 bits of a bitset, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class RelationOracle:
-    entries: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), stage)
+    """A relation on indices and the stages at which its pairs are enumerated.
+
+    `rows[i]` is the bitset of the right sides of left side i (bit j for
+    index j).  `groups` holds one (stage, left side, right-side bitset)
+    triple per stage and left side, sorted by stage and then left side.
+    Without groups, the stage of pair (i, j) is its pair code, which
+    simulates an enumeration order for a brute-force oracle without storing
+    one group per pair.  The tuple views `entries`, `pairs()` and
+    `csv_rows()` are derived from these.
+    """
+
     mode: str  # "inclusion" | "lex"
+    rows: tuple[int, ...]
+    groups: Optional[tuple[tuple[int, int, int], ...]] = None
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[tuple[tuple[int, int], int]],
+                     mode: str) -> "RelationOracle":
+        """The oracle of ((i, j), stage) entries given in any order, with
+        repeats."""
+        grouped: dict[tuple[int, int], int] = {}
+        for (i, j), t in entries:
+            grouped[t, i] = grouped.get((t, i), 0) | 1 << j
+        rows = [0] * (1 + max((i for _, i in grouped), default=-1))
+        for (_, i), bits in grouped.items():
+            rows[i] |= bits
+        return cls(mode, tuple(rows),
+                   tuple((t, i, bits) for (t, i), bits in sorted(grouped.items())))
+
+    def stage_groups(self) -> tuple[tuple[int, int, int], ...]:
+        """(stage, left side, right sides) in stage order; one singleton
+        group per pair when stages are pair codes."""
+        if self.groups is not None:
+            return self.groups
+        return tuple(sorted((pair_code(i, j), i, 1 << j)
+                            for i, bits in enumerate(self.rows)
+                            for j in _members(bits)))
+
+    @property
+    def entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """((i, j), stage) of every enumerated pair, by stage, i and j."""
+        return tuple(((i, j), t) for t, i, bits in self.stage_groups()
+                     for j in _members(bits))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(p for p, _ in self.entries)
-
-    @cached_property
-    def _pair_set(self) -> frozenset[tuple[int, int]]:
-        # Built once for has().  pairs() stays a fresh set, so a caller that
-        # reads it once does not keep it alive with the oracle.
-        return self.pairs()
+        return frozenset((i, j) for i, bits in enumerate(self.rows)
+                         for j in _members(bits))
 
     def has(self, i: int, j: int) -> bool:
-        return (i, j) in self._pair_set
+        return 0 <= i < len(self.rows) and self.rows[i] >> j & 1 == 1
 
     def max_stage(self) -> int:
-        return max((t for _, t in self.entries), default=0)
+        return max((t for t, _, _ in self.stage_groups()), default=0)
 
     def csv_rows(self) -> list[str]:
         return [f"{i},{j},{t}" for (i, j), t in sorted(
             self.entries, key=lambda e: (e[1], pair_code(*e[0])))]
+
+
+def first_mismatch(a: RelationOracle,
+                   b: RelationOracle) -> Optional[tuple[int, int]]:
+    """The least pair (i, j), by i and then j, that exactly one of two
+    oracles holds, or None when they hold the same pairs."""
+    for i, (x, y) in enumerate(zip_longest(a.rows, b.rows, fillvalue=0)):
+        if x != y:
+            diff = x ^ y
+            return i, (diff & -diff).bit_length() - 1
+    return None
 
 
 def _stable_finals(nu: Numbering) -> list[Prefix]:
@@ -62,26 +116,35 @@ def _stable_finals(nu: Numbering) -> list[Prefix]:
     return finals
 
 
+def _at_least(valued: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Map each value of the (index, value) pairs to the bitset of the
+    indices whose value is at least it: suffixes of the indices sorted by
+    value, one bitset per distinct value."""
+    by_value: dict[int, int] = {}
+    for i, v in valued:
+        by_value[v] = by_value.get(v, 0) | 1 << i
+    above = 0
+    for v in sorted(by_value, reverse=True):
+        above |= by_value[v]
+        by_value[v] = above
+    return by_value
+
+
 def inc_oracle_bruteforce(nu: Numbering) -> RelationOracle:
     """Inclusion on limit estimates; emission stage is the pair code, which
     simulates an enumeration order for the decoding search."""
     finals = _stable_finals(nu)
-    entries = []
-    for i, a in enumerate(finals):
-        for j, b in enumerate(finals):
-            if a.is_subset_of(b):
-                entries.append(((i, j), pair_code(i, j)))
-    return RelationOracle(tuple(entries), "inclusion")
+    return RelationOracle("inclusion", tuple(
+        sum(1 << j for j, b in enumerate(finals) if a.is_subset_of(b))
+        for a in finals))
 
 
 def lex_oracle_bruteforce(nu: Numbering) -> RelationOracle:
-    finals = _stable_finals(nu)
-    entries = []
-    for i, a in enumerate(finals):
-        for j, b in enumerate(finals):
-            if lex_cmp(a, b) != GREATER:
-                entries.append(((i, j), pair_code(i, j)))
-    return RelationOracle(tuple(entries), "lex")
+    """Lex order on limit estimates, by sorting rather than comparing pairs:
+    the right sides of i are the indices whose final is at least i's."""
+    finals = [f.value for f in _stable_finals(nu)]
+    at_least = _at_least(enumerate(finals))
+    return RelationOracle("lex", tuple(at_least[v] for v in finals))
 
 
 def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
@@ -115,7 +178,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
                 S - 1) + 1
     candidates = [e for e in range(nu.index_range) if e not in (a_index, b_index)]
     # The stage-s views grow by the entries of stage s, taken in stage order.
-    emissions = sorted(oracle.entries, key=lambda e: e[1])
+    emissions = oracle.entries
     k_entries = sorted(K.entries, key=lambda e: e[1])
     emitted: set[tuple[int, int]] = set()
     k_view: set[int] = set()
@@ -149,8 +212,17 @@ class GazeboState:
     established: dict[int, tuple[int, int]] = field(default_factory=dict)
     obliterated: dict[int, int] = field(default_factory=dict)  # alpha idx -> stage
     next_fresh: int = 0
-    emissions: list[tuple[tuple[int, int], int]] = field(default_factory=list)
+    # (stage, left side, bitset of the right sides emitted then), in
+    # emission order: by stage, then left side.
+    groups: list[tuple[int, int, int]] = field(default_factory=list)
+    right_of: list[int] = field(default_factory=list)  # bit b of right_of[a]: (a, b) emitted
     trace: list[dict] = field(default_factory=list)
+
+    @property
+    def emissions(self) -> list[tuple[tuple[int, int], int]]:
+        """Every emitted ((a, b), stage), by stage and then pair."""
+        return [((a, b), s) for s, a, bits in self.groups
+                for b in _members(bits)]
 
 
 def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
@@ -161,10 +233,10 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     partner died, and every affected index gets a fresh follower.
 
     The run is incremental: beta's stage values are read once as packed ints,
-    emitted pairs are indexed by their left side, and each stage only tests
-    the pairs that can change there.  At every stage end an emitted pair with
-    a dead left side has a dead right side too, so the cascade starts from
-    this stage's kills alone.
+    emitted pairs are kept as one bitset of right sides per left side, and
+    each stage only tests the pairs that can change there.  At every stage
+    end an emitted pair with a dead left side has a dead right side too, so
+    the cascade starts from this stage's kills alone.
     """
     hz = beta.horizon
     n = beta.index_range
@@ -184,63 +256,62 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         state.followers[j] = j
         state.established[j] = (j, 0)
     state.next_fresh = n
-    right_of = [0] * n  # bit b of right_of[a] is set once (a, b) is emitted
-    dead = state.obliterated  # read for membership only
+    right_of = state.right_of
+    right_of.extend([0] * n)
 
-    def emit_stage(s: int, fresh: range, killed: set[int]) -> None:
+    def emit_stage(s: int, fresh_from: int, killed: int, dead: int) -> None:
         # Pairs with a dead left side never emit; a pair with a dead right
-        # side emits once both sides are defined; live pairs follow beta.
-        new = set()
+        # side emits once both sides are defined; live pairs follow beta, so
+        # a live left side's right sides are the live followers whose value
+        # is at least its own.
         live = [(a, bv[b][s]) for b, a in state.followers.items()]
-        for a, va in live:
-            seen = right_of[a]
-            new.update((a, b) for b, vb in live
-                       if not seen >> b & 1 and (a == b or va <= vb))
-        for b in killed:
-            new.update((a, b) for a in range(state.next_fresh)
-                       if not right_of[a] >> b & 1)
-        for a in fresh:
-            new.update((a, b) for b in dead)
-        for p in sorted(new):
-            right_of[p[0]] |= 1 << p[1]
-            state.emissions.append((p, s))
+        at_least = _at_least(live)
+        rights = {a: at_least[v] for a, v in live}
+        for a in range(state.next_fresh) if killed else sorted(rights):
+            bits = rights.get(a, 0) | killed
+            if a >= fresh_from:
+                bits |= dead
+            bits &= ~right_of[a]
+            if bits:
+                right_of[a] |= bits
+                state.groups.append((s, a, bits))
 
-    emit_stage(0, range(n), set())
+    emit_stage(0, 0, 0, 0)
     state.trace.append({"stage": 0, "followers": dict(state.followers),
                         "obliterated": []})
+    dead = 0  # bitset of the obliterated followers
     for s in range(1, hz.stages):
-        killed: set[int] = set()
-        for i in range(n):
-            pi, ci = bv[i][s - 1], bv[i][s]
-            for j in range(n):
-                if i != j and pi <= bv[j][s - 1] and ci > bv[j][s]:
-                    # i overtook j: the follower of j and everything above go.
-                    killed.update(a for a in range(state.followers[j],
-                                                   state.next_fresh)
-                                  if a not in dead)
+        # i overtook j: the follower of j and every live index above it go.
+        overtaken = [state.followers[j] for i in range(n) for j in range(n)
+                     if i != j and bv[i][s - 1] <= bv[j][s - 1]
+                     and bv[i][s] > bv[j][s]]
+        killed = 0
+        if overtaken:
+            killed = ((1 << state.next_fresh) - (1 << min(overtaken))) & ~dead
         # Cascade: an emitted pair with a dead left side must not outlive its
         # right side, or the comparison flips when the left goes all-ones.
-        work = list(killed)
-        while work:
-            rights = right_of[work.pop()]
-            while rights:
-                b = rights.bit_length() - 1
-                rights ^= 1 << b
-                if b not in dead and b not in killed:
-                    killed.add(b)
-                    work.append(b)
+        frontier = killed
+        while frontier:
+            reach = 0
+            for a in _members(frontier):
+                reach |= right_of[a]
+            frontier = reach & ~(dead | killed)
+            killed |= frontier
+        obliterated = list(_members(killed))
         fresh_from = state.next_fresh
         if killed:
-            for a in killed:
+            dead |= killed
+            for a in obliterated:
                 state.obliterated[a] = s
-            for j in sorted(b for b, a in state.followers.items() if a in killed):
+            for j in sorted(b for b, a in state.followers.items()
+                            if killed >> a & 1):
                 state.followers[j] = state.next_fresh
                 state.established[state.next_fresh] = (j, s)
                 state.next_fresh += 1
                 right_of.append(0)
-        emit_stage(s, range(fresh_from, state.next_fresh), killed)
+        emit_stage(s, fresh_from, killed, dead)
         state.trace.append({"stage": s, "followers": dict(state.followers),
-                            "obliterated": sorted(killed)})
+                            "obliterated": obliterated})
 
     # A follower reads 0 before it is established, follows its beta index
     # until obliterated, and is all-ones from then on.
@@ -256,45 +327,42 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
 
 def gazebo_lex_emissions(state: GazeboState) -> RelationOracle:
     """Package the run's emissions; every pair is lex-valid from its stage on."""
-    return RelationOracle(tuple(state.emissions), "lex")
+    return RelationOracle("lex", tuple(state.right_of), tuple(state.groups))
 
 
 def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tuple]:
     """First ((i, j), stage) whose comparison fails after emission, or None.
 
-    Entries are scanned in oracle order and stages from the emission stage
-    up.  Each index's stage values are read once, and only from the earliest
-    stage an entry asks of it.  Suffix maxima and minima of those values skip
-    every entry whose left side never exceeds its right side's least value,
-    such as pairs whose right side is already all-ones.
+    Stages are walked in order, keeping for each left side the union of the
+    right sides emitted so far.  At every stage that union must lie inside
+    the indices whose value is at least the left side's, which is one suffix
+    of the stage's values in sorted order.  A stage where no value changed
+    and nothing was emitted repeats the previous checks and is skipped.  Only
+    when a check fails are the entries scanned, to return the first failing
+    entry in oracle order and its first failing stage.
     """
+    n = alpha.index_range
+    if len(oracle.rows) > n or any(bits >> n for bits in oracle.rows):
+        raise UsageError(f"oracle pairs reach past the {n} indices of the "
+                         f"numbering")
     S = alpha.horizon.stages
-    rows: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    lowest: dict[int, int] = {}
-
-    def read(e: int, t: int) -> tuple[list[int], list[int], list[int]]:
-        """Extend index e's values and their suffix max and min down to t."""
-        r = rows.get(e)
-        if r is None:
-            r = rows[e] = ([0] * S, [0] * S, [0] * S)
-        v, top, bottom = r
-        lo = lowest.get(e, S)
-        p = alpha.at(e)
-        v[t:lo] = [p.prefix(s).value for s in range(t, lo)]
-        for s in range(lo - 1, t - 1, -1):
-            if s == S - 1:
-                top[s] = bottom[s] = v[s]
-            else:
-                top[s] = max(v[s], top[s + 1])
-                bottom[s] = min(v[s], bottom[s + 1])
-        lowest[e] = t
-        return r
-
-    for (i, j), t in oracle.entries:
-        if t >= S:
-            continue  # no stage left to compare
-        vi, top_i, _ = rows[i] if lowest.get(i, S) <= t else read(i, t)
-        vj, _, bottom_j = rows[j] if lowest.get(j, S) <= t else read(j, t)
-        if top_i[t] > bottom_j[t] and any(map(operator.gt, vi[t:], vj[t:])):
-            return ((i, j), next(s for s in range(t, S) if vi[s] > vj[s]))
+    processes = list(alpha)
+    groups = oracle.stage_groups()
+    emitted: dict[int, int] = {}  # left side -> right sides emitted so far
+    k = 0
+    previous = None
+    for s in range(S):
+        values = [p.prefix(s).value for p in processes]
+        if values == previous and (k == len(groups) or groups[k][0] > s):
+            continue
+        while k < len(groups) and groups[k][0] <= s:
+            _, i, bits = groups[k]
+            emitted[i] = emitted.get(i, 0) | bits
+            k += 1
+        previous = values
+        at_least = _at_least(enumerate(values))
+        if any(bits & ~at_least[values[i]] for i, bits in emitted.items()):
+            rows = [[p.prefix(t).value for t in range(S)] for p in processes]
+            return next(((i, j), t) for (i, j), e in oracle.entries
+                        for t in range(e, S) if rows[i][t] > rows[j][t])
     return None

@@ -175,14 +175,8 @@ class ZuluState:
 def build_minimal(state: ZuluState, horizon: Horizon,
                   label: str = "minimal") -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals."""
-    layout = state.layout
-
     def bit(s: int, u: int) -> int:
-        n = layout.interval_of(u)
-        marks = state.markers(s)
-        if n is None or n > len(marks):
-            return 0
-        return 1 if u == marks[n - 1] else 0
+        return int(u in state.markers(s))
 
     return ApproxProcess(
         lambda s: Prefix.from_set(state.markers(s), horizon.bits).value,
@@ -196,11 +190,9 @@ def build_maximal(state: ZuluState, horizon: Horizon,
     N = horizon.bits
 
     def bit(s: int, u: int) -> int:
-        n = layout.interval_of(u)
+        # The covered intervals I_1..I_k end just before offset(k + 1).
         mirrors = state.mirrors(s)
-        if n is None or n > len(mirrors):
-            return 0
-        return 0 if u == mirrors[n - 1] else 1
+        return int(u < layout.offset(len(mirrors) + 1) and u not in mirrors)
 
     def prefix_value(s: int) -> int:
         mirrors = state.mirrors(s)

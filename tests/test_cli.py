@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import leftre
-from leftre import cli
+from leftre import cli, relations
 from leftre.cli import CONSTRUCTIONS, load_numbering, main, save_numbering
 from leftre.core import Horizon, InternalInvariantError
 from leftre.fixtures import random_catalog
@@ -228,3 +229,77 @@ class TestOracle:
         pairs = {tuple(map(int, l.split(",")[:2])) for l in lines[1:]}
         for i in range(3):
             assert (i, i) in pairs
+
+    # sha256 of the saved numbering file and of each mode's CSV, recorded
+    # from the tuple-per-pair oracles that the bitset oracles replaced.  The
+    # follower numbering has many tied all-ones finals.
+    @pytest.mark.parametrize("numbering,file_sha,mode,csv_sha", [
+        ("catalog", "dc253543bdbabc6c3eb293f773c7d50a5e7250b1a7715bc7ae394ecd7a65a2a1",
+         "lex", "42a1975f63fc978c05f8d89014933ea9ce750f7e6812e44fcb86d692fa07d147"),
+        ("catalog", "dc253543bdbabc6c3eb293f773c7d50a5e7250b1a7715bc7ae394ecd7a65a2a1",
+         "inc", "33985ada767c37a28c728898d5e41e166635c37bc2ac29510784b932b1c8042b"),
+        ("followers", "6c30bab178b9602818580bd26af72b8be0942f9a23ceeb99d05f67b43fa718a8",
+         "lex", "3689668d3000dfffc8b38239b7cf2e1c3efac4b727a6c1fd637f1ad6e0bc6149"),
+        ("followers", "6c30bab178b9602818580bd26af72b8be0942f9a23ceeb99d05f67b43fa718a8",
+         "inc", "1de2a9c8cb29a52819a752a557eaee13d374a55167720324f369fcd380ff0785"),
+    ])
+    def test_csv_bytes_pinned(self, numbering, file_sha, mode, csv_sha,
+                              tmp_path, capsys):
+        if numbering == "catalog":
+            nu = random_catalog(4, 8, HZ)
+        else:
+            nu, _ = relations.gazebo_run(random_catalog(4, 5, HZ, "gz"))
+        path = tmp_path / "nu.json"
+        save_numbering(nu, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+        assert run_cli("oracle", str(path), "--mode", mode) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == csv_sha
+
+
+class TestGazeboWitness:
+    """A failed gazebo check names its witness on stderr; the verdict line
+    keeps its bytes."""
+
+    def run_gazebo(self, capsys):
+        code = run_cli("run", "gazebo", "--stages", "48", "--bits", "96",
+                       "--seed", "1")
+        out, err = capsys.readouterr()
+        return code, out.splitlines()[-1], err
+
+    def test_persistence_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(relations, "check_persistence",
+                            lambda oracle, alpha: ((3, 7), 12))
+        code, verdict, err = self.run_gazebo(capsys)
+        assert code == 1
+        assert err == ("persistence: emitted pair (3, 7) compares greater at "
+                       "stage 12\n")
+        assert verdict == json.dumps({"checks": {
+            "matches-bruteforce": True, "persistence": False,
+            "validator": True}, "ok": False, "type": "verdict"}, sort_keys=True)
+
+    @pytest.mark.parametrize("flip,holder", [((1, 1), "follower"),
+                                             ((0, 40), "brute-force")])
+    def test_oracle_mismatch(self, flip, holder, monkeypatch, capsys):
+        # Drop the reflexive pair (1, 1) from the reference oracle, or add
+        # (0, 40) to it, where follower 0 is all-ones and 40 is live: a pair
+        # only the follower or only the reference holds.
+        real = relations.lex_oracle_bruteforce
+
+        def stub(alpha):
+            oracle = real(alpha)
+            i, j = flip
+            assert oracle.has(i, j) == (holder == "follower")
+            rows = list(oracle.rows)
+            rows[i] ^= 1 << j
+            return relations.RelationOracle(oracle.mode, tuple(rows))
+
+        monkeypatch.setattr(relations, "lex_oracle_bruteforce", stub)
+        code, verdict, err = self.run_gazebo(capsys)
+        i, j = flip
+        assert code == 1
+        assert err == (f"matches-bruteforce: left side {i} first differs at "
+                       f"right side {j}, held only by the {holder} oracle\n")
+        assert verdict == json.dumps({"checks": {
+            "matches-bruteforce": False, "persistence": True,
+            "validator": True}, "ok": False, "type": "verdict"}, sort_keys=True)

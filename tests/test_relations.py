@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from leftre.core import (GREATER, CapacityError, Horizon, InputError,
                          validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
 from leftre.relations import (RelationOracle, b_from_k, check_persistence,
-                              decide_k_below, gazebo_lex_emissions, gazebo_run,
+                              decide_k_below, first_mismatch,
+                              gazebo_lex_emissions, gazebo_run,
                               inc_oracle_bruteforce, lex_oracle_bruteforce,
                               pair_code)
 
@@ -27,6 +29,14 @@ def check_persistence_bruteforce(oracle, alpha):
             if lex_cmp(alpha.at(i).prefix(s), alpha.at(j).prefix(s)) == GREATER:
                 return ((i, j), s)
     return None
+
+
+def lex_oracle_reference(nu):
+    """Slow oracle for lex_oracle_bruteforce: lex_cmp on every pair of
+    finals, each pair at its pair code, in row-major order."""
+    finals = [nu.at(e).final_prefix() for e in range(nu.index_range)]
+    return [((i, j), pair_code(i, j)) for i, a in enumerate(finals)
+            for j, b in enumerate(finals) if lex_cmp(a, b) != GREATER]
 
 
 def constant_numbering(sets, hz=HZ):
@@ -62,20 +72,21 @@ class TestIncOracle:
                 if i != j and oracle.has(i, j) and oracle.has(j, i):
                     assert finals[i] == finals[j]
 
-    def test_has_builds_pairs_once(self, monkeypatch):
+    def test_has_builds_no_pair_set(self, monkeypatch):
         nu = random_catalog(3, 5, HZ)
         oracle = inc_oracle_bruteforce(nu)
-        twin = RelationOracle(oracle.entries, oracle.mode)
+        twin = RelationOracle(oracle.mode, oracle.rows, oracle.groups)
+        pairs = oracle.pairs()
         built = []
         real_pairs = RelationOracle.pairs
         monkeypatch.setattr(RelationOracle, "pairs",
                             lambda self: built.append(1) or real_pairs(self))
-        pairs = real_pairs(oracle)
-        for i in range(6):
-            for j in range(6):
+        for i in range(-1, 7):
+            for j in range(7):
                 assert oracle.has(i, j) == ((i, j) in pairs)
-        assert len(built) == 1
-        # The cached set is no field: equality and hashing are unchanged.
+        # has() reads one bit of a row: no pair set, and nothing cached.
+        assert not built
+        assert set(vars(oracle)) == {"mode", "rows", "groups"}
         assert twin == oracle and hash(twin) == hash(oracle)
 
     def test_unstable_estimate_refused(self):
@@ -83,6 +94,35 @@ class TestIncOracle:
             [Prefix(HZ.bits, v) for v in range(HZ.stages)], HZ)
         with pytest.raises(InputError):
             inc_oracle_bruteforce(Numbering([moving]))
+
+
+class TestRelationOracle:
+    def test_from_entries_groups_by_stage_and_left_side(self):
+        oracle = RelationOracle.from_entries(
+            [((2, 0), 4), ((0, 1), 3), ((2, 1), 4), ((0, 1), 3), ((0, 1), 1)],
+            "lex")
+        assert oracle.rows == (0b10, 0, 0b11)
+        assert oracle.groups == ((1, 0, 0b10), (3, 0, 0b10), (4, 2, 0b11))
+        assert oracle.entries == (((0, 1), 1), ((0, 1), 3), ((2, 0), 4),
+                                  ((2, 1), 4))
+        assert oracle.max_stage() == 4
+
+    def test_first_mismatch_is_least_pair(self):
+        a = RelationOracle("lex", (0b1, 0b1011, 0b1))
+        assert first_mismatch(a, a) is None
+        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b0110, 0))) \
+            == (1, 0)
+        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b0011, 0))) \
+            == (1, 3)
+        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b1011))) \
+            == (2, 0)
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
+    def test_audit_refuses_pairs_past_the_numbering(self, pair):
+        nu = constant_numbering([{1}, {0}], Horizon(4, 4))
+        with pytest.raises(UsageError):
+            check_persistence(RelationOracle.from_entries([(pair, 0)], "lex"),
+                              nu)
 
 
 class TestBFromK:
@@ -158,9 +198,8 @@ class TestDecoding:
                  for j, b in enumerate(finals) if a.is_subset_of(b)]
         stages = data.draw(st.lists(st.integers(0, 2 * HZ.stages),
                                     min_size=len(pairs), max_size=len(pairs)))
-        oracle = RelationOracle(
-            tuple(data.draw(st.permutations(list(zip(pairs, stages))))),
-            "inclusion")
+        oracle = RelationOracle.from_entries(
+            data.draw(st.permutations(list(zip(pairs, stages)))), "inclusion")
         expected = decide_k_below_reference(oracle, nu, x, K)
         if expected is not None and expected != \
                 {y for y in K.final_members() if y < x}:
@@ -277,7 +316,7 @@ def corrupted(oracle, alpha, rng):
             pair = (rng.randrange(len(finals)), rng.randrange(len(finals)))
         entries.insert(rng.randrange(len(entries) + 1),
                        (pair, rng.randrange(alpha.horizon.stages)))
-    return RelationOracle(tuple(entries), "lex")
+    return RelationOracle.from_entries(entries, "lex")
 
 
 class TestPersistenceAudit:
@@ -293,14 +332,60 @@ class TestPersistenceAudit:
             assert check_persistence(bad, alpha) == \
                 check_persistence_bruteforce(bad, alpha)
 
+    @settings(deadline=None, max_examples=15)
+    @given(st.integers(0, 10 ** 6), st.integers(2, 5), st.integers(0, 10 ** 6))
+    def test_grouped_oracles_match_slow_oracles(self, catalog, size, seed):
+        # The sort-based lex oracle against lex_cmp on every pair, on a
+        # catalog and on its followers; then the grouped audit against the
+        # per-entry one on the emissions, corrupted emissions, and pair-coded
+        # oracles whose comparisons break as the catalog moves.
+        beta = random_catalog(catalog, size, HZ, "gz")
+        alpha, state = gazebo_run(beta)
+        for nu in (beta, alpha):
+            reference = lex_oracle_reference(nu)
+            oracle = lex_oracle_bruteforce(nu)
+            assert oracle.pairs() == {p for p, _ in reference}
+            assert list(oracle.entries) == sorted(reference, key=lambda e: e[1])
+        emitted = gazebo_lex_emissions(state)
+        assert list(emitted.entries) == state.emissions
+        assert RelationOracle.from_entries(state.emissions, "lex") == emitted
+        assert first_mismatch(emitted, lex_oracle_bruteforce(alpha)) is None
+        assert check_persistence(emitted, alpha) is None
+        rng = random.Random(seed)
+        for oracle, nu in [(corrupted(emitted, alpha, rng), alpha),
+                           (lex_oracle_bruteforce(beta), beta),
+                           (inc_oracle_bruteforce(beta), beta)]:
+            assert check_persistence(oracle, nu) == \
+                check_persistence_bruteforce(oracle, nu)
+
     def test_witness_is_first_entry_then_first_stage(self):
         hz = Horizon(16, 16)
         climber = Schedule.from_pairs([(0, 5)]).as_process(hz)
         static = Schedule.from_pairs([(1, 0)]).as_process(hz)
         nu = Numbering([climber, static])
-        oracle = RelationOracle((((1, 0), 9), ((0, 1), 2), ((0, 1), 0)), "lex")
+        oracle = RelationOracle.from_entries(
+            (((1, 0), 9), ((0, 1), 2), ((0, 1), 0)), "lex")
         assert check_persistence(oracle, nu) == ((0, 1), 5)
         assert check_persistence_bruteforce(oracle, nu) == ((0, 1), 5)
+
+
+class TestMemory:
+    def test_run_audit_and_reference_peak(self):
+        # Follower run, persistence audit and reference oracle at catalog
+        # size 12, 128x256 (294 followers, 82,986 emitted pairs): about
+        # 1.26 MB of traced peak with one bitset per (stage, left side),
+        # against 34.6 MB with one tuple per pair.
+        beta = random_catalog(13, 12, Horizon(128, 256), "gazebo-beta")
+        tracemalloc.start()
+        try:
+            alpha, state = gazebo_run(beta)
+            oracle = gazebo_lex_emissions(state)
+            assert check_persistence(oracle, alpha) is None
+            assert first_mismatch(oracle, lex_oracle_bruteforce(alpha)) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
 
 
 def state_digest(state):

@@ -128,6 +128,26 @@ class TestWorkedExample:
         assert compute_c(om, 1, 0) == 0
 
 
+def minimal_bit_reference(state, s, u):
+    """Past-horizon membership in build_minimal by interval lookup: u is a
+    member iff it is the marker of its interval, if that one is covered."""
+    n = state.layout.interval_of(u)
+    marks = state.markers(s)
+    if n is None or n > len(marks):
+        return 0
+    return 1 if u == marks[n - 1] else 0
+
+
+def maximal_bit_reference(state, s, u):
+    """Past-horizon membership in build_maximal by interval lookup: u is a
+    member iff its interval is covered and u is not that interval's mirror."""
+    n = state.layout.interval_of(u)
+    mirrors = state.mirrors(s)
+    if n is None or n > len(mirrors):
+        return 0
+    return 0 if u == mirrors[n - 1] else 1
+
+
 class TestMinimalMaximal:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_validators(self, seed):
@@ -172,6 +192,26 @@ class TestMinimalMaximal:
         _, A, B, layout = zulu_pair(512, 1024, seed)
         assert btt_check(A, B, layout, seed=seed) == \
             BttReport(True, None, checked)
+
+    @pytest.mark.parametrize("seed", [13, 29])
+    @pytest.mark.parametrize("n_cap", [1, 2, 3])
+    def test_past_horizon_bits_match_interval_lookup(self, seed, n_cap):
+        # Windows around every interval boundary, every marker and mirror,
+        # and positions past I_{n_cap}, at every stage of a short horizon.
+        hz = Horizon(n_cap + 4, 8)
+        state = _zulu_state(hz, seed, {"n_cap": n_cap})
+        A = build_minimal(state, hz)
+        B = build_maximal(state, hz)
+        layout = state.layout
+        centres = [layout.offset(n) for n in range(1, n_cap + 2)]
+        centres.append(layout.offset(n_cap + 1) + 1000)
+        for s in range(hz.stages):
+            probes = {u for c in centres + list(state.markers(s))
+                      + list(state.mirrors(s)) for u in range(c - 3, c + 4)
+                      if u >= 0}
+            for u in sorted(probes):
+                assert A.bit_fn(s, u) == minimal_bit_reference(state, s, u)
+                assert B.bit_fn(s, u) == maximal_bit_reference(state, s, u)
 
     def test_marker_tables_match_markers(self):
         om = omega_fixture(3, HZ, top_bit=7)
