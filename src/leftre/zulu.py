@@ -188,17 +188,18 @@ def build_maximal(state: ZuluState, horizon: Horizon,
     """The set missing exactly the mirror markers of the covered intervals."""
     layout = state.layout
     N = horizon.bits
+    # ends[k] is the first position past the covered intervals I_1..I_k.
+    ends = [layout.offset(k + 1) for k in range(layout.n_cap + 1)]
 
     def bit(s: int, u: int) -> int:
-        # The covered intervals I_1..I_k end just before offset(k + 1).
         mirrors = state.mirrors(s)
-        return int(u < layout.offset(len(mirrors) + 1) and u not in mirrors)
+        return int(u < ends[len(mirrors)] and u not in mirrors)
 
     def prefix_value(s: int) -> int:
         mirrors = state.mirrors(s)
         if not mirrors:
             return 0
-        end = min(N, layout.offset(len(mirrors) + 1))
+        end = min(N, ends[len(mirrors)])
         covered = ((1 << end) - 1) << (N - end)
         return covered & ~Prefix.from_set(mirrors, N).value
 
