@@ -3,15 +3,15 @@ approximations: validators, marker systems, forcing, interval-block
 arithmetic, self-referential numberings, order relations and
 diagonalization, plus a batch CLI."""
 
-from .core import (ApproxProcess, CapacityError, Horizon, HorizonPredicate,
-                   InputError, LimitFunctionApprox, Numbering, Prefix,
-                   Schedule, UsageError, ValidationReport, first_difference,
+from .core import (ApproxProcess, CapacityError, Horizon, InputError,
+                   LimitFunctionApprox, Numbering, Prefix, Schedule,
+                   UsageError, ValidationReport, first_difference,
                    index_set_estimate, join, lex_cmp, limit_estimate,
                    validate_left_re, validate_monotone_membership)
 
 __all__ = [
-    "ApproxProcess", "CapacityError", "Horizon", "HorizonPredicate",
-    "InputError", "LimitFunctionApprox", "Numbering", "Prefix", "Schedule",
+    "ApproxProcess", "CapacityError", "Horizon", "InputError",
+    "LimitFunctionApprox", "Numbering", "Prefix", "Schedule",
     "UsageError", "ValidationReport", "first_difference",
     "index_set_estimate", "join", "lex_cmp", "limit_estimate",
     "validate_left_re", "validate_monotone_membership",

@@ -14,13 +14,36 @@ from typing import Callable, Optional, TextIO
 from . import diagonal, fixtures, genericity, markers, relations, selfref, zulu
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Schedule,
-                   UsageError, index_set_estimate, limit_estimate,
-                   process_from_stage_prefixes, validate_left_re,
-                   validate_monotone_membership)
+                   UsageError, finite_set_process, index_set_estimate,
+                   limit_estimate, process_from_stage_prefixes,
+                   validate_left_re, validate_monotone_membership)
 
 CONSTRUCTIONS = ("markers", "generic", "selfref", "bambam", "zulu-min",
                  "zulu-max", "maxsep", "split", "lowerfarm", "tilde-a",
                  "inc-decode", "gazebo", "diagonal", "excise")
+
+
+JSON_TYPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
+
+
+def read_param(obj: dict, name: str, default, minimum: Optional[int] = None,
+               maximum: Optional[int] = None):
+    """obj[name], or `default` when absent.
+
+    Raises UsageError when the value's JSON type is not the default's (a
+    list default takes a list of ints), or when an int lies outside
+    [minimum, maximum].
+    """
+    value = obj.get(name, default)
+    if type(value) is not type(default) or (
+            type(value) is list and any(type(v) is not int for v in value)):
+        raise UsageError(f"{name} must be {JSON_TYPES[type(default)]}, got "
+                         f"{json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{name} must be at most {maximum}, got {value}")
+    return value
 
 
 def save_numbering(nu: Numbering, path: str) -> None:
@@ -85,8 +108,8 @@ def _run_markers(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> di
 
 def _run_generic(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     Ws = fixtures.requirement_fixture()
-    bits = params.get("bits", 14)
-    levels = params.get("levels", 6)
+    bits = read_param(params, "bits", 14)
+    levels = read_param(params, "levels", 6, minimum=2)
     plan = genericity.build_generic_plan(Ws, bits, levels, hz)
     trace.line({"forced": plan.A.to_string(), "f": plan.f_values, "type": "plan"})
     free = plan.marker_free_intervals(levels)
@@ -134,7 +157,9 @@ def _run_bambam(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
 
 
 def _zulu_state(hz: Horizon, seed: int, params: dict) -> zulu.ZuluState:
-    n_cap = params.get("n_cap", 3)
+    # A member marker of I_14 has more than 4300 digits, more than Python
+    # writes for an int in a JSON trace line.
+    n_cap = read_param(params, "n_cap", 3, minimum=1, maximum=13)
     omega = fixtures.omega_fixture(seed, hz, top_bit=min(2 ** n_cap - 1, 32))
     return zulu.ZuluState(omega, zulu.BlockLayout(n_cap))
 
@@ -181,7 +206,7 @@ def _run_split(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict
 
 def _run_lowerfarm(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     B = fixtures.random_leftre_process(seed, hz, "lowerfarm-b", head_zeros=8)
-    R = frozenset(params.get("fixed", [0, 2, 4]))
+    R = frozenset(read_param(params, "fixed", [0, 2, 4]))
     E = zulu.lowerfarm_witness(B, R)
     _process_rows(E, trace)
     return {"validator": bool(validate_left_re(E)),
@@ -198,20 +223,22 @@ def _run_tilde(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict
 
 
 def _decode_family(K: Schedule, x: int, hz: Horizon) -> Numbering:
-    odds = process_from_stage_prefixes(
-        [Prefix.from_set(range(1, hz.bits, 2), hz.bits)] * hz.stages, hz, "odds")
+    if 2 * x > hz.bits:
+        # y = x - 1 codes at 2x - 1, past the horizon, where no candidate
+        # can show it, so the decoding search would run out of stages.
+        raise CapacityError(f"decoding below {x} needs {2 * x} bits, got "
+                            f"{hz.bits}")
+    odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
     B = relations.b_from_k(K, hz)
     final_k = K.final_members()
-    cands = []
-    for x1 in range(x + 1):
-        members = frozenset(2 * y + 1 for y in range(x1) if y not in final_k)
-        cands.append(process_from_stage_prefixes(
-            [Prefix.from_set(members, hz.bits)] * hz.stages, hz, f"cand-{x1}"))
+    cands = [finite_set_process((2 * y + 1 for y in range(x1)
+                                 if y not in final_k), hz, f"cand-{x1}")
+             for x1 in range(x + 1)]
     return Numbering([odds, B] + cands, label="decode-family")
 
 
 def _run_inc_decode(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    x = params.get("x", 8)
+    x = read_param(params, "x", 8, minimum=0)
     ok = True
     for i, K in enumerate(fixtures.k_fixtures(hz)):
         nu = _decode_family(K, x, hz)
@@ -225,7 +252,8 @@ def _run_inc_decode(hz: Horizon, seed: int, params: dict, trace: TraceWriter) ->
 
 
 def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    beta = fixtures.random_catalog(seed, params.get("size", 5), hz, "gazebo-beta")
+    beta = fixtures.random_catalog(seed, read_param(params, "size", 5, minimum=1),
+                                   hz, "gazebo-beta")
     alpha, state = relations.gazebo_run(beta)
     for row in state.trace:
         trace.line({"type": "gazebo", **{k: v for k, v in sorted(row.items())}})
@@ -264,7 +292,7 @@ def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> d
 def _run_excise(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     alpha = fixtures.random_catalog(seed, 5, hz, "excise-base")
     R = Schedule.from_pairs([(1, 4), (3, 9)], "re-set")
-    X = fixtures.late_boundary_process(hz, params.get("checkpoint", 20))
+    X = fixtures.late_boundary_process(hz, read_param(params, "checkpoint", 20))
     beta = selfref.excise(alpha, R, X)
     for e in range(beta.index_range):
         trace.line({"final": beta.at(e).final_prefix().to_string(), "index": e,
@@ -295,14 +323,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
+        if type(config) is not dict:
+            raise UsageError(f"config must be a JSON object, got "
+                             f"{json.dumps(config)}")
     construction = config.get("construction", args.construction)
     if construction not in CONSTRUCTIONS:
         raise UsageError(f"unknown construction {construction!r}; "
                          f"choose from {', '.join(CONSTRUCTIONS)}")
-    hz = Horizon(args.stages or config.get("stages", 256),
-                 args.bits or config.get("bits", 512))
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    params = config.get("params", {})
+    hz = Horizon(read_param(config, "stages", 256) if args.stages is None
+                 else args.stages,
+                 read_param(config, "bits", 512) if args.bits is None
+                 else args.bits)
+    seed = args.seed if args.seed is not None else read_param(config, "seed", 0)
+    params = read_param(config, "params", {})
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         trace = TraceWriter(out)

@@ -10,7 +10,6 @@ validators every construction in the package is checked against.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -64,15 +63,6 @@ class Prefix:
             raise UsageError("prefix value out of range for its length")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Prefix":
-        value = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise UsageError("prefix bits must be 0 or 1")
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @classmethod
     def from_string(cls, s: str) -> "Prefix":
         if any(c not in "01" for c in s):
             raise UsageError("prefix string must consist of 0s and 1s")
@@ -99,9 +89,6 @@ class Prefix:
             raise UsageError(f"position {n} outside prefix of length {self.length}")
         return (self.value >> (self.length - 1 - n)) & 1
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.bit(n) for n in range(self.length))
-
     def members(self) -> frozenset[int]:
         """Positions of the 1 bits, found by walking the set bits of `value`."""
         top = self.length - 1
@@ -126,10 +113,6 @@ class Prefix:
         if length > self.length:
             raise UsageError("truncation longer than prefix")
         return Prefix(length, self.value >> (self.length - length))
-
-    def concat(self, other: "Prefix") -> "Prefix":
-        return Prefix(self.length + other.length,
-                      (self.value << other.length) | other.value)
 
     def is_subset_of(self, other: "Prefix") -> bool:
         if self.length != other.length:
@@ -229,14 +212,9 @@ class ApproxProcess:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
 
 
-def constant_process(prefix: Prefix, horizon: Horizon, label: str = "") -> ApproxProcess:
-    if prefix.length != horizon.bits:
-        raise UsageError("constant prefix must match the bit horizon")
-    return ApproxProcess(lambda s: prefix.value, horizon, label)
-
-
 def finite_set_process(members: Iterable[int], horizon: Horizon,
                        label: str = "") -> ApproxProcess:
+    """The process that shows the same set of positions at every stage."""
     value = Prefix.from_set(members, horizon.bits).value
     return ApproxProcess(lambda s: value, horizon, label)
 
@@ -334,13 +312,6 @@ class Numbering:
         return [validate_left_re(p) for p in self._processes]
 
 
-@dataclass(frozen=True)
-class HorizonPredicate:
-    """A decidable class surrogate: a deterministic predicate on processes."""
-    decide: Callable[[ApproxProcess], bool]
-    name: str
-
-
 SCHEDULE_KINDS = ("re-set", "omega-bits", "k-set")
 
 
@@ -401,23 +372,6 @@ class Schedule:
         return ApproxProcess(lambda s: stage_values[s], horizon,
                              label or f"schedule-{self.kind}")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "entries": [[x, s] for x, s in self.entries]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Schedule":
-        return cls.from_pairs(obj["entries"], obj.get("kind", "re-set"))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Schedule":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def schedule_member(W: Schedule, x: int, s: int) -> int:
     """Stage-s membership in an enumeration schedule."""
@@ -452,9 +406,11 @@ def limit_estimate(p: ApproxProcess) -> tuple[Prefix, bool]:
     return final, stable
 
 
-def index_set_estimate(nu: Numbering, pred: HorizonPredicate) -> frozenset[int]:
-    """Indices whose process satisfies the predicate."""
-    return frozenset(e for e in range(nu.index_range) if pred.decide(nu.at(e)))
+def index_set_estimate(nu: Numbering,
+                       pred: Callable[[ApproxProcess], bool]) -> frozenset[int]:
+    """Indices whose process satisfies the predicate, a decidable surrogate
+    for membership of the index in a class of sets."""
+    return frozenset(e for e in range(nu.index_range) if pred(nu.at(e)))
 
 
 class LimitFunctionApprox:
@@ -484,26 +440,6 @@ class LimitFunctionApprox:
             return v if v < s else 0
 
         return cls(value, len(vals), stages)
-
-    @classmethod
-    def from_changes(cls, initial: Sequence[int], changes: Sequence[tuple[int, int, int]],
-                     stages: int) -> "LimitFunctionApprox":
-        """Build from an initial value vector and [stage, argument, new_value] events."""
-        table = [list(initial)]
-        ordered = sorted(changes, key=lambda c: c[0])
-        idx = 0
-        for s in range(1, stages):
-            row = list(table[-1])
-            while idx < len(ordered) and ordered[idx][0] == s:
-                _, n, v = ordered[idx]
-                if not 0 <= n < len(row):
-                    raise InputError(f"change references argument {n} out of range")
-                row[n] = v
-                idx += 1
-            table.append(row)
-        if idx < len(ordered):
-            raise InputError("change schedule extends beyond the stage horizon")
-        return cls(lambda s, n: table[s][n], len(initial), stages)
 
     def final(self, n: int) -> int:
         return self.value(self.stages - 1, n)

@@ -25,20 +25,16 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
         raise UsageError(f"index {e} outside the catalog")
     best = 0
     N = nu.horizon.bits
+    full = (1 << N) - 1
     for i in range(e + 1):
-        value = nu.at(i).prefix(s).value
-        zeros_seen = 0
-        pos = None
-        for n in range(N):
-            if not (value >> (N - 1 - n)) & 1:
-                zeros_seen += 1
-                if zeros_seen == e + 1:
-                    pos = n
-                    break
-        if pos is None:
+        zeros = full & ~nu.at(i).prefix(s).value
+        if zeros.bit_count() <= e:
             raise CapacityError(
                 f"catalog index {i} has fewer than {e + 1} zeros at stage {s}")
-        best = max(best, pos)
+        # Clear the first e zeros; the highest bit left is the (e+1)-st.
+        for _ in range(e):
+            zeros ^= 1 << (zeros.bit_length() - 1)
+        best = max(best, N - zeros.bit_length())
     return best
 
 

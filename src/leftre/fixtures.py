@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from random import Random
 
-from .core import (ApproxProcess, CapacityError, Horizon, LimitFunctionApprox,
-                   Numbering, Prefix, Schedule, process_from_stage_prefixes)
+from .core import (ApproxProcess, CapacityError, Horizon, InputError,
+                   LimitFunctionApprox, Numbering, Prefix, Schedule,
+                   finite_set_process, process_from_stage_prefixes)
 from .genericity import RequirementList
 from .markers import MarkerSystem, build_retraceable
 from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
@@ -136,13 +137,6 @@ def requirement_fixture() -> RequirementList:
     ])
 
 
-def dense_requirement(length: int) -> RequirementList:
-    """An adversarial list enumerating every string of one length; variants
-    touched below that length can break it, useful for failure-path tests."""
-    return RequirementList.from_strings([
-        [format(v, f"0{length}b") for v in range(1 << length)]])
-
-
 def marker_fixture(horizon: Horizon) -> MarkerSystem:
     return build_retraceable(settle_plus5(horizon.stages), horizon)
 
@@ -163,10 +157,12 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
 
     Frozen tails taken at any earlier stage miss the checkpoint bit, which is
     exactly the asymmetry the self-reference construction needs.  Raises
-    CapacityError when the checkpoint lies past the bit horizon, where the
-    process would stay empty.
+    InputError for a negative checkpoint and CapacityError when the
+    checkpoint lies past the bit horizon, where the process would stay empty.
     """
     N = horizon.bits
+    if checkpoint < 0:
+        raise InputError(f"boundary checkpoint {checkpoint} is negative")
     if checkpoint >= N:
         raise CapacityError(
             f"boundary checkpoint {checkpoint} needs {checkpoint + 1} bits, "
@@ -210,10 +206,8 @@ def diagonal_catalog(horizon: Horizon) -> Numbering:
         frozenset(range(0, N, 3)),
         frozenset(range(8, N)),
     ]
-    prefixes = [Prefix.from_set(m, N) for m in shapes]
-    return Numbering([process_from_stage_prefixes([p] * horizon.stages, horizon,
-                                                  f"diag-{i}")
-                      for i, p in enumerate(prefixes)], label="diag-catalog")
+    return Numbering([finite_set_process(m, horizon, f"diag-{i}")
+                      for i, m in enumerate(shapes)], label="diag-catalog")
 
 
 def diagonal_schedules(state_points: list[int], horizon: Horizon,

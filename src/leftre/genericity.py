@@ -75,14 +75,6 @@ def _sat(rho: str, strings: frozenset[str], bits: int) -> bool:
                    for w in strings)
 
 
-def requirement_satisfied(rho: Prefix, W: Schedule, s: Optional[int], bits: int) -> bool:
-    """True iff a prefix of rho has been enumerated by stage s, or no
-    enumerated string of length <= bits properly extends rho."""
-    codes = W.final_members() if s is None else W.members_at(s)
-    strings = frozenset(code_string(c) for c in codes)
-    return _sat(rho.to_string(), strings, bits)
-
-
 def prefix_meets_requirement(X: Prefix, strings: frozenset[str], bits: int) -> bool:
     """True iff some proper-length initial segment of X settles the requirement."""
     x = X.to_string()

@@ -126,8 +126,3 @@ def count_h(m: MarkerSystem, x: int) -> int:
     if snap_stage > m.final_stage():
         raise UsageError(f"snapshot after stage {snap_stage} is beyond the horizon")
     return len(m.snapshot_below(x + 1, snap_stage)) - 1
-
-
-def trivial_marker_system(horizon: Horizon) -> MarkerSystem:
-    """The unmoved layout: every natural survives, i_n = n."""
-    return MarkerSystem(horizon)

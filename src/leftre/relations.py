@@ -167,7 +167,10 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
     Searches for a candidate set E and a stage at which both E-inside-odds
     and E-inside-coded-set pairs are out, and every y below x sits in exactly
     one of the stage view of K and the doubled-shifted view of E.  The result
-    is audited against the schedule's final content.
+    is audited against the schedule's final content.  A stage is searched
+    only when something the test reads changed: a candidate's stage value
+    (stages below the horizon), an emitted pair with right side a_index or
+    b_index, or the view of K.
     """
     if oracle.mode != "inclusion":
         raise UsageError("decoding needs an inclusion oracle")
@@ -184,12 +187,17 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
     k_view: set[int] = set()
     i = k = 0
     for s in range(limit):
+        moved = s < S  # a candidate's stage view may still change
         while i < len(emissions) and emissions[i][1] <= s:
             emitted.add(emissions[i][0])
+            moved = moved or emissions[i][0][1] in (a_index, b_index)
             i += 1
         while k < len(k_entries) and k_entries[k][1] <= s:
             k_view.add(k_entries[k][0])
+            moved = True
             k += 1
+        if not moved:
+            continue  # nothing read below changed since stage s - 1
         for e in candidates:
             if (e, a_index) not in emitted or (e, b_index) not in emitted:
                 continue

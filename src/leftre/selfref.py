@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import (ApproxProcess, CapacityError, HorizonPredicate, InputError,
-                   Numbering, Prefix, Schedule, UsageError,
-                   constant_process, finite_set_process, first_difference,
-                   lex_cmp, GREATER, LESS, limit_estimate,
+from .core import (ApproxProcess, CapacityError, InputError, Numbering,
+                   Prefix, Schedule, UsageError, finite_set_process,
+                   first_difference, lex_cmp, GREATER, LESS, limit_estimate,
                    process_from_stage_prefixes)
 from .markers import MarkerSystem, count_h
 
@@ -30,13 +29,7 @@ def sigma_above(p: Prefix) -> Prefix:
     return Prefix(first_zero + 1, (p.value >> (p.length - 1 - first_zero)) | 1)
 
 
-def tail_pointer(A: ApproxProcess, e: int, s: int) -> int:
-    """Largest stage up to s at which the approximation shows e as a member,
-    or 0 if there is none."""
-    return max((t for t in range(s + 1) if A.bit(t, e) == 1), default=0)
-
-
-def has_one_at_or_beyond(k: int) -> HorizonPredicate:
+def has_one_at_or_beyond(k: int) -> Callable[[ApproxProcess], bool]:
     """Decidable class surrogate: the limit estimate has a member at or past k."""
 
     def decide(p: ApproxProcess) -> bool:
@@ -44,15 +37,15 @@ def has_one_at_or_beyond(k: int) -> HorizonPredicate:
         tail = final.value & ((1 << max(final.length - k, 0)) - 1)
         return tail != 0
 
-    return HorizonPredicate(decide, f"one-beyond-{k}")
+    return decide
 
 
-def limit_equals(target: Prefix) -> HorizonPredicate:
+def limit_equals(target: Prefix) -> Callable[[ApproxProcess], bool]:
     def decide(p: ApproxProcess) -> bool:
         final, _ = limit_estimate(p)
         return final.value == target.value and final.length == target.length
 
-    return HorizonPredicate(decide, "limit-equals-target")
+    return decide
 
 
 @dataclass
@@ -62,13 +55,14 @@ class SelfRefPlan:
     I: MarkerSystem
     h: Callable[[int], int]
     X: ApproxProcess
-    classC: HorizonPredicate
+    classC: Callable[[ApproxProcess], bool]
     sigma: dict[int, Prefix]
     indices: int
 
 
 def build_selfref_plan(base: Numbering, A: ApproxProcess, I: MarkerSystem,
-                       X: ApproxProcess, classC: HorizonPredicate,
+                       X: ApproxProcess,
+                       classC: Callable[[ApproxProcess], bool],
                        indices: Optional[int] = None) -> SelfRefPlan:
     """Fix the index map from the marker count and choose the switch strings."""
     hz = base.horizon
@@ -93,12 +87,28 @@ def build_selfref_plan(base: Numbering, A: ApproxProcess, I: MarkerSystem,
     return SelfRefPlan(base, A, I, lambda e: h_table[e], X, classC, sigma, indices)
 
 
+def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
+                        X: ApproxProcess, tail_stage: Sequence[int],
+                        label: str) -> ApproxProcess:
+    """Follow alpha before stage r; from r on, show sig followed by the bits
+    of X past sig's length at stage tail_stage[s]."""
+    N = alpha.horizon.bits
+    L = sig.length
+    head = sig.value << (N - L)
+
+    def prefix_value(s: int) -> int:
+        if s < r:
+            return alpha.prefix(s).value
+        return head | X.prefix(tail_stage[s]).value >> L
+
+    return ApproxProcess(prefix_value, alpha.horizon, label)
+
+
 def make_into_itself(plan: SelfRefPlan) -> Numbering:
     """Follow the base family on surviving indices; on removed ones, switch to
     the chosen string followed by the boundary set, whose tail advances only
     while the driving approximation shows membership."""
     hz = plan.base.horizon
-    N = hz.bits
     final = hz.stages - 1
     processes = []
     for e in range(plan.indices):
@@ -107,19 +117,15 @@ def make_into_itself(plan: SelfRefPlan) -> Numbering:
         if r is None or r > final:
             processes.append(alpha)
             continue
-        sig = plan.sigma[e]
-        L = sig.length
-        prefixes = []
+        # The tail is frozen at the last stage that showed e in the driver.
+        tail_stage = []
         u = 0
         for s in range(hz.stages):
             if plan.A.bit(s, e) == 1:
                 u = s
-            if s < r:
-                prefixes.append(alpha.prefix(s))
-            else:
-                tail = plan.X.prefix(u).value >> L if L < N else 0
-                prefixes.append(Prefix(N, (sig.value << (N - L)) | tail))
-        processes.append(process_from_stage_prefixes(prefixes, hz, f"beta-{e}"))
+            tail_stage.append(u)
+        processes.append(_follow_then_switch(alpha, r, plan.sigma[e], plan.X,
+                                             tail_stage, f"beta-{e}"))
     return Numbering(processes, label="made-into-itself")
 
 
@@ -136,7 +142,7 @@ def singleton_numbering_finite(A: frozenset[int], base: Numbering) -> Numbering:
         if got.value == target.value:
             raise InputError(f"base index {j} already names the hardwired set")
     set_proc = finite_set_process(A, hz, "hardwired")
-    empty = constant_process(Prefix.zeros(hz.bits), hz, "empty")
+    empty = finite_set_process((), hz, "empty")
     processes = [set_proc if e in A else empty for e in range(m + 1)]
     processes.extend(base.at(d) for d in range(base.index_range))
     return Numbering(processes, label="singleton-finite")
@@ -234,7 +240,6 @@ def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:
     hz = alpha.horizon
     if X.horizon != hz:
         raise UsageError("boundary set must share the horizon")
-    N = hz.bits
     processes = []
     for e in range(alpha.index_range):
         r = R.entry_stage(e)
@@ -242,13 +247,6 @@ def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:
             processes.append(alpha.at(e))
             continue
         sig = sigma_above(alpha.at(e).prefix(r))
-        L = sig.length
-        prefixes = []
-        for s in range(hz.stages):
-            if s < r:
-                prefixes.append(alpha.at(e).prefix(s))
-            else:
-                tail = X.prefix(s).value >> L if L < N else 0
-                prefixes.append(Prefix(N, (sig.value << (N - L)) | tail))
-        processes.append(process_from_stage_prefixes(prefixes, hz, f"excised-{e}"))
+        processes.append(_follow_then_switch(alpha.at(e), r, sig, X,
+                                             range(hz.stages), f"excised-{e}"))
     return Numbering(processes, label="excised")

@@ -86,13 +86,6 @@ class BlockLayout:
         lo, hi = self.interval(n)
         return hi + lo - u
 
-    def in_pairing_range(self, u: int) -> bool:
-        n = self.interval_of(u)
-        if n is None:
-            return False
-        lo, hi = self.interval(n)
-        return u < hi  # the maximum is the spare slot
-
 
 def _check_omega(omega: Schedule) -> None:
     if omega.kind != "omega-bits":
@@ -360,9 +353,12 @@ def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
                       label: str = "window-witness") -> ApproxProcess:
     """Windowed union with a fixed recursive set, at stages where the window
     avoids it: output t is (B at stage s_t, restricted to [0, t]) union R.
-    Raises CapacityError when R reaches past the bit horizon."""
+    Raises InputError for a negative position in R and CapacityError when R
+    reaches past the bit horizon."""
     N = B.horizon.bits
     S = B.horizon.stages
+    if R and min(R) < 0:
+        raise InputError(f"fixed position {min(R)} is negative")
     if R and max(R) >= N:
         raise CapacityError(
             f"fixed position {max(R)} needs {max(R) + 1} bits, got {N}")

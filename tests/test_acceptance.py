@@ -7,8 +7,8 @@ genericity pipeline live below their settle stages either way).
 from leftre import diagonal, genericity, relations, selfref, zulu
 from leftre.cli import CONSTRUCTIONS, main
 from leftre.core import (Horizon, Numbering, Prefix, Schedule,
-                         index_set_estimate, limit_estimate,
-                         process_from_stage_prefixes, validate_left_re,
+                         finite_set_process, index_set_estimate,
+                         limit_estimate, validate_left_re,
                          validate_monotone_membership)
 from leftre.fixtures import (bambam_infinite_process, diagonal_catalog,
                              diagonal_schedules, k_fixtures, marker_fixture,
@@ -181,16 +181,12 @@ def test_09_inc_decoding_five_fixtures():
     hz = Horizon(64, 96)
     for K in k_fixtures(hz):
         for x in (0, 7, 16):
-            odds = process_from_stage_prefixes(
-                [Prefix.from_set(range(1, hz.bits, 2), hz.bits)] * hz.stages,
-                hz, "odds")
+            odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
             B = relations.b_from_k(K, hz)
             final_k = K.final_members()
-            cands = [process_from_stage_prefixes(
-                [Prefix.from_set(frozenset(
-                    2 * y + 1 for y in range(x1) if y not in final_k),
-                    hz.bits)] * hz.stages, hz, f"c{x1}")
-                for x1 in range(x + 1)]
+            cands = [finite_set_process(
+                (2 * y + 1 for y in range(x1) if y not in final_k), hz,
+                f"c{x1}") for x1 in range(x + 1)]
             nu = Numbering([odds, B] + cands)
             oracle = relations.inc_oracle_bruteforce(nu)
             got = relations.decide_k_below(oracle, nu, x, K)

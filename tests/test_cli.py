@@ -139,14 +139,100 @@ class TestRun:
         (("lowerfarm", "--stages", "8", "--bits", "4"), "needs 5 bits"),
         # every catalog index is tracked, and the evens have too few zeros
         (("diagonal", "--stages", "1", "--bits", "3"), "fewer than 2 zeros"),
+        # y = 8 codes at position 17, past a 16-bit horizon
+        (("inc-decode", "--bits", "16", {"x": 9}),
+         "decoding below 9 needs 18 bits, got 16"),
+        (("inc-decode", {"x": -1}), "x must be at least 0, got -1"),
     ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41",
             "zulu-min-1", "zulu-max-1", "tilde-a-1", "maxsep-1", "maxsep-2",
-            "excise-64x16", "lowerfarm-8x4", "diagonal-1x3"])
-    def test_horizon_too_small_exits_2(self, argv, message):
+            "excise-64x16", "lowerfarm-8x4", "diagonal-1x3", "inc-decode-x9",
+            "inc-decode-x-1"])
+    def test_horizon_too_small_exits_2(self, argv, message, tmp_path):
+        argv = list(argv)
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"params": argv.pop()}))
+            argv += ["--config", str(cfg)]
         done = run_cli_process("run", *argv)
         assert done.returncode == 2
         assert message in done.stderr
         assert "Traceback" not in done.stderr
+
+
+class TestRunParams:
+    """A config or run parameter of the wrong shape, type or range exits 2
+    with a message, never with a traceback or a verdict."""
+
+    @pytest.mark.parametrize("config,message", [
+        ([], "config must be a JSON object, got []"),
+        ({"params": [1]}, "params must be a JSON object, got [1]"),
+        ({"stages": "3"}, 'stages must be an integer, got "3"'),
+        ({"construction": "gazebo", "params": {"size": "3"}},
+         'size must be an integer, got "3"'),
+        ({"construction": "gazebo", "params": {"size": 0}},
+         "size must be at least 1, got 0"),
+        ({"construction": "inc-decode", "params": {"x": True}},
+         "x must be an integer, got true"),
+        ({"construction": "generic", "params": {"levels": 0}},
+         "levels must be at least 2, got 0"),
+        ({"construction": "lowerfarm", "params": {"fixed": [0, "2"]}},
+         'fixed must be a list of integers, got [0, "2"]'),
+        ({"construction": "lowerfarm", "params": {"fixed": [-1]}},
+         "fixed position -1 is negative"),
+        ({"construction": "excise", "params": {"checkpoint": -3}},
+         "boundary checkpoint -3 is negative"),
+    ] + [({"construction": c, "params": {"n_cap": n}},
+          f"n_cap must be {bound}, got {n}")
+         for c in ("zulu-min", "zulu-max", "tilde-a")
+         for n, bound in ((-1, "at least 1"), (0, "at least 1"),
+                          (14, "at most 13"))])
+    def test_bad_value_exits_2(self, config, message, tmp_path, capsys):
+        if isinstance(config, dict):
+            config = {"stages": 64, "bits": 128, **config}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "trace.jsonl"
+        assert run_cli("run", "markers", "--config", str(cfg),
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or "verdict" not in out.read_text()
+
+    @pytest.mark.parametrize("flag", ["--stages", "--bits"])
+    def test_zero_horizon_flag_exits_2(self, flag, capsys):
+        # A zero flag is not read as "absent" and replaced by a default.
+        assert run_cli("run", "markers", flag, "0") == 2
+        assert capsys.readouterr().err == \
+            "error: horizon must be positive in both dimensions\n"
+
+    def test_inc_decode_fills_the_horizon(self, tmp_path):
+        # y = x - 1 codes at 2x - 1, the last position of a 2x-bit horizon.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"x": 8}}))
+        assert run_cli("run", "inc-decode", "--bits", "16", "--config",
+                       str(cfg), "--out", str(tmp_path / "trace.jsonl")) == 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(["zulu-min", "zulu-max", "tilde-a"]),
+                  st.fixed_dictionaries({"n_cap": st.integers(-2, 4)})),
+        st.tuples(st.just("inc-decode"),
+                  st.fixed_dictionaries({"x": st.integers(-2, 80)})),
+        st.tuples(st.just("gazebo"),
+                  st.fixed_dictionaries({"size": st.integers(0, 9)})),
+        st.tuples(st.just("lowerfarm"), st.fixed_dictionaries({"fixed": st.lists(
+            st.integers(-3, 130), min_size=1, max_size=3)})),
+        st.tuples(st.just("excise"),
+                  st.fixed_dictionaries({"checkpoint": st.integers(-3, 30)})),
+    ), st.integers(0, 1000))
+    def test_edge_params_exit_0_or_2(self, tmp_path_factory, run, seed):
+        construction, params = run
+        cfg = tmp_path_factory.mktemp("params") / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("run", construction, "--stages", "64", "--bits",
+                           "128", "--seed", str(seed), "--config", str(cfg))
+        assert code in (0, 2), err.getvalue()
 
 
 class TestSmallHorizonSweep:

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leftre.core import (EQUAL, GREATER, LESS, ApproxProcess, Horizon,
-                         InputError, LimitFunctionApprox, Numbering, Prefix,
-                         Schedule, UsageError, first_difference, join,
-                         lex_cmp, limit_estimate, process_from_stage_prefixes,
+                         LimitFunctionApprox, Numbering, Prefix, Schedule,
+                         UsageError, first_difference, join, lex_cmp,
+                         limit_estimate, process_from_stage_prefixes,
                          validate_left_re, validate_monotone_membership)
 
 HZ = Horizon(16, 24)
@@ -25,20 +25,12 @@ class TestPrefix:
         assert p.value == 4
         assert p.bit(0) == 1 and p.bit(2) == 0
 
-    @given(st.lists(st.integers(0, 1), max_size=40))
-    def test_from_bits_roundtrip(self, bits):
-        assert list(Prefix.from_bits(bits).bits()) == bits
-
     def test_padded_truncated(self):
         p = Prefix.from_string("101")
         assert p.padded(5).to_string() == "10100"
         assert p.padded(5).truncated(3) == p
         with pytest.raises(UsageError):
             p.truncated(4)
-
-    def test_concat(self):
-        assert Prefix.from_string("10").concat(
-            Prefix.from_string("01")).to_string() == "1001"
 
     def test_subset(self):
         a = Prefix.from_string("0101")
@@ -127,12 +119,6 @@ class TestSchedule:
         assert validate_left_re(p).ok
         assert validate_monotone_membership(p, "up").ok
 
-    def test_json_roundtrip(self, tmp_path):
-        W = Schedule.from_pairs([(1, 2), (4, 0)], "k-set")
-        path = tmp_path / "w.json"
-        W.save(path)
-        assert Schedule.load(path) == W
-
     def test_unknown_kind(self):
         with pytest.raises(UsageError):
             Schedule.from_pairs([], "mystery")
@@ -165,15 +151,6 @@ class TestLimitFunctionApprox:
         assert f.value(5, 0) == 0 and f.value(6, 0) == 5
         assert f.final(1) == 6
         assert all(f.value(s, n) < s for s in range(1, 16) for n in range(2))
-
-    def test_from_changes(self):
-        f = LimitFunctionApprox.from_changes([0, 0], [(3, 1, 4), (5, 0, 2)], 10)
-        assert f.value(2, 1) == 0 and f.value(3, 1) == 4
-        assert f.final(0) == 2
-
-    def test_changes_beyond_horizon_rejected(self):
-        with pytest.raises(InputError):
-            LimitFunctionApprox.from_changes([0], [(12, 0, 1)], 10)
 
 
 class TestNumbering:

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leftre.cli import main
-from leftre.core import (CapacityError, Horizon, Numbering, Prefix, Schedule,
-                         limit_estimate, process_from_stage_prefixes,
+from leftre.core import (ApproxProcess, CapacityError, Horizon, Numbering,
+                         Prefix, Schedule, finite_set_process, limit_estimate,
                          validate_left_re)
 from leftre.diagonal import build_diagonal, compute_F
 from leftre.fixtures import diagonal_catalog, diagonal_schedules
@@ -11,10 +12,30 @@ HZ = Horizon(48, 96)
 
 
 def constant_catalog(sets, hz=HZ):
-    return Numbering([
-        process_from_stage_prefixes([Prefix.from_set(m, hz.bits)] * hz.stages,
-                                    hz, str(i))
-        for i, m in enumerate(sets)])
+    return Numbering([finite_set_process(m, hz, str(i))
+                      for i, m in enumerate(sets)])
+
+
+def compute_F_reference(nu: Numbering, e: int, s: int) -> int:
+    """Slow oracle for compute_F: scan each stage value one bit at a time
+    for its (e+1)-st zero."""
+    best = 0
+    N = nu.horizon.bits
+    for i in range(e + 1):
+        value = nu.at(i).prefix(s).value
+        zeros_seen = 0
+        pos = None
+        for n in range(N):
+            if not (value >> (N - 1 - n)) & 1:
+                zeros_seen += 1
+                if zeros_seen == e + 1:
+                    pos = n
+                    break
+        if pos is None:
+            raise CapacityError(
+                f"catalog index {i} has fewer than {e + 1} zeros at stage {s}")
+        best = max(best, pos)
+    return best
 
 
 def empty_ws(n):
@@ -41,6 +62,33 @@ class TestComputeF:
         nu = constant_catalog([set(), set(range(HZ.bits - 1))])
         with pytest.raises(CapacityError):
             compute_F(nu, 1, 0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 80), st.data())
+    def test_matches_bit_scan(self, bits, data):
+        # Stage values are random, or all-ones but for a few zeros, so that
+        # both the position and the too-few-zeros error are exercised.
+        hz = Horizon(2, bits)
+        full = (1 << bits) - 1
+        value = st.one_of(
+            st.integers(0, full),
+            st.frozensets(st.integers(0, bits - 1), max_size=6).map(
+                lambda zeros: full & ~Prefix.from_set(zeros, bits).value))
+        size = data.draw(st.integers(1, 6))
+        table = data.draw(st.lists(st.tuples(value, value), min_size=size,
+                                   max_size=size))
+        nu = Numbering([ApproxProcess(lambda s, row=row: row[s], hz)
+                        for row in table])
+        e = data.draw(st.integers(0, size - 1))
+        s = data.draw(st.integers(0, 1))
+        try:
+            expected = compute_F_reference(nu, e, s)
+        except CapacityError as exc:
+            with pytest.raises(CapacityError) as got:
+                compute_F(nu, e, s)
+            assert str(got.value) == str(exc)
+        else:
+            assert compute_F(nu, e, s) == expected
 
 
 class TestBuildDiagonal:

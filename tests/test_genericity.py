@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leftre.core import CapacityError, Horizon, Prefix
-from leftre.fixtures import dense_requirement, requirement_fixture
+from leftre.fixtures import requirement_fixture
 from leftre.genericity import (RequirementList, build_generic_plan,
                                code_string, force_generic_prefix,
                                interval_function_values,
                                intervals_from_values, least_satisfying_end,
-                               prefix_meets_requirement, requirement_satisfied,
-                               string_code, verify_indifference)
+                               prefix_meets_requirement, string_code,
+                               verify_indifference)
 
 HZ = Horizon(64, 128)
 
@@ -29,16 +29,16 @@ class TestStringCoding:
 
 class TestSatisfaction:
     def test_enumerated_prefix_satisfies(self):
-        W = RequirementList.from_strings([["10"]]).reqs[0]
-        assert requirement_satisfied(Prefix.from_string("1011"), W, None, 8)
+        assert prefix_meets_requirement(Prefix.from_string("1011"),
+                                        frozenset({"10"}), 8)
 
     def test_unextended_string_satisfies_vacuously(self):
-        W = RequirementList.from_strings([["00"]]).reqs[0]
-        assert requirement_satisfied(Prefix.from_string("11"), W, None, 8)
+        assert prefix_meets_requirement(Prefix.from_string("11"),
+                                        frozenset({"00"}), 8)
 
     def test_proper_extension_blocks(self):
-        W = RequirementList.from_strings([["110"]]).reqs[0]
-        assert not requirement_satisfied(Prefix.from_string("11"), W, None, 8)
+        assert not prefix_meets_requirement(Prefix.from_string("11"),
+                                            frozenset({"110"}), 8)
 
     def test_set_level_needs_proper_length_witness(self):
         # A full-length prefix is vacuously unextendable; the set-level check
@@ -65,7 +65,8 @@ class TestForcing:
     def test_string_longer_than_horizon_rejected(self):
         from leftre.core import InputError
         with pytest.raises(InputError):
-            force_generic_prefix(dense_requirement(6), 4)
+            force_generic_prefix(RequirementList.from_strings(
+                [[format(v, "06b") for v in range(1 << 6)]]), 4)
 
 
 class TestIntervalFunction:

@@ -2,8 +2,7 @@ import pytest
 
 from leftre.core import (Horizon, InputError, LimitFunctionApprox,
                          validate_monotone_membership)
-from leftre.markers import (build_retraceable, count_h, retrace,
-                            trivial_marker_system)
+from leftre.markers import MarkerSystem, build_retraceable, count_h, retrace
 from leftre.fixtures import marker_fixture, settle_plus5
 
 HZ = Horizon(64, 128)
@@ -72,7 +71,7 @@ class TestRetrace:
             assert count_h(m, finals[n]) == n
 
     def test_trivial_system_is_identity_layout(self):
-        m = trivial_marker_system(HZ)
+        m = MarkerSystem(HZ)
         assert m.final_markers(10) == list(range(10))
         assert count_h(m, 7) == 7
         assert retrace(m, 9) == 8

@@ -185,9 +185,10 @@ def stage_values(draw, horizon, mask):
 def assert_bit_fn_matches_stage_values(P: ApproxProcess) -> None:
     """A process reads its `bit_fn` only past the bit horizon; below it the
     same function must agree with the packed stage values."""
+    positions = range(P.horizon.bits)
     for s in range(P.horizon.stages):
-        got = tuple(P.bit_fn(s, n) for n in range(P.horizon.bits))
-        assert got == P.prefix(s).bits(), (P.label, s)
+        got = tuple(P.bit_fn(s, n) for n in positions)
+        assert got == tuple(P.prefix(s).bit(n) for n in positions), (P.label, s)
 
 
 def check_maxsep(hz: Horizon, A: Schedule) -> None:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from leftre.core import (GREATER, CapacityError, Horizon, InputError,
                          InternalInvariantError, Numbering, Prefix, Schedule,
-                         UsageError, lex_cmp, process_from_stage_prefixes,
-                         validate_left_re)
+                         UsageError, finite_set_process, lex_cmp,
+                         process_from_stage_prefixes, validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
 from leftre.relations import (RelationOracle, b_from_k, check_persistence,
                               decide_k_below, first_mismatch,
@@ -40,10 +40,8 @@ def lex_oracle_reference(nu):
 
 
 def constant_numbering(sets, hz=HZ):
-    return Numbering([
-        process_from_stage_prefixes([Prefix.from_set(m, hz.bits)] * hz.stages,
-                                    hz, str(i))
-        for i, m in enumerate(sets)])
+    return Numbering([finite_set_process(m, hz, str(i))
+                      for i, m in enumerate(sets)])
 
 
 class TestIncOracle:
@@ -148,16 +146,12 @@ class TestBFromK:
 
 
 def decode_family(K, x, hz=HZ):
-    odds = process_from_stage_prefixes(
-        [Prefix.from_set(range(1, hz.bits, 2), hz.bits)] * hz.stages, hz,
-        "odds")
+    odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
     B = b_from_k(K, hz)
     final_k = K.final_members()
-    cands = []
-    for x1 in range(x + 1):
-        members = frozenset(2 * y + 1 for y in range(x1) if y not in final_k)
-        cands.append(process_from_stage_prefixes(
-            [Prefix.from_set(members, hz.bits)] * hz.stages, hz, f"c{x1}"))
+    cands = [finite_set_process((2 * y + 1 for y in range(x1)
+                                 if y not in final_k), hz, f"c{x1}")
+             for x1 in range(x + 1)]
     return Numbering([odds, B] + cands)
 
 
@@ -226,6 +220,25 @@ class TestDecoding:
         nu = decode_family(K, 3)
         got = decide_k_below(inc_oracle_bruteforce(nu), nu, 3, K)
         assert got == {0, 2}
+
+    @pytest.mark.parametrize("late", ["k-entry", "candidate-move"])
+    def test_decides_at_a_stage_without_emissions(self, late):
+        # Every pair is out at stage 0, and the one candidate passes only at
+        # a later stage where nothing is emitted: when K's entry 0 arrives
+        # past the horizon, or when the candidate's own set changes.
+        if late == "k-entry":
+            K = Schedule.from_pairs([(0, HZ.stages + 5)], "k-set")
+            cand = finite_set_process((), HZ)
+        else:
+            K = Schedule.from_pairs([], "k-set")
+            cand = Schedule.from_pairs([(1, 5)]).as_process(HZ)
+        odds = finite_set_process(range(1, HZ.bits, 2), HZ)
+        nu = Numbering([odds, b_from_k(K, HZ), cand])
+        oracle = RelationOracle.from_entries(
+            [((2, 0), 0), ((2, 1), 0)], "inclusion")
+        expected = decide_k_below_reference(oracle, nu, 1, K)
+        assert expected == K.final_members()
+        assert decide_k_below(oracle, nu, 1, K) == expected
 
     def test_wrong_oracle_mode(self):
         K = k_fixtures(HZ)[0]

@@ -9,8 +9,7 @@ from leftre.selfref import (excise, has_one_at_or_beyond,
                             infinite_indexset_gadget, limit_equals,
                             make_into_itself, sigma_above,
                             singleton_numbering_finite,
-                            singleton_numbering_infinite, singleton_witness,
-                            tail_pointer)
+                            singleton_numbering_infinite, singleton_witness)
 
 HZ = Horizon(64, 128)
 
@@ -29,15 +28,6 @@ class TestSigma:
     def test_all_ones_has_no_sigma(self):
         with pytest.raises(CapacityError):
             sigma_above(Prefix.from_string("1111"))
-
-
-class TestTailPointer:
-    def test_tracks_last_member_stage(self):
-        W = Schedule.from_pairs([(3, 5)])
-        A = W.as_process(HZ)
-        assert tail_pointer(A, 3, 4) == 0
-        assert tail_pointer(A, 3, 9) == 9
-        assert tail_pointer(A, 1, 9) == 0
 
 
 class TestMakeIntoItself:
@@ -77,10 +67,8 @@ class TestMakeIntoItself:
                     and plan.A.bit(HZ.stages - 1, e) == 1:
                 sig = plan.sigma[e]
                 got, _ = limit_estimate(beta.at(e))
-                expected = sig.concat(
-                    Prefix(HZ.bits - sig.length,
-                           x_final.value >> sig.length))
-                assert got == expected
+                tail = x_final.value >> sig.length
+                assert got == Prefix(HZ.bits, sig.padded(HZ.bits).value | tail)
 
 
 class TestSingletonFinite:
@@ -229,5 +217,5 @@ class TestPredicates:
         early = Schedule.from_pairs([(3, 0)]).as_process(hz)
         late = Schedule.from_pairs([(20, 0)]).as_process(hz)
         pred = has_one_at_or_beyond(10)
-        assert not pred.decide(early)
-        assert pred.decide(late)
+        assert not pred(early)
+        assert pred(late)

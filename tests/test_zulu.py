@@ -41,9 +41,10 @@ class TestLayout:
             assert LAYOUT.interval(n + 1)[0] == LAYOUT.interval(n)[1] + 1
 
     def test_spare_slot_outside_pairing_range(self):
+        # The largest pairing value sits one below the interval maximum.
         _, hi = LAYOUT.interval(1)
-        assert not LAYOUT.in_pairing_range(hi)
-        assert LAYOUT.in_pairing_range(hi - 1)
+        b = LAYOUT.base(1)
+        assert LAYOUT.pair(1, b - 1, b - 1) == hi - 1
 
     def test_mirror_is_involution(self):
         for u in range(0, 270, 7):
