@@ -4,15 +4,15 @@ arithmetic, self-referential numberings, order relations and
 diagonalization, plus a batch CLI."""
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   LimitFunctionApprox, Numbering, Prefix, Schedule,
-                   UsageError, ValidationReport, first_difference,
+                   Numbering, Prefix, Schedule, UsageError,
+                   ValidationReport, first_difference,
                    index_set_estimate, join, lex_cmp, limit_estimate,
                    validate_left_re, validate_monotone_membership)
 
 __all__ = [
     "ApproxProcess", "CapacityError", "Horizon", "InputError",
-    "LimitFunctionApprox", "Numbering", "Prefix", "Schedule",
-    "UsageError", "ValidationReport", "first_difference",
+    "Numbering", "Prefix", "Schedule", "UsageError",
+    "ValidationReport", "first_difference",
     "index_set_estimate", "join", "lex_cmp", "limit_estimate",
     "validate_left_re", "validate_monotone_membership",
 ]

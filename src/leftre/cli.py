@@ -15,13 +15,8 @@ from . import diagonal, fixtures, genericity, markers, relations, selfref, zulu
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Schedule,
                    UsageError, finite_set_process, index_set_estimate,
-                   limit_estimate, process_from_stage_prefixes,
-                   validate_left_re, validate_monotone_membership)
-
-CONSTRUCTIONS = ("markers", "generic", "selfref", "bambam", "zulu-min",
-                 "zulu-max", "maxsep", "split", "lowerfarm", "tilde-a",
-                 "inc-decode", "gazebo", "diagonal", "excise")
-
+                   limit_estimate, validate_left_re,
+                   validate_monotone_membership)
 
 JSON_TYPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
 
@@ -67,7 +62,12 @@ def load_numbering(path: str) -> Numbering:
         if len(rows) != hz.stages:
             raise UsageError(f"process {i}: {len(rows)} stages, expected {hz.stages}")
         prefixes = [Prefix.from_string(r) for r in rows]
-        processes.append(process_from_stage_prefixes(prefixes, hz, f"file-{i}"))
+        for s, p in enumerate(prefixes):
+            if p.length != hz.bits:
+                raise UsageError(f"process {i}: stage {s} prefix has "
+                                 f"{p.length} bits, expected {hz.bits}")
+        processes.append(ApproxProcess(lambda s: prefixes[s].value, hz,
+                                       f"file-{i}"))
     return Numbering(processes, label=path)
 
 
@@ -90,6 +90,11 @@ def _process_rows(p: ApproxProcess, trace: TraceWriter) -> None:
 
 
 def _run_markers(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    # count_h reads the snapshot after stage x + 1 at each final marker x,
+    # and the last marker ends past the largest settled value v, so the
+    # horizon needs v + 3 stages, as generic's marker build does.
+    if max(fixtures.settle_plus5()) + 2 >= hz.stages:
+        raise CapacityError("stage horizon too small for the marker construction")
     m = fixtures.marker_fixture(hz)
     finals = m.final_markers(20)
     trace.line({"markers": finals, "type": "final-markers"})
@@ -117,7 +122,7 @@ def _run_generic(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> di
     trace.line({"free-intervals": free, "type": "intervals",
                 "variants": report.variants_checked})
     satisfied = all(
-        genericity.prefix_meets_requirement(plan.A, Ws.strings_at(e, None), bits)
+        genericity.prefix_meets_requirement(plan.A, Ws.strings_at(e), bits)
         for e in range(Ws.count))
     return {"forced-satisfies": satisfied, "indifference": report.ok}
 
@@ -280,7 +285,7 @@ def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
 def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     nu = fixtures.diagonal_catalog(hz)
     Ws = [Schedule.from_pairs([], "re-set") for _ in range(nu.index_range)]
-    B, state = diagonal.build_diagonal(nu, Ws, e_cap=nu.index_range - 1)
+    B, state = diagonal.build_diagonal(nu, Ws)
     for row in state.trace_rows()[:200]:
         trace.line({"type": "diag", **row})
     final = B.final_prefix()
@@ -316,6 +321,7 @@ RUNNERS: dict[str, Callable] = {
     "diagonal": _run_diagonal,
     "excise": _run_excise,
 }
+CONSTRUCTIONS = tuple(RUNNERS)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -326,7 +332,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         if type(config) is not dict:
             raise UsageError(f"config must be a JSON object, got "
                              f"{json.dumps(config)}")
-    construction = config.get("construction", args.construction)
+    construction = (args.construction if args.construction is not None
+                    else config.get("construction"))
     if construction not in CONSTRUCTIONS:
         raise UsageError(f"unknown construction {construction!r}; "
                          f"choose from {', '.join(CONSTRUCTIONS)}")

@@ -168,7 +168,8 @@ class ApproxProcess:
     `prefix(s)` and `bit(s, n)` for n < horizon.bits read the stored values.
     Positions at or past the bit horizon are answered by the optional
     `bit_fn(s, n)`, which sparse constructions give to decide membership
-    arithmetically for huge positions; without one they read 0.
+    arithmetically for huge positions; without one, reading them raises
+    UsageError.
     """
 
     def __init__(self, prefix_fn: Callable[[int], int], horizon: Horizon,
@@ -203,7 +204,10 @@ class ApproxProcess:
         p = self._prefixes[s]
         if n < p.length:
             return p.bit(n)
-        return 0 if self.bit_fn is None else self.bit_fn(s, n)
+        if self.bit_fn is None:
+            raise UsageError(f"process {self.label!r} has no bits past the "
+                             f"horizon of {p.length}, read at {n}")
+        return self.bit_fn(s, n)
 
     def final_prefix(self) -> Prefix:
         return self._prefixes[-1]
@@ -217,17 +221,6 @@ def finite_set_process(members: Iterable[int], horizon: Horizon,
     """The process that shows the same set of positions at every stage."""
     value = Prefix.from_set(members, horizon.bits).value
     return ApproxProcess(lambda s: value, horizon, label)
-
-
-def process_from_stage_prefixes(prefixes: Sequence[Prefix], horizon: Horizon,
-                                label: str = "") -> ApproxProcess:
-    if len(prefixes) != horizon.stages:
-        raise UsageError("need one prefix per stage")
-    for s, p in enumerate(prefixes):
-        if p.length != horizon.bits:
-            raise UsageError(f"process {label!r}: stage {s} prefix has "
-                             f"{p.length} bits, expected {horizon.bits}")
-    return ApproxProcess(lambda s: prefixes[s].value, horizon, label)
 
 
 @dataclass(frozen=True)
@@ -321,7 +314,8 @@ class Schedule:
 
     kind 're-set' / 'k-set': element x is a member from its entry stage on.
     kind 'omega-bits': element m is a bit position whose bit turns 1 at the
-    entry stage; the induced bit history is validated to be lex-monotone.
+    entry stage; the induced bit history is lex-monotone because bits only
+    ever enter, never leave.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -411,35 +405,3 @@ def index_set_estimate(nu: Numbering,
     """Indices whose process satisfies the predicate, a decidable surrogate
     for membership of the index in a class of sets."""
     return frozenset(e for e in range(nu.index_range) if pred(nu.at(e)))
-
-
-class LimitFunctionApprox:
-    """A stage approximation to a total function that settles on the horizon.
-
-    `value(s, n)` is the stage-s guess for argument n; `arg_count` bounds the
-    tracked argument range.
-    """
-
-    def __init__(self, value: Callable[[int, int], int], arg_count: int,
-                 stages: int):
-        self.value = value
-        self.arg_count = arg_count
-        self.stages = stages
-
-    @classmethod
-    def from_final_values(cls, values: Sequence[int], stages: int) -> "LimitFunctionApprox":
-        """Approximation showing v(n) once the stage exceeds it, 0 before.
-
-        Keeps max over n of the stage-s values strictly below s, which is the
-        admissibility condition of the marker construction.
-        """
-        vals = tuple(values)
-
-        def value(s: int, n: int) -> int:
-            v = vals[n] if n < len(vals) else 0
-            return v if v < s else 0
-
-        return cls(value, len(vals), stages)
-
-    def final(self, n: int) -> int:
-        return self.value(self.stages - 1, n)

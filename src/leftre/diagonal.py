@@ -63,14 +63,15 @@ class DiagonalState:
         return rows
 
 
-def build_diagonal(nu: Numbering, Ws: Sequence[Schedule],
-                   e_cap: int = 8) -> tuple[ApproxProcess, DiagonalState]:
-    """Run the point-moving construction against a catalog and schedules."""
+def build_diagonal(nu: Numbering,
+                   Ws: Sequence[Schedule]) -> tuple[ApproxProcess, DiagonalState]:
+    """Run the point-moving construction against a catalog and schedules,
+    tracking every index that has both a catalog process and a schedule."""
     for W in Ws:
         if W.kind != "re-set":
             raise UsageError("diagonalization schedules must be enumerations")
     hz = nu.horizon
-    e_cap = min(e_cap, nu.index_range - 1, len(Ws) - 1)
+    e_cap = min(nu.index_range, len(Ws)) - 1
     if e_cap < 0:
         raise UsageError("need at least one catalog index and one schedule")
     state = DiagonalState(e_cap)

@@ -10,8 +10,7 @@ from __future__ import annotations
 from random import Random
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   LimitFunctionApprox, Numbering, Prefix, Schedule,
-                   finite_set_process, process_from_stage_prefixes)
+                   Numbering, Schedule, finite_set_process)
 from .genericity import RequirementList
 from .markers import MarkerSystem, build_retraceable
 from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
@@ -38,15 +37,15 @@ def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
             f"no position past the {head_zeros}-bit protected head on a "
             f"{N}-bit horizon")
     value = 0
-    prefixes = []
+    values = []
     for s in range(horizon.stages):
         if s < horizon.stages - FREEZE_TAIL and rng.random() < MOVE_CHANCE:
             p = rng.randrange(head_zeros, N)
             if not (value >> (N - 1 - p)) & 1:
                 keep = value >> (N - p) << (N - p) if p else 0
                 value = keep | (1 << (N - 1 - p))
-        prefixes.append(Prefix(N, value))
-    return process_from_stage_prefixes(prefixes, horizon, label or f"rand-{seed}")
+        values.append(value)
+    return ApproxProcess(lambda s: values[s], horizon, label or f"rand-{seed}")
 
 
 def random_catalog(seed: int, size: int, horizon: Horizon,
@@ -120,10 +119,9 @@ def k_fixtures(horizon: Horizon) -> list[Schedule]:
     return [Schedule.from_pairs(pairs, "k-set") for pairs in raw]
 
 
-def settle_plus5(stages: int) -> LimitFunctionApprox:
-    """Twenty arguments, argument n settling to n + 5."""
-    return LimitFunctionApprox.from_final_values(
-        [n + 5 for n in range(20)], stages)
+def settle_plus5() -> list[int]:
+    """Settled values of twenty arguments, argument n settling to n + 5."""
+    return [n + 5 for n in range(20)]
 
 
 def requirement_fixture() -> RequirementList:
@@ -138,7 +136,7 @@ def requirement_fixture() -> RequirementList:
 
 
 def marker_fixture(horizon: Horizon) -> MarkerSystem:
-    return build_retraceable(settle_plus5(horizon.stages), horizon)
+    return build_retraceable(settle_plus5(), horizon)
 
 
 def bambam_infinite_process(horizon: Horizon) -> ApproxProcess:
@@ -167,9 +165,10 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
         raise CapacityError(
             f"boundary checkpoint {checkpoint} needs {checkpoint + 1} bits, "
             f"got {N}")
-    prefixes = [Prefix.zeros(N)] * (horizon.stages - 1)
-    prefixes.append(Prefix.from_set({checkpoint}, N))
-    return process_from_stage_prefixes(prefixes, horizon, "late-boundary")
+    final = horizon.stages - 1
+    return ApproxProcess(
+        lambda s: 1 << (N - 1 - checkpoint) if s == final else 0, horizon,
+        "late-boundary")
 
 
 def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
@@ -193,7 +192,7 @@ def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
     A = Schedule.from_pairs(entries, "re-set").as_process(horizon, "driving")
     X = late_boundary_process(horizon, checkpoint)
     return build_selfref_plan(base, A, markers, X,
-                              has_one_at_or_beyond(checkpoint), indices=size)
+                              has_one_at_or_beyond(checkpoint))
 
 
 def diagonal_catalog(horizon: Horizon) -> Numbering:

@@ -1,14 +1,14 @@
 """Desk-scale genericity: forcing, interval functions, indifference checks.
 
-Requirements are finite enumeration schedules of binary-string codes.  A
-string satisfies requirement e if one of its prefixes has been enumerated or
-if no enumerated string properly extends it; extension search is bounded by
-the bit horizon, which is the computable surrogate for the unbounded side of
-the definition.  A generic prefix is forced deterministically (least
-witnessing extension first), an interval function is read off from the least
-satisfying segment lengths, and indifference of a marker set is verified by
-exhaustively re-checking every variant that differs from the forced prefix
-only on marker positions.
+Requirements are finite sets of binary strings.  A string satisfies
+requirement e if one of its prefixes lies in the set or if no string of the
+set properly extends it; extension search is bounded by the bit horizon,
+which is the computable surrogate for the unbounded side of the definition.
+A generic prefix is forced deterministically (least witnessing extension
+first), an interval function is read off from the least satisfying segment
+lengths, and indifference of a marker set is verified by exhaustively
+re-checking every variant that differs from the forced prefix only on marker
+positions.
 """
 from __future__ import annotations
 
@@ -16,56 +16,35 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import (CapacityError, Horizon, InputError, LimitFunctionApprox,
-                   Prefix, Schedule, UsageError)
+from .core import CapacityError, Horizon, InputError, Prefix, UsageError
 from .markers import MarkerSystem, build_retraceable
-
-
-def string_code(s: str) -> int:
-    """Number of a binary string in length-lexicographic order (empty string is 0)."""
-    if any(c not in "01" for c in s):
-        raise UsageError("string must be binary")
-    return int("1" + s, 2) - 1
-
-
-def code_string(n: int) -> str:
-    if n < 0:
-        raise UsageError("string codes are naturals")
-    return bin(n + 1)[3:]
 
 
 @dataclass(frozen=True)
 class RequirementList:
-    reqs: tuple[Schedule, ...]
+    reqs: tuple[frozenset[str], ...]  # one set of binary strings per requirement
 
     def __post_init__(self) -> None:
-        for W in self.reqs:
-            if W.kind != "re-set":
-                raise InputError("requirement schedules must be enumeration schedules")
+        if any(set(w) - {"0", "1"} for strings in self.reqs for w in strings):
+            raise UsageError("requirement strings must be binary")
 
     @property
     def count(self) -> int:
         return len(self.reqs)
 
-    def strings_at(self, e: int, s: Optional[int]) -> frozenset[str]:
-        W = self.reqs[e]
-        codes = W.final_members() if s is None else W.members_at(s)
-        return frozenset(code_string(c) for c in codes)
+    def strings_at(self, e: int) -> frozenset[str]:
+        return self.reqs[e]
 
     def validate_within(self, bits: int) -> None:
         for e in range(self.count):
-            for w in self.strings_at(e, None):
+            for w in self.strings_at(e):
                 if len(w) > bits:
                     raise InputError(
                         f"requirement {e} contains a string longer than the horizon")
 
     @classmethod
     def from_strings(cls, groups: Sequence[Sequence[str]]) -> "RequirementList":
-        reqs = []
-        for strings in groups:
-            reqs.append(Schedule.from_pairs(
-                [(string_code(w), 0) for w in strings], "re-set"))
-        return cls(tuple(reqs))
+        return cls(tuple(frozenset(strings) for strings in groups))
 
 
 def _sat(rho: str, strings: frozenset[str], bits: int) -> bool:
@@ -81,13 +60,12 @@ def prefix_meets_requirement(X: Prefix, strings: frozenset[str], bits: int) -> b
     return any(_sat(x[:k], strings, bits) for k in range(min(len(x), bits)))
 
 
-def force_generic_prefix(Ws: RequirementList, bits: int,
-                         s: Optional[int] = None) -> Prefix:
+def force_generic_prefix(Ws: RequirementList, bits: int) -> Prefix:
     """Force a prefix meeting every requirement, least witnessing extension first."""
     Ws.validate_within(bits)
     rho = ""
     for e in range(Ws.count):
-        strings = Ws.strings_at(e, s)
+        strings = Ws.strings_at(e)
         if any(rho[:k] in strings for k in range(len(rho) + 1)):
             continue
         extensions = sorted(
@@ -99,7 +77,7 @@ def force_generic_prefix(Ws: RequirementList, bits: int,
         # Otherwise no enumerated string extends rho: vacuously settled.
     forced = Prefix.from_string(rho).padded(bits)
     for e in range(Ws.count):
-        if not prefix_meets_requirement(forced, Ws.strings_at(e, s), bits):
+        if not prefix_meets_requirement(forced, Ws.strings_at(e), bits):
             raise CapacityError(
                 f"horizon of {bits} bits exhausted while forcing requirement {e}")
     return forced
@@ -128,7 +106,7 @@ def interval_function_values(A: Prefix, Ws: RequirementList, levels: int) -> lis
         bound = f[-1]
         worst = 0
         for e in range(min(bound + 1, Ws.count)):
-            strings = Ws.strings_at(e, None)
+            strings = Ws.strings_at(e)
             for length in range(bound + 1):
                 for sig_bits in product("01", repeat=length):
                     sigma = "".join(sig_bits)
@@ -181,8 +159,7 @@ def build_generic_plan(Ws: RequirementList, bits: int, levels: int,
     doubled = [f[2 * n] + 1 for n in range(levels // 2 + 1)]
     if max(doubled) + 2 >= horizon.stages:
         raise CapacityError("stage horizon too small for the marker construction")
-    approx = LimitFunctionApprox.from_final_values(doubled, horizon.stages)
-    markers = build_retraceable(approx, horizon)
+    markers = build_retraceable(doubled, horizon)
     return GenericPlan(A, f, intervals_from_values(f), markers, Ws)
 
 
@@ -211,7 +188,7 @@ def verify_indifference(A: Prefix, I: MarkerSystem, Ws: RequirementList,
             f"{len(positions)} free positions exceed the exhaustive cap of {cap}; "
             "sample instead")
     e_top = min(e_bound, Ws.count - 1)
-    string_sets = [Ws.strings_at(e, None) for e in range(e_top + 1)]
+    string_sets = [Ws.strings_at(e) for e in range(e_top + 1)]
     failures: list[tuple[str, int]] = []
     checked = 0
     for assignment in product((0, 1), repeat=len(positions)):

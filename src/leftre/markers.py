@@ -1,19 +1,19 @@
 """Movable-marker construction of a complement-enumerable retraceable set.
 
-Given a stage approximation to a total function that settles on the horizon,
-markers i_0 < i_1 < ... start on the naturals and only ever move upward;
-whenever the approximation changes at argument n, all markers from n on are
-pushed past the current stage.  The surviving positions form a set whose
-complement is enumerable, whose n-th element dominates the settled function
-value at n, and which is retraced downward by a total function.
+The construction runs against the stage approximation of a total function
+given by its settled values: the stage-s guess at argument n is v(n) once s
+exceeds it, 0 before.  Markers i_0 < i_1 < ... start on the naturals and
+only ever move upward; whenever the approximation changes at argument n, all
+markers from n on are pushed past the current stage.  The surviving
+positions form a set whose complement is enumerable, whose n-th element
+dominates v(n), and which is retraced downward by a total function.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import (ApproxProcess, Horizon, InputError, LimitFunctionApprox,
-                   Schedule, UsageError)
+from .core import ApproxProcess, Horizon, InputError, Schedule, UsageError
 
 
 @dataclass
@@ -67,35 +67,29 @@ class MarkerSystem:
         return Schedule.from_pairs(pairs, "re-set")
 
 
-def _validate_bounded(f: LimitFunctionApprox) -> None:
-    for n in range(f.arg_count):
-        if f.value(0, n) != 0:
-            raise InputError("stage-0 approximation must be identically 0")
-    for s in range(1, f.stages):
-        for n in range(f.arg_count):
-            if f.value(s, n) >= s:
-                raise InputError(
-                    f"approximation value {f.value(s, n)} at stage {s} breaks the "
-                    "stage bound (values must stay below the stage)")
+def build_retraceable(values: Sequence[int], horizon: Horizon) -> MarkerSystem:
+    """Run the marker construction against the settled values v(n).
 
-
-def build_retraceable(f: LimitFunctionApprox, horizon: Horizon) -> MarkerSystem:
-    """Run the marker construction against the stage approximation of f."""
-    if f.stages != horizon.stages:
-        raise UsageError("approximation and horizon disagree on stage count")
-    _validate_bounded(f)
+    The approximation changes only at stage v + 1 for v >= 1, at the least
+    argument n with v(n) = v (a settled 0 never shows a change), so only
+    those stages move markers.  A negative value raises InputError.
+    """
+    first_arg: dict[int, int] = {}
+    for n, v in enumerate(values):
+        if v < 0:
+            raise InputError(f"settled value {v} at argument {n} is negative")
+        first_arg.setdefault(v, n)
     system = MarkerSystem(horizon)
-    for s1 in range(1, horizon.stages):
-        n = next((k for k in range(f.arg_count)
-                  if f.value(s1 - 1, k) != f.value(s1, k)), None)
-        if n is None:
+    for v in sorted(first_arg):
+        s1 = v + 1
+        if v == 0 or s1 >= horizon.stages:
             continue
-        old = system.marker(n, s1 - 1)
+        old = system.marker(first_arg[v], s1 - 1)
         # Remove exactly the survivors in [old marker, s1); marker n and all
         # later ones land at or beyond the current stage, earlier ones stay.
+        # Every earlier removal happened before s1, so setdefault keeps it.
         for p in range(old, s1):
-            if not system.removed(p, s1 - 1):
-                system.removal_stage[p] = s1
+            system.removal_stage.setdefault(p, s1)
     return system
 
 

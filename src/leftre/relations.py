@@ -160,17 +160,18 @@ def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
                          "coded-k")
 
 
-def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
-                   a_index: int = 0, b_index: int = 1) -> set[int]:
+def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
+                   K: Schedule) -> set[int]:
     """Recover K below x from an enumerated inclusion oracle.
 
-    Searches for a candidate set E and a stage at which both E-inside-odds
-    and E-inside-coded-set pairs are out, and every y below x sits in exactly
-    one of the stage view of K and the doubled-shifted view of E.  The result
-    is audited against the schedule's final content.  A stage is searched
-    only when something the test reads changed: a candidate's stage value
-    (stages below the horizon), an emitted pair with right side a_index or
-    b_index, or the view of K.
+    Index 0 of the family is the odds set and index 1 the coded set; every
+    other index is a candidate.  Searches for a candidate set E and a stage
+    at which both E-inside-odds and E-inside-coded-set pairs are out, and
+    every y below x sits in exactly one of the stage view of K and the
+    doubled-shifted view of E.  The result is audited against the schedule's
+    final content.  A stage is searched only when something the test reads
+    changed: a candidate's stage value (stages below the horizon), an emitted
+    pair with right side 0 or 1, or the view of K.
     """
     if oracle.mode != "inclusion":
         raise UsageError("decoding needs an inclusion oracle")
@@ -179,7 +180,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
     S = nu.horizon.stages
     limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
                 S - 1) + 1
-    candidates = [e for e in range(nu.index_range) if e not in (a_index, b_index)]
+    candidates = range(2, nu.index_range)
     # The stage-s views grow by the entries of stage s, taken in stage order.
     emissions = oracle.entries
     k_entries = sorted(K.entries, key=lambda e: e[1])
@@ -190,7 +191,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
         moved = s < S  # a candidate's stage view may still change
         while i < len(emissions) and emissions[i][1] <= s:
             emitted.add(emissions[i][0])
-            moved = moved or emissions[i][0][1] in (a_index, b_index)
+            moved = moved or emissions[i][0][1] < 2
             i += 1
         while k < len(k_entries) and k_entries[k][1] <= s:
             k_view.add(k_entries[k][0])
@@ -199,7 +200,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int, K: Schedule,
         if not moved:
             continue  # nothing read below changed since stage s - 1
         for e in candidates:
-            if (e, a_index) not in emitted or (e, b_index) not in emitted:
+            if (e, 0) not in emitted or (e, 1) not in emitted:
                 continue
             E = nu.at(e).prefix(min(s, S - 1)).members()
             if all((y in k_view) != (2 * y + 1 in E) for y in range(x)):

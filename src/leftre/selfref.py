@@ -12,12 +12,11 @@ here too, all on the same freezing machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .core import (ApproxProcess, CapacityError, InputError, Numbering,
                    Prefix, Schedule, UsageError, finite_set_process,
-                   first_difference, lex_cmp, GREATER, LESS, limit_estimate,
-                   process_from_stage_prefixes)
+                   first_difference, lex_cmp, GREATER, LESS, limit_estimate)
 from .markers import MarkerSystem, count_h
 
 
@@ -62,16 +61,16 @@ class SelfRefPlan:
 
 def build_selfref_plan(base: Numbering, A: ApproxProcess, I: MarkerSystem,
                        X: ApproxProcess,
-                       classC: Callable[[ApproxProcess], bool],
-                       indices: Optional[int] = None) -> SelfRefPlan:
-    """Fix the index map from the marker count and choose the switch strings."""
+                       classC: Callable[[ApproxProcess], bool]) -> SelfRefPlan:
+    """Fix the index map from the marker count and choose the switch strings.
+
+    The plan covers the base indices below the last stage, the ones whose
+    marker snapshot lies inside the horizon.
+    """
     hz = base.horizon
     if A.horizon != hz or X.horizon != hz or I.horizon != hz:
         raise UsageError("plan parts must share one horizon")
-    if indices is None:
-        indices = min(base.index_range, hz.stages - 1)
-    if indices > hz.stages - 1:
-        raise UsageError("index range exceeds the marker snapshot horizon")
+    indices = min(base.index_range, hz.stages - 1)
     # Clamp: positions removed before the first survivor count to -1, and any
     # base index serves for them since they leave the marker set anyway.
     h_table = [max(0, count_h(I, e)) for e in range(indices)]
@@ -149,8 +148,7 @@ def singleton_numbering_finite(A: frozenset[int], base: Numbering) -> Numbering:
 
 
 def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
-                                 base: Numbering,
-                                 indices: Optional[int] = None) -> Numbering:
+                                 base: Numbering) -> Numbering:
     """Name a strictly changing approximation by exactly its own members.
 
     Indices along the injected recursive sequence carry the base catalog; any
@@ -175,22 +173,21 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
     for j in range(base.index_range):
         if limit_estimate(base.at(j))[0].value == final_value:
             raise InputError(f"base index {j} already names the target set")
-    if indices is None:
-        indices = max((R[d] for d in range(min(len(R), base.index_range))),
-                      default=-1) + 1
+    indices = max((R[d] for d in range(min(len(R), base.index_range))),
+                  default=-1) + 1
     place = {b: d for d, b in enumerate(R) if d < base.index_range}
     processes = []
     for e in range(indices):
         if e in place:
             processes.append(base.at(place[e]))
             continue
-        prefixes = []
+        values = []
         u = 0
         for s in range(S):
             if A.bit(s, e) == 1:
                 u = s
-            prefixes.append(A.prefix(u))
-        processes.append(process_from_stage_prefixes(prefixes, hz, f"gamma-{e}"))
+            values.append(A.prefix(u).value)
+        processes.append(ApproxProcess(lambda s: values[s], hz, f"gamma-{e}"))
     return Numbering(processes, label="singleton-infinite")
 
 

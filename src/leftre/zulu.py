@@ -199,6 +199,10 @@ def build_maximal(state: ZuluState, horizon: Horizon,
     return ApproxProcess(prefix_value, horizon, label, bit_fn=bit)
 
 
+EXHAUSTIVE_BELOW = 3  # btt_check checks every position of I_1 and I_2
+SAMPLES_PER_INTERVAL = 32  # seeded random probes per larger interval and stage
+
+
 @dataclass(frozen=True)
 class BttReport:
     ok: bool
@@ -212,19 +216,20 @@ def _window(p: Prefix, lo: int, hi: int) -> int:
 
 
 def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
-              stages: Optional[Sequence[int]] = None, exhaustive_below: int = 3,
-              samples_per_interval: int = 32, seed: int = 0) -> BttReport:
+              stages: Optional[Sequence[int]] = None, seed: int = 0) -> BttReport:
     """Verify u in A iff mirror(u) not in B over the covered intervals.
 
-    Small intervals are scanned exhaustively; the doubly-exponential ones are
-    probed at the markers, the interval boundaries, and seeded samples.
+    Intervals I_n with n < EXHAUSTIVE_BELOW are scanned exhaustively; the
+    doubly-exponential ones are probed at the interval boundaries and
+    SAMPLES_PER_INTERVAL seeded samples, each with its mirror.
 
     An exhaustively scanned interval inside the bit horizon is checked as two
     packed windows of its stage values: the mirror reverses the interval, so
-    the link holds iff B's window reversed is the complement of A's.  Only
-    when that test fails is the interval scanned probe by probe, which
-    locates the witness.  `checked` counts the per-probe work either way:
-    one link probe per position and one mirror re-probe per member.
+    the link holds iff B's window reversed is the complement of A's, and the
+    most significant bit of their mismatch is the first failing position.
+    `checked` counts the per-probe work either way: one link probe per
+    position up to the witness, and one mirror re-probe per member of an
+    interval that passes.
     """
     if A.horizon != B.horizon:
         raise UsageError("processes must share a horizon")
@@ -237,19 +242,22 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
         for n in range(1, min(s, layout.n_cap) + 1):
             lo, hi = layout.interval(n)
             # Every probe lies in I_n, so its mirror is hi + lo - u.
-            if n < exhaustive_below:
+            if n < EXHAUSTIVE_BELOW:
                 if hi < N:
                     width = hi - lo + 1
                     a_win = _window(A.prefix(s), lo, hi)
                     b_win = _window(B.prefix(s), lo, hi)
                     b_reversed = int(format(b_win, f"0{width}b")[::-1], 2)
-                    if b_reversed == a_win ^ ((1 << width) - 1):
-                        checked += width + a_win.bit_count()
-                        continue
+                    bad = b_reversed ^ a_win ^ ((1 << width) - 1)
+                    if bad:
+                        k = width - bad.bit_length()
+                        return BttReport(False, (s, lo + k), checked + k + 1)
+                    checked += width + a_win.bit_count()
+                    continue
                 probes = range(lo, hi + 1)
             else:
                 probes = {lo, lo + 1, hi - 1, hi}
-                for _ in range(samples_per_interval):
+                for _ in range(SAMPLES_PER_INTERVAL):
                     probes.add(rng.randrange(lo, hi + 1))
                 # Probe both sides of every membership boundary we can find.
                 for u in list(probes):

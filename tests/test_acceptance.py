@@ -39,7 +39,7 @@ def test_01_universal_validator_over_fixture_suite():
     alpha, _ = relations.gazebo_run(random_catalog(1, 5, MID, "gz"))
     processes.extend(alpha)
     B, _ = diagonal.build_diagonal(
-        diagonal_catalog(FULL), [Schedule.from_pairs([])] * 4, e_cap=3)
+        diagonal_catalog(FULL), [Schedule.from_pairs([])] * 4)
     processes.append(B)
     processes.append(zulu.lowerfarm_witness(
         random_leftre_process(9, FULL, head_zeros=8), frozenset({0, 2})))
@@ -70,7 +70,7 @@ def test_03_genericity_pipeline_and_indifference():
     plan = genericity.build_generic_plan(Ws, 14, 6, MID)
     for e in range(Ws.count):
         assert genericity.prefix_meets_requirement(
-            plan.A, Ws.strings_at(e, None), plan.A.length)
+            plan.A, Ws.strings_at(e), plan.A.length)
     finals = plan.markers.final_markers(4)
     free = plan.marker_free_intervals(6)
     for n in range(1, 4):
@@ -210,9 +210,9 @@ def test_10_gazebo_persistence_and_oracle_equality():
 def test_11_diagonal_divergence_and_trigger_disjunction():
     nu = diagonal_catalog(FULL)
     empty = [Schedule.from_pairs([])] * 4
-    _, settled = diagonal.build_diagonal(nu, empty, e_cap=3)
+    _, settled = diagonal.build_diagonal(nu, empty)
     Ws = diagonal_schedules(settled.x[-1], FULL, fire_for=(0, 2))
-    B, state = diagonal.build_diagonal(nu, Ws, e_cap=3)
+    B, state = diagonal.build_diagonal(nu, Ws)
     assert validate_left_re(B).ok
     final = B.final_prefix()
     for e in range(4):

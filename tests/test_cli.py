@@ -54,6 +54,16 @@ class TestRun:
         out = tmp_path / "t.jsonl"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
 
+    def test_construction_argument_overrides_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": "markers", "stages": 48,
+                                   "bits": 96}))
+        out = tmp_path / "t.jsonl"
+        assert run_cli("run", "split", "--config", str(cfg),
+                       "--out", str(out)) == 0
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["construction"] == "split"
+
     @pytest.mark.parametrize("construction", ["gazebo", "selfref", "diagonal",
                                               "generic", "zulu-min"])
     def test_replay_determinism(self, construction, tmp_path):
@@ -143,10 +153,13 @@ class TestRun:
         (("inc-decode", "--bits", "16", {"x": 9}),
          "decoding below 9 needs 18 bits, got 16"),
         (("inc-decode", {"x": -1}), "x must be at least 0, got -1"),
+        # count_h reads the snapshot after stage 26 at marker 19
+        (("markers", "--stages", "26"),
+         "stage horizon too small for the marker construction"),
     ], ids=["bambam-300x512", "lowerfarm-8", "selfref-8", "selfref-41",
             "zulu-min-1", "zulu-max-1", "tilde-a-1", "maxsep-1", "maxsep-2",
             "excise-64x16", "lowerfarm-8x4", "diagonal-1x3", "inc-decode-x9",
-            "inc-decode-x-1"])
+            "inc-decode-x-1", "markers-26"])
     def test_horizon_too_small_exits_2(self, argv, message, tmp_path):
         argv = list(argv)
         if isinstance(argv[-1], dict):
@@ -192,7 +205,10 @@ class TestRunParams:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "trace.jsonl"
-        assert run_cli("run", "markers", "--config", str(cfg),
+        # A construction named on the command line would override the
+        # config's, so markers is named only when the config names none.
+        named = [] if "construction" in config else ["markers"]
+        assert run_cli("run", *named, "--config", str(cfg),
                        "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() or "verdict" not in out.read_text()

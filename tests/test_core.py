@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from leftre.core import (EQUAL, GREATER, LESS, ApproxProcess, Horizon,
-                         LimitFunctionApprox, Numbering, Prefix, Schedule,
-                         UsageError, first_difference, join, lex_cmp,
-                         limit_estimate, process_from_stage_prefixes,
+                         Numbering, Prefix, Schedule, UsageError,
+                         first_difference, join, lex_cmp, limit_estimate,
                          validate_left_re, validate_monotone_membership)
 
 HZ = Horizon(16, 24)
@@ -66,9 +65,8 @@ class TestLexOrder:
 
 
 def staged(values):
-    return process_from_stage_prefixes(
-        [Prefix(HZ.bits, v) for v in values] + [Prefix(HZ.bits, values[-1])]
-        * (HZ.stages - len(values)), HZ)
+    """The process showing values[s] at stage s, then the last one."""
+    return ApproxProcess(lambda s: values[min(s, len(values) - 1)], HZ)
 
 
 class TestValidators:
@@ -88,6 +86,12 @@ class TestValidators:
             p.prefix(s)
         with pytest.raises(UsageError):
             p.bit(s, 0)
+
+    def test_bit_past_horizon_without_bit_fn_raises(self):
+        p = staged([0, 5])
+        assert p.bit(1, HZ.bits - 1) == 1
+        with pytest.raises(UsageError, match="past the horizon"):
+            p.bit(1, HZ.bits)
 
     @pytest.mark.parametrize("value", [-1, 1 << HZ.bits],
                              ids=["negative", "too-wide"])
@@ -138,19 +142,8 @@ class TestLimitEstimate:
         assert final.value == 7 and stable
 
     def test_unstable_flag(self):
-        values = list(range(HZ.stages))
-        p = process_from_stage_prefixes([Prefix(HZ.bits, v) for v in values], HZ)
-        _, stable = limit_estimate(p)
+        _, stable = limit_estimate(ApproxProcess(lambda s: s, HZ))
         assert not stable
-
-
-class TestLimitFunctionApprox:
-    def test_from_final_values_stage_bound(self):
-        f = LimitFunctionApprox.from_final_values([5, 6], 16)
-        assert f.value(0, 0) == 0
-        assert f.value(5, 0) == 0 and f.value(6, 0) == 5
-        assert f.final(1) == 6
-        assert all(f.value(s, n) < s for s in range(1, 16) for n in range(2))
 
 
 class TestNumbering:

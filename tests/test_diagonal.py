@@ -94,7 +94,7 @@ class TestComputeF:
 class TestBuildDiagonal:
     def test_validator_and_divergence_from_catalog(self):
         nu = diagonal_catalog(HZ)
-        B, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        B, state = build_diagonal(nu, empty_ws(4))
         assert validate_left_re(B).ok
         final = B.final_prefix()
         for e in range(4):
@@ -103,29 +103,29 @@ class TestBuildDiagonal:
 
     def test_points_distinct_every_stage(self):
         nu = diagonal_catalog(HZ)
-        _, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        _, state = build_diagonal(nu, empty_ws(4))
         for row in state.x:
             assert len(set(row)) == len(row)
 
     def test_exponent_nondecreasing(self):
         nu = diagonal_catalog(HZ)
-        _, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        _, state = build_diagonal(nu, empty_ws(4))
         for e in range(4):
             series = [state.d[s][e] for s in range(HZ.stages)]
             assert series == sorted(series)
 
     def test_point_formula(self):
         nu = diagonal_catalog(HZ)
-        _, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        _, state = build_diagonal(nu, empty_ws(4))
         for s in (0, HZ.stages - 1):
             for e in range(4):
                 assert state.x[s][e] == (1 << e) * 3 ** state.d[s][e]
 
     def test_trigger_fires_once_and_disagrees(self):
         nu = diagonal_catalog(HZ)
-        _, settled = build_diagonal(nu, empty_ws(4), e_cap=3)
+        _, settled = build_diagonal(nu, empty_ws(4))
         Ws = diagonal_schedules(settled.x[-1], HZ, fire_for=(0,))
-        B, state = build_diagonal(nu, Ws, e_cap=3)
+        B, state = build_diagonal(nu, Ws)
         assert validate_left_re(B).ok
         assert len(state.trigger_stages.get(0, [])) == 1
         x0 = state.x[-1][0]
@@ -141,7 +141,7 @@ class TestBuildDiagonal:
 
     def test_trace_rows_shape(self):
         nu = diagonal_catalog(HZ)
-        _, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        _, state = build_diagonal(nu, empty_ws(4))
         rows = state.trace_rows()
         assert len(rows) == HZ.stages * 4
         assert set(rows[0]) == {"stage", "e", "F", "d", "x"}
@@ -151,7 +151,7 @@ class TestBuildDiagonal:
         # and the run compares B with the whole catalog.
         hz = Horizon(1, 8)
         nu = diagonal_catalog(hz)
-        B, state = build_diagonal(nu, empty_ws(4), e_cap=3)
+        B, state = build_diagonal(nu, empty_ws(4))
         assert state.active() == 4
         assert all(B.final_prefix() != limit_estimate(nu.at(e))[0]
                    for e in range(4))

@@ -1,30 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from leftre.core import CapacityError, Horizon, Prefix
+from leftre.core import CapacityError, Horizon, Prefix, UsageError
 from leftre.fixtures import requirement_fixture
 from leftre.genericity import (RequirementList, build_generic_plan,
-                               code_string, force_generic_prefix,
-                               interval_function_values,
+                               force_generic_prefix, interval_function_values,
                                intervals_from_values, least_satisfying_end,
-                               prefix_meets_requirement, string_code,
-                               verify_indifference)
+                               prefix_meets_requirement, verify_indifference)
 
 HZ = Horizon(64, 128)
-
-
-class TestStringCoding:
-    def test_length_lex_order(self):
-        ordered = ["", "0", "1", "00", "01", "10", "11", "000"]
-        assert [string_code(s) for s in ordered] == list(range(8))
-
-    @given(st.integers(0, 10_000))
-    def test_roundtrip(self, n):
-        assert string_code(code_string(n)) == n
-
-    @given(st.text(alphabet="01", max_size=14))
-    def test_roundtrip_strings(self, s):
-        assert code_string(string_code(s)) == s
 
 
 class TestSatisfaction:
@@ -60,7 +43,11 @@ class TestForcing:
         Ws = requirement_fixture()
         forced = force_generic_prefix(Ws, 14)
         for e in range(Ws.count):
-            assert prefix_meets_requirement(forced, Ws.strings_at(e, None), 14)
+            assert prefix_meets_requirement(forced, Ws.strings_at(e), 14)
+
+    def test_non_binary_string_rejected(self):
+        with pytest.raises(UsageError, match="binary"):
+            RequirementList.from_strings([["01", "2"]])
 
     def test_string_longer_than_horizon_rejected(self):
         from leftre.core import InputError
@@ -84,7 +71,7 @@ class TestIntervalFunction:
         # Independent recomputation of one cached entry.
         Ws = requirement_fixture()
         A = force_generic_prefix(Ws, 14)
-        strings = Ws.strings_at(1, None)
+        strings = Ws.strings_at(1)
         c = least_satisfying_end("1", A, strings, 14)
         a = A.to_string()
         for c1 in range(1, c):

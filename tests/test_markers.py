@@ -1,31 +1,53 @@
 import pytest
+from hypothesis import example, given, strategies as st
 
-from leftre.core import (Horizon, InputError, LimitFunctionApprox,
-                         validate_monotone_membership)
+from leftre.core import Horizon, InputError, validate_monotone_membership
 from leftre.markers import MarkerSystem, build_retraceable, count_h, retrace
 from leftre.fixtures import marker_fixture, settle_plus5
 
 HZ = Horizon(64, 128)
 
 
-def naive_markers(f: LimitFunctionApprox, stages: int, count: int) -> list[int]:
-    """Independent oracle: replay the construction on explicit position lists."""
-    live = list(range(4 * stages))
+def naive_markers(values: list[int], stages: int) -> tuple[list[int], dict[int, int]]:
+    """Independent oracle: replay the construction stage by stage on an
+    explicit list of live positions, scanning every argument of the stage
+    approximation `v if v < s else 0`.  Returns the final live positions and
+    the removal stage of every removed position."""
+
+    def approx(s: int, n: int) -> int:
+        return values[n] if values[n] < s else 0
+
+    # Only positions below the last stage are ever removed, so this list
+    # always holds a live position for every argument.
+    live = list(range(stages + len(values)))
+    removal = {}
     for s1 in range(1, stages):
-        n = next((k for k in range(f.arg_count)
-                  if f.value(s1 - 1, k) != f.value(s1, k)), None)
+        n = next((k for k in range(len(values))
+                  if approx(s1 - 1, k) != approx(s1, k)), None)
         if n is None:
             continue
         old = live[n]
+        removal.update((p, s1) for p in live if old <= p < s1)
         live = [p for p in live if p < old or p >= s1]
-    return live[:count]
+    return live, removal
 
 
 class TestConstruction:
     def test_matches_naive_replay(self):
-        f = settle_plus5(HZ.stages)
-        m = build_retraceable(f, HZ)
-        assert m.final_markers(20) == naive_markers(f, HZ.stages, 20)
+        values = settle_plus5()
+        m = build_retraceable(values, HZ)
+        live, removal = naive_markers(values, HZ.stages)
+        assert m.final_markers(20) == live[:20]
+        assert m.removal_stage == removal
+
+    # 0s, repeated values, values at or past the last stage, one stage.
+    @example([0, 0, 3, 3, 1], 6)
+    @example([5, 6, 7], 7)
+    @example([2, 1], 1)
+    @given(st.lists(st.integers(0, 45), max_size=25), st.integers(1, 40))
+    def test_removal_stages_match_naive_replay(self, values, stages):
+        m = build_retraceable(values, Horizon(stages, 8))
+        assert m.removal_stage == naive_markers(values, stages)[1]
 
     def test_markers_dominate_settled_values(self):
         m = marker_fixture(HZ)
@@ -34,21 +56,24 @@ class TestConstruction:
             assert finals[n] > n + 5
 
     def test_markers_only_move_upward(self):
-        f = settle_plus5(HZ.stages)
-        m = build_retraceable(f, HZ)
+        m = build_retraceable(settle_plus5(), HZ)
         for k in range(8):
             positions = [m.marker(k, s) for s in range(HZ.stages)]
             assert positions == sorted(positions)
 
     def test_stage_zero_must_be_zero(self):
-        bad = LimitFunctionApprox(lambda s, n: 1, 4, HZ.stages)
-        with pytest.raises(InputError):
-            build_retraceable(bad, HZ)
+        # The stage-0 approximation is identically 0, so settled 0s never
+        # show a change and move no marker.
+        assert build_retraceable([0, 0, 0], HZ).removal_stage == {}
 
     def test_stage_bound_enforced(self):
-        bad = LimitFunctionApprox(lambda s, n: 0 if s == 0 else s, 4, HZ.stages)
-        with pytest.raises(InputError):
-            build_retraceable(bad, HZ)
+        # A value v shows only once the stage exceeds it, at stage v + 1.
+        m = build_retraceable([9, 4], HZ)
+        assert sorted(set(m.removal_stage.values())) == [5, 10]
+
+    def test_negative_value_rejected(self):
+        with pytest.raises(InputError, match="negative"):
+            build_retraceable([3, -1], HZ)
 
 
 class TestRetrace:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
-                         UsageError, process_from_stage_prefixes, rank_parity)
+                         UsageError, rank_parity)
 from leftre.diagonal import build_diagonal
 from leftre.fixtures import (diagonal_catalog, diagonal_schedules, k_fixtures,
                              marker_fixture, omega_fixture,
@@ -251,12 +251,11 @@ def check_split(hz: Horizon, odd_values: list[int]) -> None:
     """Split odd-member stage values, and split the dual process whose
     non-members are those values."""
     N = hz.bits
-    A = process_from_stage_prefixes([Prefix(N, v) for v in odd_values], hz)
+    A = ApproxProcess(lambda s: odd_values[s], hz)
     E = split_subset(A)
     assert stage_values_of(E) == split_subset_reference(A)
     full = (1 << N) - 1
-    B = process_from_stage_prefixes(
-        [Prefix(N, full & ~v) for v in odd_values], hz)
+    B = ApproxProcess(lambda s: full & ~odd_values[s], hz)
     F = split_superset(B)
     assert stage_values_of(F) == split_superset_reference(B)
 
@@ -288,8 +287,8 @@ class TestSplit:
         members[s] |= bit  # an even member at stage s
         non_members = [((1 << N) - 1) & ~v for v in values]
         non_members[s] &= ~bit  # an even non-member at stage s
-        A = process_from_stage_prefixes([Prefix(N, v) for v in members], hz)
-        B = process_from_stage_prefixes([Prefix(N, v) for v in non_members], hz)
+        A = ApproxProcess(lambda s: members[s], hz)
+        B = ApproxProcess(lambda s: non_members[s], hz)
         for build in (split_subset, split_subset_reference):
             with pytest.raises(InputError):
                 build(A)
@@ -381,8 +380,8 @@ class TestBitFnBelowHorizon:
     def test_diagonal(self):
         nu = diagonal_catalog(self.HZ)
         empty = [Schedule.from_pairs([])] * 4
-        _, settled = build_diagonal(nu, empty, e_cap=3)
+        _, settled = build_diagonal(nu, empty)
         Ws = diagonal_schedules(settled.x[-1], self.HZ, fire_for=(0, 2))
-        B, state = build_diagonal(nu, Ws, e_cap=3)
+        B, state = build_diagonal(nu, Ws)
         assert state.trigger_stages
         assert_bit_fn_matches_stage_values(B)

@@ -6,10 +6,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.core import (GREATER, CapacityError, Horizon, InputError,
-                         InternalInvariantError, Numbering, Prefix, Schedule,
-                         UsageError, finite_set_process, lex_cmp,
-                         process_from_stage_prefixes, validate_left_re)
+from leftre.core import (GREATER, ApproxProcess, CapacityError, Horizon,
+                         InputError, InternalInvariantError, Numbering,
+                         Schedule, UsageError, finite_set_process, lex_cmp,
+                         validate_left_re)
 from leftre.fixtures import k_fixtures, random_catalog
 from leftre.relations import (RelationOracle, b_from_k, check_persistence,
                               decide_k_below, first_mismatch,
@@ -88,8 +88,7 @@ class TestIncOracle:
         assert twin == oracle and hash(twin) == hash(oracle)
 
     def test_unstable_estimate_refused(self):
-        moving = process_from_stage_prefixes(
-            [Prefix(HZ.bits, v) for v in range(HZ.stages)], HZ)
+        moving = ApproxProcess(lambda s: s, HZ)
         with pytest.raises(InputError):
             inc_oracle_bruteforce(Numbering([moving]))
 
