@@ -68,7 +68,7 @@ def load_numbering(path: str) -> Numbering:
                                  f"{p.length} bits, expected {hz.bits}")
         processes.append(ApproxProcess(lambda s: prefixes[s].value, hz,
                                        f"file-{i}"))
-    return Numbering(processes, label=path)
+    return Numbering(processes)
 
 
 class TraceWriter:
@@ -199,8 +199,8 @@ def _run_maxsep(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
 
 def _run_split(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     odds = fixtures.one_per_stage_schedule(seed, Horizon(hz.stages, hz.bits // 2))
-    A = Schedule.from_pairs([(2 * x + 1, s) for x, s in odds.entries],
-                            "re-set").as_process(hz, "odd-stream")
+    A = Schedule.from_pairs([(2 * x + 1, s) for x, s in odds.entries]
+                            ).as_process(hz, "odd-stream")
     E = zulu.split_subset(A)
     _process_rows(E, trace)
     members = sorted(A.final_prefix().members())
@@ -221,7 +221,7 @@ def _run_lowerfarm(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> 
 def _run_tilde(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     state = _zulu_state(hz, seed, params)
     A = zulu.build_minimal(state, hz)
-    W = Schedule.from_pairs([(1, 2), (3, 5)], "re-set")
+    W = Schedule.from_pairs([(1, 2), (3, 5)])
     T = zulu.tilde_set(A, W, state.layout)
     _process_rows(T, trace)
     return {"validator": bool(validate_left_re(T))}
@@ -239,7 +239,7 @@ def _decode_family(K: Schedule, x: int, hz: Horizon) -> Numbering:
     cands = [finite_set_process((2 * y + 1 for y in range(x1)
                                  if y not in final_k), hz, f"cand-{x1}")
              for x1 in range(x + 1)]
-    return Numbering([odds, B] + cands, label="decode-family")
+    return Numbering([odds, B] + cands)
 
 
 def _run_inc_decode(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
@@ -284,7 +284,7 @@ def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dic
 
 def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     nu = fixtures.diagonal_catalog(hz)
-    Ws = [Schedule.from_pairs([], "re-set") for _ in range(nu.index_range)]
+    Ws = [Schedule.from_pairs([]) for _ in range(nu.index_range)]
     B, state = diagonal.build_diagonal(nu, Ws)
     for row in state.trace_rows()[:200]:
         trace.line({"type": "diag", **row})
@@ -296,7 +296,7 @@ def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> d
 
 def _run_excise(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     alpha = fixtures.random_catalog(seed, 5, hz, "excise-base")
-    R = Schedule.from_pairs([(1, 4), (3, 9)], "re-set")
+    R = Schedule.from_pairs([(1, 4), (3, 9)])
     X = fixtures.late_boundary_process(hz, read_param(params, "checkpoint", 20))
     beta = selfref.excise(alpha, R, X)
     for e in range(beta.index_range):

@@ -19,7 +19,7 @@ GREATER = 1
 
 
 class UsageError(ValueError):
-    """Caller violated an operation's contract (wrong kind, mismatched sizes)."""
+    """Caller violated an operation's contract (bad argument, mismatched sizes)."""
 
 
 class InputError(ValueError):
@@ -272,7 +272,7 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
 class Numbering:
     """An indexed family of approximation processes on a shared horizon."""
 
-    def __init__(self, processes: Sequence[ApproxProcess], label: str = ""):
+    def __init__(self, processes: Sequence[ApproxProcess]):
         if not processes:
             self._horizon = None
         else:
@@ -281,7 +281,6 @@ class Numbering:
                 if p.horizon != self._horizon:
                     raise UsageError("all indices must share one horizon")
         self._processes = list(processes)
-        self.label = label
 
     @property
     def index_range(self) -> int:
@@ -305,32 +304,25 @@ class Numbering:
         return [validate_left_re(p) for p in self._processes]
 
 
-SCHEDULE_KINDS = ("re-set", "omega-bits", "k-set")
-
-
 @dataclass(frozen=True)
 class Schedule:
     """A finite list of (element, entry-stage) pairs.
 
-    kind 're-set' / 'k-set': element x is a member from its entry stage on.
-    kind 'omega-bits': element m is a bit position whose bit turns 1 at the
-    entry stage; the induced bit history is lex-monotone because bits only
-    ever enter, never leave.
+    Element x is a member (of W_e, of K, or of the 1 bits of a history such
+    as Omega's) from its entry stage on; nothing leaves, so the induced bit
+    history is lex-monotone.
     """
 
     entries: tuple[tuple[int, int], ...]
-    kind: str = "re-set"
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEDULE_KINDS:
-            raise UsageError(f"unknown schedule kind {self.kind!r}")
         for x, s in self.entries:
             if x < 0 or s < 0:
                 raise UsageError("schedule entries must be pairs of naturals")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], kind: str = "re-set") -> "Schedule":
-        return cls(tuple((int(x), int(s)) for x, s in pairs), kind)
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Schedule":
+        return cls(tuple((int(x), int(s)) for x, s in pairs))
 
     def entry_stage(self, x: int) -> Optional[int]:
         stages = [s for e, s in self.entries if e == x]
@@ -350,7 +342,7 @@ class Schedule:
         t = self.entry_stage(x)
         return 1 if t is not None and t <= s else 0
 
-    def as_process(self, horizon: Horizon, label: str = "") -> ApproxProcess:
+    def as_process(self, horizon: Horizon, label: str = "schedule") -> ApproxProcess:
         N = horizon.bits
         entries = sorted(self.entries, key=lambda e: e[1])
         stage_values = []
@@ -363,15 +355,7 @@ class Schedule:
                     value |= 1 << (N - 1 - x)
                 i += 1
             stage_values.append(value)
-        return ApproxProcess(lambda s: stage_values[s], horizon,
-                             label or f"schedule-{self.kind}")
-
-
-def schedule_member(W: Schedule, x: int, s: int) -> int:
-    """Stage-s membership in an enumeration schedule."""
-    if W.kind not in ("re-set", "k-set"):
-        raise UsageError(f"schedule_member needs an enumeration schedule, got {W.kind!r}")
-    return W.bit(x, s)
+        return ApproxProcess(lambda s: stage_values[s], horizon, label)
 
 
 def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
-                   UsageError, schedule_member)
+                   UsageError)
 
 D_CAP = 12  # largest exponent d(e) a point may reach
 
@@ -67,9 +67,6 @@ def build_diagonal(nu: Numbering,
                    Ws: Sequence[Schedule]) -> tuple[ApproxProcess, DiagonalState]:
     """Run the point-moving construction against a catalog and schedules,
     tracking every index that has both a catalog process and a schedule."""
-    for W in Ws:
-        if W.kind != "re-set":
-            raise UsageError("diagonalization schedules must be enumerations")
     hz = nu.horizon
     e_cap = min(nu.index_range, len(Ws)) - 1
     if e_cap < 0:
@@ -87,8 +84,7 @@ def build_diagonal(nu: Numbering,
                 bumped[e] = False
             cur_d[e] = max(cur_d.get(e, 0), F)
             x = (1 << e) * 3 ** cur_d[e]
-            if not bumped[e] and schedule_member(Ws[e], x, s) == 0 \
-                    and schedule_member(Ws[e], 3 * x, s) == 1:
+            if not bumped[e] and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
                 cur_d[e] += 1
                 bumped[e] = True
                 state.trigger_stages.setdefault(e, []).append(s)

@@ -75,7 +75,7 @@ def random_catalog(seed: int, size: int, horizon: Horizon,
             continue
         finals.add(v)
         processes.append(p)
-    return Numbering(processes, label=label)
+    return Numbering(processes)
 
 
 def one_per_stage_schedule(seed: int, horizon: Horizon) -> Schedule:
@@ -83,7 +83,7 @@ def one_per_stage_schedule(seed: int, horizon: Horizon) -> Schedule:
     rng = Random(seed)
     count = min(horizon.stages, horizon.bits // 2)
     elements = rng.sample(range(horizon.bits), count)
-    return Schedule.from_pairs([(x, s) for s, x in enumerate(elements)], "re-set")
+    return Schedule.from_pairs([(x, s) for s, x in enumerate(elements)])
 
 
 def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32) -> Schedule:
@@ -98,12 +98,12 @@ def omega_fixture(seed: int, horizon: Horizon, top_bit: int = 32) -> Schedule:
     rng = Random(seed)
     bits = rng.sample(range(1, top_bit + 1), min(12, top_bit))
     return Schedule.from_pairs(
-        sorted((m, rng.randrange(1, horizon.stages)) for m in bits), "omega-bits")
+        sorted((m, rng.randrange(1, horizon.stages)) for m in bits))
 
 
 def omega_worked_example() -> Schedule:
     """The history settling to 0100...: bit 1 enters at stage 1."""
-    return Schedule.from_pairs([(1, 1)], "omega-bits")
+    return Schedule.from_pairs([(1, 1)])
 
 
 def k_fixtures(horizon: Horizon) -> list[Schedule]:
@@ -116,7 +116,7 @@ def k_fixtures(horizon: Horizon) -> list[Schedule]:
         [(1, 1), (3, 2), (5, 4), (7, 8)],
         [(x, min(2 * x + 1, S - 1)) for x in range(0, 16, 3)],
     ]
-    return [Schedule.from_pairs(pairs, "k-set") for pairs in raw]
+    return [Schedule.from_pairs(pairs) for pairs in raw]
 
 
 def settle_plus5() -> list[int]:
@@ -189,7 +189,7 @@ def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
     rng = Random(seed + 7)
     entries = [(e, rng.randrange(1, horizon.stages)) for e in range(size)
                if rng.random() < 0.5]
-    A = Schedule.from_pairs(entries, "re-set").as_process(horizon, "driving")
+    A = Schedule.from_pairs(entries).as_process(horizon, "driving")
     X = late_boundary_process(horizon, checkpoint)
     return build_selfref_plan(base, A, markers, X,
                               has_one_at_or_beyond(checkpoint))
@@ -206,7 +206,7 @@ def diagonal_catalog(horizon: Horizon) -> Numbering:
         frozenset(range(8, N)),
     ]
     return Numbering([finite_set_process(m, horizon, f"diag-{i}")
-                      for i, m in enumerate(shapes)], label="diag-catalog")
+                      for i, m in enumerate(shapes)])
 
 
 def diagonal_schedules(state_points: list[int], horizon: Horizon,
@@ -217,7 +217,7 @@ def diagonal_schedules(state_points: list[int], horizon: Horizon,
     out = []
     for e, x in enumerate(state_points):
         if e in fire_for:
-            out.append(Schedule.from_pairs([(3 * x, fire_stage)], "re-set"))
+            out.append(Schedule.from_pairs([(3 * x, fire_stage)]))
         else:
-            out.append(Schedule.from_pairs([], "re-set"))
+            out.append(Schedule.from_pairs([]))
     return out

@@ -64,7 +64,7 @@ class MarkerSystem:
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""
         pairs = sorted(self.removal_stage.items(), key=lambda it: (it[1], it[0]))
-        return Schedule.from_pairs(pairs, "re-set")
+        return Schedule.from_pairs(pairs)
 
 
 def build_retraceable(values: Sequence[int], horizon: Horizon) -> MarkerSystem:

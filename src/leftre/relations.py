@@ -46,13 +46,12 @@ class RelationOracle:
     `csv_rows()` are derived from these.
     """
 
-    mode: str  # "inclusion" | "lex"
     rows: tuple[int, ...]
     groups: Optional[tuple[tuple[int, int, int], ...]] = None
 
     @classmethod
-    def from_entries(cls, entries: Iterable[tuple[tuple[int, int], int]],
-                     mode: str) -> "RelationOracle":
+    def from_entries(cls, entries: Iterable[tuple[tuple[int, int], int]]
+                     ) -> "RelationOracle":
         """The oracle of ((i, j), stage) entries given in any order, with
         repeats."""
         grouped: dict[tuple[int, int], int] = {}
@@ -61,7 +60,7 @@ class RelationOracle:
         rows = [0] * (1 + max((i for _, i in grouped), default=-1))
         for (_, i), bits in grouped.items():
             rows[i] |= bits
-        return cls(mode, tuple(rows),
+        return cls(tuple(rows),
                    tuple((t, i, bits) for (t, i), bits in sorted(grouped.items())))
 
     def stage_groups(self) -> tuple[tuple[int, int, int], ...]:
@@ -134,7 +133,7 @@ def inc_oracle_bruteforce(nu: Numbering) -> RelationOracle:
     """Inclusion on limit estimates; emission stage is the pair code, which
     simulates an enumeration order for the decoding search."""
     finals = _stable_finals(nu)
-    return RelationOracle("inclusion", tuple(
+    return RelationOracle(tuple(
         sum(1 << j for j, b in enumerate(finals) if a.is_subset_of(b))
         for a in finals))
 
@@ -144,14 +143,12 @@ def lex_oracle_bruteforce(nu: Numbering) -> RelationOracle:
     the right sides of i are the indices whose final is at least i's."""
     finals = [f.value for f in _stable_finals(nu)]
     at_least = _at_least(enumerate(finals))
-    return RelationOracle("lex", tuple(at_least[v] for v in finals))
+    return RelationOracle(tuple(at_least[v] for v in finals))
 
 
 def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
     """Adjacent-pair coding: positions 2x, 2x+1 read 01 until x enters K and
     10 afterwards."""
-    if K.kind != "k-set":
-        raise UsageError("coding expects a k-set schedule")
     odds = Prefix.from_set(range(1, horizon.bits, 2), horizon.bits).value
     # Entering x flips the pair 2x, 2x+1 from 01 to 10.
     flips = Schedule.from_pairs([(2 * x + r, t) for x, t in K.entries
@@ -173,8 +170,6 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     changed: a candidate's stage value (stages below the horizon), an emitted
     pair with right side 0 or 1, or the view of K.
     """
-    if oracle.mode != "inclusion":
-        raise UsageError("decoding needs an inclusion oracle")
     if x == 0:
         return set()
     S = nu.horizon.stages
@@ -331,12 +326,12 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         o = max(t, state.obliterated.get(a, S))
         values = [0] * t + bv[i][t:o] + [ones] * (S - o)
         processes.append(ApproxProcess(values.__getitem__, hz, f"alpha-{a}"))
-    return Numbering(processes, label="followers"), state
+    return Numbering(processes), state
 
 
 def gazebo_lex_emissions(state: GazeboState) -> RelationOracle:
     """Package the run's emissions; every pair is lex-valid from its stage on."""
-    return RelationOracle("lex", tuple(state.right_of), tuple(state.groups))
+    return RelationOracle(tuple(state.right_of), tuple(state.groups))
 
 
 def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tuple]:

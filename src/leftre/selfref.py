@@ -125,7 +125,7 @@ def make_into_itself(plan: SelfRefPlan) -> Numbering:
             tail_stage.append(u)
         processes.append(_follow_then_switch(alpha, r, plan.sigma[e], plan.X,
                                              tail_stage, f"beta-{e}"))
-    return Numbering(processes, label="made-into-itself")
+    return Numbering(processes)
 
 
 def singleton_numbering_finite(A: frozenset[int], base: Numbering) -> Numbering:
@@ -144,7 +144,7 @@ def singleton_numbering_finite(A: frozenset[int], base: Numbering) -> Numbering:
     empty = finite_set_process((), hz, "empty")
     processes = [set_proc if e in A else empty for e in range(m + 1)]
     processes.extend(base.at(d) for d in range(base.index_range))
-    return Numbering(processes, label="singleton-finite")
+    return Numbering(processes)
 
 
 def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
@@ -188,7 +188,7 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
                 u = s
             values.append(A.prefix(u).value)
         processes.append(ApproxProcess(lambda s: values[s], hz, f"gamma-{e}"))
-    return Numbering(processes, label="singleton-infinite")
+    return Numbering(processes)
 
 
 def singleton_witness(alpha: Numbering, A: ApproxProcess, r: Prefix) -> Schedule:
@@ -206,14 +206,12 @@ def singleton_witness(alpha: Numbering, A: ApproxProcess, r: Prefix) -> Schedule
             if lex_cmp(alpha.at(e).prefix(s), r_pad) == GREATER:
                 entries.append((e, s))
                 break
-    return Schedule.from_pairs(entries, "re-set")
+    return Schedule.from_pairs(entries)
 
 
 def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
                              label: str = "cutoff") -> ApproxProcess:
     """Restrict a process below the running maximum of an enumeration."""
-    if W.kind != "re-set":
-        raise UsageError("cutoff gadget needs an enumeration schedule")
     hz = B.horizon
     N = hz.bits
     cutoffs = [W.max_member_at(s) for s in range(hz.stages)]
@@ -232,8 +230,6 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
 def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:
     """Divert every enumerated index to a lex-greater string followed by the
     advancing boundary set; untouched indices keep their original process."""
-    if R.kind != "re-set":
-        raise UsageError("excision needs an enumeration schedule")
     hz = alpha.horizon
     if X.horizon != hz:
         raise UsageError("boundary set must share the horizon")
@@ -246,4 +242,4 @@ def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:
         sig = sigma_above(alpha.at(e).prefix(r))
         processes.append(_follow_then_switch(alpha.at(e), r, sig, X,
                                              range(hz.stages), f"excised-{e}"))
-    return Numbering(processes, label="excised")
+    return Numbering(processes)

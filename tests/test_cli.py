@@ -394,7 +394,7 @@ class TestGazeboWitness:
             assert oracle.has(i, j) == (holder == "follower")
             rows = list(oracle.rows)
             rows[i] ^= 1 << j
-            return relations.RelationOracle(oracle.mode, tuple(rows))
+            return relations.RelationOracle(tuple(rows))
 
         monkeypatch.setattr(relations, "lex_oracle_bruteforce", stub)
         code, verdict, err = self.run_gazebo(capsys)

@@ -123,10 +123,6 @@ class TestSchedule:
         assert validate_left_re(p).ok
         assert validate_monotone_membership(p, "up").ok
 
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            Schedule.from_pairs([], "mystery")
-
 
 class TestJoin:
     def test_interleaves(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
-                         UsageError, rank_parity)
+                         rank_parity)
 from leftre.diagonal import build_diagonal
 from leftre.fixtures import (diagonal_catalog, diagonal_schedules, k_fixtures,
                              marker_fixture, omega_fixture,
@@ -29,8 +29,6 @@ from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
 # -- reference implementations (per-bit loops) ------------------------------
 
 def maxsep_superset_reference(A: Schedule, horizon: Horizon) -> ApproxProcess:
-    if A.kind not in ("re-set", "k-set"):
-        raise UsageError("superset construction needs an enumeration schedule")
     by_stage: dict[int, list[int]] = {}
     for x, t in A.entries:
         by_stage.setdefault(t, []).append(x)
@@ -158,8 +156,7 @@ def one_per_stage(draw, horizon):
     some repeated, and some entered after the last stage."""
     elements = draw(st.lists(st.integers(0, horizon.bits + 10),
                              max_size=horizon.stages + 3))
-    return Schedule.from_pairs([(x, t) for t, x in enumerate(elements)],
-                               draw(st.sampled_from(["re-set", "k-set"])))
+    return Schedule.from_pairs([(x, t) for t, x in enumerate(elements)])
 
 
 @st.composite
@@ -239,12 +236,10 @@ class TestMaxsep:
         n = len(A.entries)
         # A second element at a used stage, or a gap before the new one.
         extra = data.draw(st.integers(0, n + 2).filter(lambda t: t != n))
-        bad = Schedule.from_pairs(A.entries + ((0, extra),), A.kind)
+        bad = Schedule.from_pairs(A.entries + ((0, extra),))
         for build in (maxsep_superset, maxsep_superset_reference):
             with pytest.raises(InputError):
                 build(bad, hz)
-            with pytest.raises(UsageError):
-                build(Schedule.from_pairs(A.entries, "omega-bits"), hz)
 
 
 def check_split(hz: Horizon, odd_values: list[int]) -> None:
@@ -309,8 +304,7 @@ class TestScheduleProcess:
     @given(horizons, st.data())
     def test_stage_values_match_reference(self, hz, data):
         pairs = data.draw(schedule_entries(hz, hz.bits + 5))
-        W = Schedule.from_pairs(pairs, data.draw(st.sampled_from(
-            ["re-set", "k-set", "omega-bits"])))
+        W = Schedule.from_pairs(pairs)
         P = W.as_process(hz)
         assert stage_values_of(P) == schedule_values_reference(W, hz)
         for s in range(0, hz.stages, 7):
@@ -329,7 +323,7 @@ class TestCodedK:
     def test_matches_reference(self, hz, data):
         # Pairs 2x, 2x+1 reach past the horizon, and one may straddle it.
         K = Schedule.from_pairs(
-            data.draw(schedule_entries(hz, hz.bits // 2 + 3)), "k-set")
+            data.draw(schedule_entries(hz, hz.bits // 2 + 3)))
         assert stage_values_of(b_from_k(K, hz)) == b_from_k_reference(K, hz)
 
     @pytest.mark.parametrize("hz", EDGE_HORIZONS)

@@ -73,7 +73,7 @@ class TestIncOracle:
     def test_has_builds_no_pair_set(self, monkeypatch):
         nu = random_catalog(3, 5, HZ)
         oracle = inc_oracle_bruteforce(nu)
-        twin = RelationOracle(oracle.mode, oracle.rows, oracle.groups)
+        twin = RelationOracle(oracle.rows, oracle.groups)
         pairs = oracle.pairs()
         built = []
         real_pairs = RelationOracle.pairs
@@ -84,7 +84,7 @@ class TestIncOracle:
                 assert oracle.has(i, j) == ((i, j) in pairs)
         # has() reads one bit of a row: no pair set, and nothing cached.
         assert not built
-        assert set(vars(oracle)) == {"mode", "rows", "groups"}
+        assert set(vars(oracle)) == {"rows", "groups"}
         assert twin == oracle and hash(twin) == hash(oracle)
 
     def test_unstable_estimate_refused(self):
@@ -96,8 +96,7 @@ class TestIncOracle:
 class TestRelationOracle:
     def test_from_entries_groups_by_stage_and_left_side(self):
         oracle = RelationOracle.from_entries(
-            [((2, 0), 4), ((0, 1), 3), ((2, 1), 4), ((0, 1), 3), ((0, 1), 1)],
-            "lex")
+            [((2, 0), 4), ((0, 1), 3), ((2, 1), 4), ((0, 1), 3), ((0, 1), 1)])
         assert oracle.rows == (0b10, 0, 0b11)
         assert oracle.groups == ((1, 0, 0b10), (3, 0, 0b10), (4, 2, 0b11))
         assert oracle.entries == (((0, 1), 1), ((0, 1), 3), ((2, 0), 4),
@@ -105,26 +104,26 @@ class TestRelationOracle:
         assert oracle.max_stage() == 4
 
     def test_first_mismatch_is_least_pair(self):
-        a = RelationOracle("lex", (0b1, 0b1011, 0b1))
+        a = RelationOracle((0b1, 0b1011, 0b1))
         assert first_mismatch(a, a) is None
-        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b0110, 0))) \
+        assert first_mismatch(a, RelationOracle((0b1, 0b0110, 0))) \
             == (1, 0)
-        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b0011, 0))) \
+        assert first_mismatch(a, RelationOracle((0b1, 0b0011, 0))) \
             == (1, 3)
-        assert first_mismatch(a, RelationOracle("lex", (0b1, 0b1011))) \
+        assert first_mismatch(a, RelationOracle((0b1, 0b1011))) \
             == (2, 0)
 
     @pytest.mark.parametrize("pair", [(0, 2), (2, 0)])
     def test_audit_refuses_pairs_past_the_numbering(self, pair):
         nu = constant_numbering([{1}, {0}], Horizon(4, 4))
         with pytest.raises(UsageError):
-            check_persistence(RelationOracle.from_entries([(pair, 0)], "lex"),
+            check_persistence(RelationOracle.from_entries([(pair, 0)]),
                               nu)
 
 
 class TestBFromK:
     def test_pair_flip_timing(self):
-        K = Schedule.from_pairs([(0, 3)], "k-set")
+        K = Schedule.from_pairs([(0, 3)])
         B = b_from_k(K, HZ)
         for s in range(3):
             assert (B.bit(s, 0), B.bit(s, 1)) == (0, 1)
@@ -132,16 +131,12 @@ class TestBFromK:
             assert (B.bit(s, 0), B.bit(s, 1)) == (1, 0)
 
     def test_empty_k_gives_odds(self):
-        B = b_from_k(Schedule.from_pairs([], "k-set"), HZ)
+        B = b_from_k(Schedule.from_pairs([]), HZ)
         assert B.final_prefix().members() == set(range(1, HZ.bits, 2))
 
     @pytest.mark.parametrize("i", range(5))
     def test_validator(self, i):
         assert validate_left_re(b_from_k(k_fixtures(HZ)[i], HZ)).ok
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(UsageError):
-            b_from_k(Schedule.from_pairs([], "re-set"), HZ)
 
 
 def decode_family(K, x, hz=HZ):
@@ -184,7 +179,7 @@ class TestDecoding:
         # searches stop at the same candidate, or both find none.
         K = Schedule.from_pairs(data.draw(st.lists(st.tuples(
             st.integers(0, x + 2), st.integers(0, 2 * HZ.stages)),
-            max_size=x + 3)), "k-set")
+            max_size=x + 3)))
         nu = decode_family(K, x)
         finals = [p.final_prefix() for p in nu]
         pairs = [(i, j) for i, a in enumerate(finals)
@@ -192,7 +187,7 @@ class TestDecoding:
         stages = data.draw(st.lists(st.integers(0, 2 * HZ.stages),
                                     min_size=len(pairs), max_size=len(pairs)))
         oracle = RelationOracle.from_entries(
-            data.draw(st.permutations(list(zip(pairs, stages)))), "inclusion")
+            data.draw(st.permutations(list(zip(pairs, stages)))))
         expected = decide_k_below_reference(oracle, nu, x, K)
         if expected is not None and expected != \
                 {y for y in K.final_members() if y < x}:
@@ -215,7 +210,7 @@ class TestDecoding:
             {y for y in K.final_members() if y < x}
 
     def test_worked_example(self):
-        K = Schedule.from_pairs([(0, 3), (2, 5)], "k-set")
+        K = Schedule.from_pairs([(0, 3), (2, 5)])
         nu = decode_family(K, 3)
         got = decide_k_below(inc_oracle_bruteforce(nu), nu, 3, K)
         assert got == {0, 2}
@@ -226,24 +221,18 @@ class TestDecoding:
         # a later stage where nothing is emitted: when K's entry 0 arrives
         # past the horizon, or when the candidate's own set changes.
         if late == "k-entry":
-            K = Schedule.from_pairs([(0, HZ.stages + 5)], "k-set")
+            K = Schedule.from_pairs([(0, HZ.stages + 5)])
             cand = finite_set_process((), HZ)
         else:
-            K = Schedule.from_pairs([], "k-set")
+            K = Schedule.from_pairs([])
             cand = Schedule.from_pairs([(1, 5)]).as_process(HZ)
         odds = finite_set_process(range(1, HZ.bits, 2), HZ)
         nu = Numbering([odds, b_from_k(K, HZ), cand])
         oracle = RelationOracle.from_entries(
-            [((2, 0), 0), ((2, 1), 0)], "inclusion")
+            [((2, 0), 0), ((2, 1), 0)])
         expected = decide_k_below_reference(oracle, nu, 1, K)
         assert expected == K.final_members()
         assert decide_k_below(oracle, nu, 1, K) == expected
-
-    def test_wrong_oracle_mode(self):
-        K = k_fixtures(HZ)[0]
-        nu = decode_family(K, 2)
-        with pytest.raises(UsageError):
-            decide_k_below(lex_oracle_bruteforce(nu), nu, 2, K)
 
 
 class TestGazebo:
@@ -328,7 +317,7 @@ def corrupted(oracle, alpha, rng):
             pair = (rng.randrange(len(finals)), rng.randrange(len(finals)))
         entries.insert(rng.randrange(len(entries) + 1),
                        (pair, rng.randrange(alpha.horizon.stages)))
-    return RelationOracle.from_entries(entries, "lex")
+    return RelationOracle.from_entries(entries)
 
 
 class TestPersistenceAudit:
@@ -360,7 +349,7 @@ class TestPersistenceAudit:
             assert list(oracle.entries) == sorted(reference, key=lambda e: e[1])
         emitted = gazebo_lex_emissions(state)
         assert list(emitted.entries) == state.emissions
-        assert RelationOracle.from_entries(state.emissions, "lex") == emitted
+        assert RelationOracle.from_entries(state.emissions) == emitted
         assert first_mismatch(emitted, lex_oracle_bruteforce(alpha)) is None
         assert check_persistence(emitted, alpha) is None
         rng = random.Random(seed)
@@ -376,7 +365,7 @@ class TestPersistenceAudit:
         static = Schedule.from_pairs([(1, 0)]).as_process(hz)
         nu = Numbering([climber, static])
         oracle = RelationOracle.from_entries(
-            (((1, 0), 9), ((0, 1), 2), ((0, 1), 0)), "lex")
+            (((1, 0), 9), ((0, 1), 2), ((0, 1), 0)))
         assert check_persistence(oracle, nu) == ((0, 1), 5)
         assert check_persistence_bruteforce(oracle, nu) == ((0, 1), 5)
 

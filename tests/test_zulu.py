@@ -223,12 +223,12 @@ class TestMinimalMaximal:
             assert st_.mirrors(s) == tuple(st_.b(n, s) for n in n_range)
 
     def test_bit0_entry_rejected(self):
-        bad = Schedule.from_pairs([(0, 2)], "omega-bits")
+        bad = Schedule.from_pairs([(0, 2)])
         with pytest.raises(InputError):
             ZuluState(bad, LAYOUT)
 
     def test_static_history_static_markers(self):
-        om = Schedule.from_pairs([], "omega-bits")
+        om = Schedule.from_pairs([])
         st_ = ZuluState(om, LAYOUT)
         assert st_.a(1, 1) == st_.a(1, 40)
         # Empty history: d = 0, so the marker sits at the pairing maximum.
