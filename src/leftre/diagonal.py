@@ -75,10 +75,14 @@ def build_diagonal(nu: Numbering,
     cur_F: dict[int, int] = {}
     cur_d: dict[int, int] = {}
     bumped: dict[int, bool] = {}
+    tracked = [nu.at(e) for e in range(state.active())]
     for s in range(hz.stages):
+        # F reads only the tracked processes: reuse the last row while none
+        # of them changes value.
+        fresh = s == 0 or any(p.prefix(s) != p.prefix(s - 1) for p in tracked)
         row_F, row_d, row_x = [], [], []
         for e in range(state.active()):
-            F = compute_F(nu, e, s)
+            F = compute_F(nu, e, s) if fresh else state.F[-1][e]
             if e not in cur_F or cur_F[e] != F:
                 cur_F[e] = F
                 bumped[e] = False

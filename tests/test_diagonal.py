@@ -146,6 +146,28 @@ class TestBuildDiagonal:
         assert len(rows) == HZ.stages * 4
         assert set(rows[0]) == {"stage", "e", "F", "d", "x"}
 
+    def test_F_follows_a_changing_catalog(self):
+        # Index 0 never changes; index i > 0 fills its first i positions at
+        # stage 7, 19 or 30, which moves F(e) for every e >= i.  F is reused
+        # between those stages and must still match a fresh compute.
+        hz = Horizon(40, 64)
+        nu = Numbering([finite_set_process(set(), hz)] + [
+            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
+            for i, t in ((1, 7), (2, 19), (3, 30))])
+        _, state = build_diagonal(nu, empty_ws(4))
+        for s in range(hz.stages):
+            assert state.F[s] == [compute_F(nu, e, s) for e in range(4)], s
+        assert len({tuple(row) for row in state.F}) == 4
+
+    def test_capacity_error_at_the_stage_zeros_run_out(self):
+        hz = Horizon(40, 8)
+        nu = Numbering([finite_set_process(set(), hz),
+                        Schedule.from_pairs([(x, 20) for x in range(7)]
+                                            ).as_process(hz)])
+        with pytest.raises(CapacityError, match="catalog index 1 has fewer "
+                                                "than 2 zeros at stage 20"):
+            build_diagonal(nu, empty_ws(2))
+
     def test_one_stage_tracks_every_index(self):
         # Every index is tracked from stage 0, so one stage tracks all four
         # and the run compares B with the whole catalog.
