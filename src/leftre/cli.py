@@ -56,9 +56,21 @@ def save_numbering(nu: Numbering, path: str) -> None:
 def load_numbering(path: str) -> Numbering:
     with open(path) as fh:
         obj = json.load(fh)
-    hz = Horizon(obj["horizon"]["stages"], obj["horizon"]["bits"])
+    if type(obj) is not dict:
+        raise UsageError("numbering file must be a JSON object")
+    horizon = read_param(obj, "horizon", {})
+    for key, holder in (("horizon", obj), ("stages", horizon),
+                        ("bits", horizon), ("processes", obj)):
+        if key not in holder:
+            raise UsageError(f"numbering file has no {key}")
+    hz = Horizon(read_param(horizon, "stages", 1, minimum=1),
+                 read_param(horizon, "bits", 1, minimum=1))
+    table = obj["processes"]
+    if type(table) is not list or any(type(rows) is not list or any(
+            type(r) is not str for r in rows) for rows in table):
+        raise UsageError("processes must be a list of lists of strings")
     processes = []
-    for i, rows in enumerate(obj["processes"]):
+    for i, rows in enumerate(table):
         if len(rows) != hz.stages:
             raise UsageError(f"process {i}: {len(rows)} stages, expected {hz.stages}")
         prefixes = [Prefix.from_string(r) for r in rows]
@@ -322,6 +334,19 @@ RUNNERS: dict[str, Callable] = {
     "excise": _run_excise,
 }
 CONSTRUCTIONS = tuple(RUNNERS)
+CONFIG_KEYS = ("construction", "stages", "bits", "seed", "params")
+# The params keys each runner reads; the other constructions read none.
+PARAMS = {"zulu-min": ("n_cap",), "zulu-max": ("n_cap",), "tilde-a": ("n_cap",),
+          "gazebo": ("size",), "inc-decode": ("x",),
+          "generic": ("bits", "levels"), "lowerfarm": ("fixed",),
+          "excise": ("checkpoint",)}
+
+
+def _reject_unknown(obj: dict, allowed: tuple, what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise UsageError(f"unknown key {json.dumps(unknown[0])} in {what}; "
+                         f"it reads {', '.join(allowed) or 'none'}")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -332,6 +357,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if type(config) is not dict:
             raise UsageError(f"config must be a JSON object, got "
                              f"{json.dumps(config)}")
+        _reject_unknown(config, CONFIG_KEYS, "the config")
     construction = (args.construction if args.construction is not None
                     else config.get("construction"))
     if construction not in CONSTRUCTIONS:
@@ -343,6 +369,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                  else args.bits)
     seed = args.seed if args.seed is not None else read_param(config, "seed", 0)
     params = read_param(config, "params", {})
+    _reject_unknown(params, PARAMS.get(construction, ()),
+                    f"{construction} params")
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         trace = TraceWriter(out)

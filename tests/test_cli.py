@@ -194,6 +194,12 @@ class TestRunParams:
          "fixed position -1 is negative"),
         ({"construction": "excise", "params": {"checkpoint": -3}},
          "boundary checkpoint -3 is negative"),
+        ({"construction": "zulu-min", "params": {"ncap": 1}},
+         'unknown key "ncap" in zulu-min params; it reads n_cap'),
+        ({"construction": "split", "params": {"n_cap": 1}},
+         'unknown key "n_cap" in split params; it reads none'),
+        ({"stage": 16}, 'unknown key "stage" in the config; it reads '
+                        'construction, stages, bits, seed, params'),
     ] + [({"construction": c, "params": {"n_cap": n}},
           f"n_cap must be {bound}, got {n}")
          for c in ("zulu-min", "zulu-max", "tilde-a")
@@ -212,6 +218,18 @@ class TestRunParams:
                        "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists() or "verdict" not in out.read_text()
+
+    @pytest.mark.parametrize("construction,key", [
+        (c, k) for c, keys in cli.PARAMS.items() for k in keys])
+    def test_every_listed_param_is_read(self, construction, key, tmp_path,
+                                        capsys):
+        # A listed key that the runner did not read would exit 0 here.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {key: "wrong"}}))
+        assert run_cli("run", construction, "--stages", "64", "--bits", "128",
+                       "--config", str(cfg), "--out",
+                       str(tmp_path / "trace.jsonl")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
 
     @pytest.mark.parametrize("flag", ["--stages", "--bits"])
     def test_zero_horizon_flag_exits_2(self, flag, capsys):
@@ -313,6 +331,24 @@ class TestValidate:
             {"horizon": {"stages": 2, "bits": 8}, "processes": [rows]}))
         assert run_cli("validate", str(path)) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["validate"], ["oracle"]])
+    @pytest.mark.parametrize("obj,message", [
+        ({}, "numbering file has no horizon"),
+        ([1, 2], "numbering file must be a JSON object"),
+        ({"horizon": {"stages": "2", "bits": 4}, "processes": []},
+         'stages must be an integer, got "2"'),
+        ({"horizon": {"stages": 2, "bits": 4}, "processes": [[1, 2]]},
+         "processes must be a list of lists of strings"),
+        ({"horizon": {"stages": 2, "bits": 4}, "processes": "0011"},
+         "processes must be a list of lists of strings"),
+    ], ids=["empty", "list", "stages-string", "int-rows", "string-processes"])
+    def test_malformed_file_exits_2(self, command, obj, message, tmp_path,
+                                    capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli(*command, str(path)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_parse_error_exit_2(self, tmp_path):
         path = tmp_path / "broken.json"
