@@ -194,17 +194,18 @@ class TestRunParams:
          "fixed position -1 is negative"),
         ({"construction": "excise", "params": {"checkpoint": -3}},
          "boundary checkpoint -3 is negative"),
+    ] + [({"construction": c, "params": {"n_cap": n}},
+          f"n_cap must be {bound}, got {n}")
+         for c in ("zulu-min", "zulu-max", "tilde-a")
+         for n, bound in ((-1, "at least 1"), (0, "at least 1"),
+                          (14, "at most 13"))] + [
         ({"construction": "zulu-min", "params": {"ncap": 1}},
          'unknown key "ncap" in zulu-min params; it reads n_cap'),
         ({"construction": "split", "params": {"n_cap": 1}},
          'unknown key "n_cap" in split params; it reads none'),
         ({"stage": 16}, 'unknown key "stage" in the config; it reads '
                         'construction, stages, bits, seed, params'),
-    ] + [({"construction": c, "params": {"n_cap": n}},
-          f"n_cap must be {bound}, got {n}")
-         for c in ("zulu-min", "zulu-max", "tilde-a")
-         for n, bound in ((-1, "at least 1"), (0, "at least 1"),
-                          (14, "at most 13"))])
+    ])
     def test_bad_value_exits_2(self, config, message, tmp_path, capsys):
         if isinstance(config, dict):
             config = {"stages": 64, "bits": 128, **config}
