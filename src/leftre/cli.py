@@ -73,11 +73,16 @@ def load_numbering(path: str) -> Numbering:
     for i, rows in enumerate(table):
         if len(rows) != hz.stages:
             raise UsageError(f"process {i}: {len(rows)} stages, expected {hz.stages}")
-        prefixes = [Prefix.from_string(r) for r in rows]
-        for s, p in enumerate(prefixes):
+        prefixes = []
+        for s, r in enumerate(rows):
+            try:
+                p = Prefix.from_string(r)
+            except UsageError as e:
+                raise UsageError(f"process {i}: stage {s} {e}") from None
             if p.length != hz.bits:
                 raise UsageError(f"process {i}: stage {s} prefix has "
                                  f"{p.length} bits, expected {hz.bits}")
+            prefixes.append(p)
         processes.append(ApproxProcess(lambda s: prefixes[s].value, hz,
                                        f"file-{i}"))
     return Numbering(processes)

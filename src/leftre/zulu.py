@@ -111,9 +111,9 @@ class ZuluState:
 
     The member markers a_1..a_k of the covered intervals at a stage, and
     their mirrors b_1..b_k, are each computed once per stage into a tuple,
-    so membership of a position is an interval lookup plus one tuple read.
-    Block sums are not cached: they are read only while a stage's table is
-    built.
+    so past-horizon membership is a containment test on one short tuple.
+    Block sums are not cached: each c(n, s) is taken once while a stage's
+    table is built.
     """
 
     omega: Schedule
@@ -127,18 +127,19 @@ class ZuluState:
     def c(self, n: int, s: int) -> int:
         return compute_c(self.omega, n, s)
 
-    def d(self, n: int, s: int) -> int:
-        if n < 1:
-            raise UsageError("block differences start at n = 1")
-        return self.c(n, s) - self.layout.base(n - 1) * self.c(n - 1, s)
-
-    def a(self, n: int, s: int) -> int:
+    def _marker(self, n: int, s: int, c_prev: int, c_n: int) -> int:
+        """a_n at stage s from the block sums c(n - 1, s) and c(n, s)."""
         b = self.layout.base(n)
-        d = self.d(n, s)
+        d = c_n - self.layout.base(n - 1) * c_prev
         if d > b - 1:
             raise InternalInvariantError(
                 f"block difference {d} exceeds {b - 1} at (n={n}, s={s})")
-        return self.layout.pair(n, self.c(n - 1, s), b - 1 - d)
+        return self.layout.pair(n, c_prev, b - 1 - d)
+
+    def a(self, n: int, s: int) -> int:
+        if n < 1:
+            raise UsageError("block differences start at n = 1")
+        return self._marker(n, s, self.c(n - 1, s), self.c(n, s))
 
     def b(self, n: int, s: int) -> int:
         return self.layout.mirror(self.a(n, s))
@@ -150,7 +151,9 @@ class ZuluState:
         """(a_1, ..., a_k) at stage s, for the k = covered(s) intervals."""
         marks = self._marker_cache.get(s)
         if marks is None:
-            marks = tuple(self.a(n, s) for n in range(1, self.covered(s) + 1))
+            sums = [self.c(n, s) for n in range(self.covered(s) + 1)]
+            marks = tuple(self._marker(n, s, sums[n - 1], sums[n])
+                          for n in range(1, len(sums)))
             self._marker_cache[s] = marks
         return marks
 
@@ -166,11 +169,13 @@ class ZuluState:
 def build_minimal(state: ZuluState, horizon: Horizon,
                   label: str = "minimal") -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals."""
+    marks = [state.markers(s) for s in range(horizon.stages)]
+
     def bit(s: int, u: int) -> int:
-        return int(u in state.markers(s))
+        return 1 if u in marks[s] else 0
 
     return ApproxProcess(
-        lambda s: Prefix.from_set(state.markers(s), horizon.bits).value,
+        lambda s: Prefix.from_set(marks[s], horizon.bits).value,
         horizon, label, bit_fn=bit)
 
 
@@ -179,20 +184,19 @@ def build_maximal(state: ZuluState, horizon: Horizon,
     """The set missing exactly the mirror markers of the covered intervals."""
     layout = state.layout
     N = horizon.bits
-    # ends[k] is the first position past the covered intervals I_1..I_k.
-    ends = [layout.offset(k + 1) for k in range(layout.n_cap + 1)]
+    mirrors = [state.mirrors(s) for s in range(horizon.stages)]
+    # ends[s] is the first position past the intervals covered at stage s.
+    ends = [layout.offset(len(m) + 1) for m in mirrors]
 
     def bit(s: int, u: int) -> int:
-        mirrors = state.mirrors(s)
-        return int(u < ends[len(mirrors)] and u not in mirrors)
+        return 1 if u < ends[s] and u not in mirrors[s] else 0
 
     def prefix_value(s: int) -> int:
-        mirrors = state.mirrors(s)
-        if not mirrors:
+        if not mirrors[s]:
             return 0
-        end = min(N, ends[len(mirrors)])
+        end = min(N, ends[s])
         covered = ((1 << end) - 1) << (N - end)
-        return covered & ~Prefix.from_set(mirrors, N).value
+        return covered & ~Prefix.from_set(mirrors[s], N).value
 
     return ApproxProcess(prefix_value, horizon, label, bit_fn=bit)
 
@@ -228,11 +232,21 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     `checked` counts the per-probe work either way: one link probe per
     position up to the witness, and one mirror re-probe per member of an
     interval that passes.
+
+    A probe below the bit horizon reads `bit(s, u)`; a probe at or past it
+    calls the process's `bit_fn` directly, as `bit` would after its stage
+    check (a process without one falls back to `bit`, which raises
+    UsageError).  Every stage first reads I_1, which starts at position 0
+    inside the horizon, so a stage outside the horizon is rejected before
+    any `bit_fn` call.
     """
     if A.horizon != B.horizon:
         raise UsageError("processes must share a horizon")
     N = A.horizon.bits
     rng = Random(seed)
+    randrange = rng.randrange
+    a_past = A.bit_fn or A.bit
+    b_past = B.bit_fn or B.bit
     if stages is None:
         stages = range(A.horizon.stages)
     checked = 0
@@ -254,9 +268,12 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
                     continue
                 probes = range(lo, hi + 1)
             else:
+                # lo + randrange(width) draws what randrange(lo, hi + 1)
+                # draws, with fewer argument checks.
+                width = hi - lo + 1
                 probes = {lo, lo + 1, hi - 1, hi}
                 for _ in range(SAMPLES_PER_INTERVAL):
-                    probes.add(rng.randrange(lo, hi + 1))
+                    probes.add(lo + randrange(width))
                 # Probe both sides of every membership boundary we can find.
                 for u in list(probes):
                     probes.add(hi + lo - u)
@@ -264,8 +281,10 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
             members = 0
             for u in probes:
                 checked += 1
-                a = A.bit(s, u)
-                if a != 1 - B.bit(s, hi + lo - u):
+                a = A.bit(s, u) if u < N else a_past(s, u)
+                v = hi + lo - u
+                # Not `a == b`: a bit_fn answering neither 0 nor 1 fails too.
+                if a != 1 - (B.bit(s, v) if v < N else b_past(s, v)):
                     return BttReport(False, (s, u), checked)
                 members += a
             # The link just read each member's mirror as 0, so its re-probe

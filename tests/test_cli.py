@@ -343,7 +343,11 @@ class TestValidate:
          "processes must be a list of lists of strings"),
         ({"horizon": {"stages": 2, "bits": 4}, "processes": "0011"},
          "processes must be a list of lists of strings"),
-    ], ids=["empty", "list", "stages-string", "int-rows", "string-processes"])
+        ({"horizon": {"stages": 2, "bits": 4},
+          "processes": [["0000", "0011"], ["0000", "0a11"]]},
+         "process 1: stage 1 prefix string must consist of 0s and 1s"),
+    ], ids=["empty", "list", "stages-string", "int-rows", "string-processes",
+            "bad-character"])
     def test_malformed_file_exits_2(self, command, obj, message, tmp_path,
                                     capsys):
         path = tmp_path / "bad.json"

@@ -290,6 +290,20 @@ def flipped(p: ApproxProcess, stage: int, position: int) -> ApproxProcess:
         p.horizon, p.label, bit_fn=p.bit_fn)
 
 
+def with_bit_fn(p: ApproxProcess, bit_fn) -> ApproxProcess:
+    """`p`'s stage values with `bit_fn` answering past the horizon."""
+    return ApproxProcess(lambda s: p.prefix(s).value, p.horizon, p.label,
+                         bit_fn=bit_fn)
+
+
+def outcome(check, *args, **kwargs):
+    """The report of a BTT check, or the type and message of its UsageError."""
+    try:
+        return check(*args, **kwargs)
+    except UsageError as e:
+        return type(e), str(e)
+
+
 class TestBttAgainstReference:
     """The packed-window `btt_check` against the per-probe oracle.  At 64x128
     I_2 straddles the bit horizon; from 300 bits on, I_1 and I_2 lie inside
@@ -336,6 +350,56 @@ class TestBttAgainstReference:
         report = btt_check(A, bad_b, layout, seed=13)
         assert report == btt_check_reference(A, bad_b, layout, seed=13)
         assert not report.ok and report.witness[0] == 1
+
+    @pytest.mark.parametrize("bits", [128, 300])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 40])
+    def test_past_horizon_answers_inverted_at_one_stage(self, stage, bits):
+        # At 64x128 I_2 and I_3 reach past the horizon, at 64x300 only I_3,
+        # which is covered from stage 3 on.
+        _, A, B, layout = zulu_pair(64, bits, 13)
+        bad_b = with_bit_fn(B, lambda s, u: B.bit_fn(s, u) ^ (s == stage))
+        report = btt_check(A, bad_b, layout, seed=13)
+        assert report == btt_check_reference(A, bad_b, layout, seed=13)
+        if stage >= 3 or (stage == 2 and bits == 128):
+            assert not report.ok and report.witness[0] == stage
+        else:
+            assert report.ok
+
+    @pytest.mark.parametrize("bits", [128, 300])
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_past_horizon_answer_neither_0_nor_1(self, side, bits):
+        _, A, B, layout = zulu_pair(64, bits, 29)
+        if side == "A":
+            A = with_bit_fn(A, lambda s, u, f=A.bit_fn: 2 if s == 9 else f(s, u))
+        else:
+            B = with_bit_fn(B, lambda s, u, f=B.bit_fn: 2 if s == 9 else f(s, u))
+        report = btt_check(A, B, layout, seed=29)
+        assert report == btt_check_reference(A, B, layout, seed=29)
+        assert not report.ok and report.witness[0] == 9
+
+    @pytest.mark.parametrize("strip,label", [
+        ("AB", "maximal"), ("A", "minimal"), ("B", "maximal")])
+    def test_no_bit_fn_past_the_horizon(self, strip, label):
+        # At 64x128 the I_2 scan reads B past the horizon at the first
+        # mirror (273), and A from position 128 on.
+        _, A, B, layout = zulu_pair(64, 128, 13)
+        if "A" in strip:
+            A = with_bit_fn(A, None)
+        if "B" in strip:
+            B = with_bit_fn(B, None)
+        got = outcome(btt_check, A, B, layout, seed=13)
+        assert got == outcome(btt_check_reference, A, B, layout, seed=13)
+        assert got[0] is UsageError
+        assert got[1].startswith(f"process {label!r} has no bits past the "
+                                 "horizon of 128")
+
+    @pytest.mark.parametrize("bits", [8, 128, 300])
+    def test_stage_outside_the_horizon(self, bits):
+        _, A, B, layout = zulu_pair(64, bits, 13)
+        got = outcome(btt_check, A, B, layout, stages=[5, 64], seed=13)
+        assert got == outcome(btt_check_reference, A, B, layout,
+                              stages=[5, 64], seed=13)
+        assert got == (UsageError, "stage 64 outside horizon of 64")
 
     def test_in_horizon_intervals_read_no_single_bits(self):
         # At 64x300 the packed windows decide I_1 and I_2, so no position
