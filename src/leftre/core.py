@@ -166,6 +166,8 @@ class ApproxProcess:
     process is built, and must return the stage-s prefix as a packed integer
     of horizon.bits bits; a value out of that range raises UsageError.
     `prefix(s)` and `bit(s, n)` for n < horizon.bits read the stored values.
+    `changes` is the ascending tuple of the stages s >= 1 whose value differs
+    from stage s - 1's; every other stage repeats its predecessor.
     Positions at or past the bit horizon are answered by the optional
     `bit_fn(s, n)`, which sparse constructions give to decide membership
     arithmetically for huge positions; without one, reading them raises
@@ -177,6 +179,7 @@ class ApproxProcess:
                  bit_fn: Optional[Callable[[int, int], int]] = None):
         N = horizon.bits
         prefixes = []
+        changes = []
         p = None
         for s in range(horizon.stages):
             value = prefix_fn(s)
@@ -187,8 +190,11 @@ class ApproxProcess:
                 except UsageError:
                     raise UsageError(f"process {label!r}: stage {s} value "
                                      f"does not fit {N} bits") from None
+                if s:
+                    changes.append(s)
             prefixes.append(p)
         self._prefixes = tuple(prefixes)
+        self.changes = tuple(changes)
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
@@ -216,6 +222,11 @@ class ApproxProcess:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
 
 
+def change_stages(processes: Iterable[ApproxProcess]) -> set[int]:
+    """Stage 0 and every stage at which one of the processes changes value."""
+    return {0}.union(*(p.changes for p in processes))
+
+
 def finite_set_process(members: Iterable[int], horizon: Horizon,
                        label: str = "") -> ApproxProcess:
     """The process that shows the same set of positions at every stage."""
@@ -238,16 +249,14 @@ def validate_left_re(p: ApproxProcess) -> ValidationReport:
     """Check stage-wise lex monotonicity.
 
     Reports the earliest violating (stage, position) pair; `stage` is the
-    stage whose prefix exceeds its successor's.
+    stage whose prefix exceeds its successor's.  Only `p.changes` is walked.
     """
-    prev = p.prefix(0)
-    for s in range(1, p.horizon.stages):
-        cur = p.prefix(s)
+    for s in p.changes:
+        prev, cur = p.prefix(s - 1), p.prefix(s)
         if lex_cmp(prev, cur) == GREATER:
             pos = first_difference(prev, cur)
             return ValidationReport(False, s - 1, pos,
                                     f"prefix at stage {s - 1} lex-exceeds stage {s}")
-        prev = cur
     return ValidationReport(True)
 
 
@@ -257,15 +266,13 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
     'up' is the subset-increasing discipline of an enumeration schedule;
     'down' is the complement-enumeration discipline of marker constructions.
     """
-    prev = p.prefix(0)
-    for s in range(1, p.horizon.stages):
-        cur = p.prefix(s)
-        bad = prev.value & ~cur.value if direction == "up" else cur.value & ~prev.value
+    for s in p.changes:
+        prev, cur = p.prefix(s - 1).value, p.prefix(s).value
+        bad = prev & ~cur if direction == "up" else cur & ~prev
         if bad:
             pos = p.horizon.bits - bad.bit_length()
             return ValidationReport(False, s - 1, pos,
                                     f"membership at {pos} moved the wrong way at stage {s}")
-        prev = cur
     return ValidationReport(True)
 
 
@@ -376,12 +383,10 @@ STABILITY_WINDOW = 8  # trailing stages a limit estimate must hold still over
 
 
 def limit_estimate(p: ApproxProcess) -> tuple[Prefix, bool]:
-    """Final-stage prefix plus a flag: unchanged over the last STABILITY_WINDOW stages."""
+    """Final-stage prefix plus a flag: no change in the last STABILITY_WINDOW stages."""
     S = p.horizon.stages
-    final = p.prefix(S - 1)
     window = min(STABILITY_WINDOW, S - 1)
-    stable = all(p.prefix(S - 1 - k).value == final.value for k in range(1, window + 1))
-    return final, stable
+    return p.prefix(S - 1), not p.changes or p.changes[-1] < S - window
 
 
 def index_set_estimate(nu: Numbering,

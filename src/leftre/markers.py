@@ -54,12 +54,13 @@ class MarkerSystem:
     def snapshot_below(self, bound: int, s: int) -> list[int]:
         return [p for p in range(bound) if not self.removed(p, s)]
 
-    def membership_process(self, label: str = "marker-set") -> ApproxProcess:
+    def membership_process(self) -> ApproxProcess:
         """Characteristic process of the surviving set (1 until removed)."""
         hz = self.horizon
         full = (1 << hz.bits) - 1
         removed = self.complement_schedule().as_process(hz)
-        return ApproxProcess(lambda s: full & ~removed.prefix(s).value, hz, label)
+        return ApproxProcess(lambda s: full & ~removed.prefix(s).value, hz,
+                             "marker-set")
 
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""

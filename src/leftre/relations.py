@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Schedule,
-                   UsageError, limit_estimate)
+                   UsageError, change_stages, limit_estimate)
 
 
 def pair_code(i: int, j: int) -> int:
@@ -166,9 +166,9 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     at which both E-inside-odds and E-inside-coded-set pairs are out, and
     every y below x sits in exactly one of the stage view of K and the
     doubled-shifted view of E.  The result is audited against the schedule's
-    final content.  A stage is searched only when something the test reads
-    changed: a candidate's stage value (stages below the horizon), an emitted
-    pair with right side 0 or 1, or the view of K.
+    final content.  Only stage 0 and the stages where something the test
+    reads changed are searched: a candidate's value (its `changes`), an
+    emitted pair with right side 0 or 1, or the view of K.
     """
     if x == 0:
         return set()
@@ -176,6 +176,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
                 S - 1) + 1
     candidates = range(2, nu.index_range)
+    changed = change_stages(nu.at(e) for e in candidates)
     # The stage-s views grow by the entries of stage s, taken in stage order.
     emissions = oracle.entries
     k_entries = sorted(K.entries, key=lambda e: e[1])
@@ -183,7 +184,7 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     k_view: set[int] = set()
     i = k = 0
     for s in range(limit):
-        moved = s < S  # a candidate's stage view may still change
+        moved = s in changed
         while i < len(emissions) and emissions[i][1] <= s:
             emitted.add(emissions[i][0])
             moved = moved or emissions[i][0][1] < 2
@@ -238,9 +239,10 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
 
     The run is incremental: beta's stage values are read once as packed ints,
     emitted pairs are kept as one bitset of right sides per left side, and
-    each stage only tests the pairs that can change there.  At every stage
-    end an emitted pair with a dead left side has a dead right side too, so
-    the cascade starts from this stage's kills alone.
+    each stage only tests the pairs that can change there (none where no beta
+    process changed).  At every stage end an emitted pair with a dead left
+    side has a dead right side too, so the cascade starts from this stage's
+    kills alone.
     """
     hz = beta.horizon
     n = beta.index_range
@@ -254,6 +256,7 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                 raise InputError(f"catalog indices {j} and {i} coincide")
     bv = [[beta.at(i).prefix(s).value for s in range(hz.stages)]
           for i in range(n)]
+    changed = change_stages(beta)
 
     state = GazeboState()
     for j in range(n):
@@ -285,13 +288,14 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                         "obliterated": []})
     dead = 0  # bitset of the obliterated followers
     for s in range(1, hz.stages):
-        # i overtook j: the follower of j and every live index above it go.
-        overtaken = [state.followers[j] for i in range(n) for j in range(n)
-                     if i != j and bv[i][s - 1] <= bv[j][s - 1]
-                     and bv[i][s] > bv[j][s]]
         killed = 0
-        if overtaken:
-            killed = ((1 << state.next_fresh) - (1 << min(overtaken))) & ~dead
+        if s in changed:
+            # i overtook j: the follower of j and every live index above it go.
+            overtaken = [state.followers[j] for i in range(n) for j in range(n)
+                         if i != j and bv[i][s - 1] <= bv[j][s - 1]
+                         and bv[i][s] > bv[j][s]]
+            if overtaken:
+                killed = ((1 << state.next_fresh) - (1 << min(overtaken))) & ~dead
         # Cascade: an emitted pair with a dead left side must not outlive its
         # right side, or the comparison flips when the left goes all-ones.
         frontier = killed
@@ -340,10 +344,10 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
     Stages are walked in order, keeping for each left side the union of the
     right sides emitted so far.  At every stage that union must lie inside
     the indices whose value is at least the left side's, which is one suffix
-    of the stage's values in sorted order.  A stage where no value changed
-    and nothing was emitted repeats the previous checks and is skipped.  Only
-    when a check fails are the entries scanned, to return the first failing
-    entry in oracle order and its first failing stage.
+    of the stage's values in sorted order.  Only the emission stages and
+    `change_stages(alpha)` are checked: any other stage repeats the one before.
+    Only when a check fails are the entries scanned, to return the first
+    failing entry in oracle order and its first failing stage.
     """
     n = alpha.index_range
     if len(oracle.rows) > n or any(bits >> n for bits in oracle.rows):
@@ -354,16 +358,13 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
     groups = oracle.stage_groups()
     emitted: dict[int, int] = {}  # left side -> right sides emitted so far
     k = 0
-    previous = None
-    for s in range(S):
-        values = [p.prefix(s).value for p in processes]
-        if values == previous and (k == len(groups) or groups[k][0] > s):
-            continue
+    stages = change_stages(processes).union(t for t, _, _ in groups if t < S)
+    for s in sorted(stages):
         while k < len(groups) and groups[k][0] <= s:
             _, i, bits = groups[k]
             emitted[i] = emitted.get(i, 0) | bits
             k += 1
-        previous = values
+        values = [p.prefix(s).value for p in processes]
         at_least = _at_least(enumerate(values))
         if any(bits & ~at_least[values[i]] for i, bits in emitted.items()):
             rows = [[p.prefix(t).value for t in range(S)] for p in processes]

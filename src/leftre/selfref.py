@@ -209,8 +209,7 @@ def singleton_witness(alpha: Numbering, A: ApproxProcess, r: Prefix) -> Schedule
     return Schedule.from_pairs(entries)
 
 
-def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
-                             label: str = "cutoff") -> ApproxProcess:
+def infinite_indexset_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
     """Restrict a process below the running maximum of an enumeration."""
     hz = B.horizon
     N = hz.bits
@@ -224,7 +223,7 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule,
         mask = ((1 << keep) - 1) << (N - keep) if keep else 0
         return B.prefix(s).value & mask
 
-    return ApproxProcess(prefix_value, hz, label)
+    return ApproxProcess(prefix_value, hz, "cutoff")
 
 
 def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:

@@ -118,8 +118,8 @@ class ZuluState:
 
     omega: Schedule
     layout: BlockLayout
-    _marker_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    _mirror_cache: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    _marker_cache: dict[int, tuple[int, ...]] = field(init=False, default_factory=dict)
+    _mirror_cache: dict[int, tuple[int, ...]] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_omega(self.omega)
@@ -166,8 +166,7 @@ class ZuluState:
         return mirrors
 
 
-def build_minimal(state: ZuluState, horizon: Horizon,
-                  label: str = "minimal") -> ApproxProcess:
+def build_minimal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals."""
     marks = [state.markers(s) for s in range(horizon.stages)]
 
@@ -176,11 +175,10 @@ def build_minimal(state: ZuluState, horizon: Horizon,
 
     return ApproxProcess(
         lambda s: Prefix.from_set(marks[s], horizon.bits).value,
-        horizon, label, bit_fn=bit)
+        horizon, "minimal", bit_fn=bit)
 
 
-def build_maximal(state: ZuluState, horizon: Horizon,
-                  label: str = "maximal") -> ApproxProcess:
+def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     """The set missing exactly the mirror markers of the covered intervals."""
     layout = state.layout
     N = horizon.bits
@@ -198,7 +196,7 @@ def build_maximal(state: ZuluState, horizon: Horizon,
         covered = ((1 << end) - 1) << (N - end)
         return covered & ~Prefix.from_set(mirrors[s], N).value
 
-    return ApproxProcess(prefix_value, horizon, label, bit_fn=bit)
+    return ApproxProcess(prefix_value, horizon, "maximal", bit_fn=bit)
 
 
 EXHAUSTIVE_BELOW = 3  # btt_check checks every position of I_1 and I_2
@@ -293,8 +291,7 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     return BttReport(True, None, checked)
 
 
-def maxsep_superset(A: Schedule, horizon: Horizon,
-                    label: str = "strict-superset") -> ApproxProcess:
+def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
     """Stage-wise union of an enumeration with every second complement element.
 
     Requires the schedule to enumerate exactly one new element per stage up to
@@ -328,7 +325,7 @@ def maxsep_superset(A: Schedule, horizon: Horizon,
         comp_rank = x - sum(1 for m in members if m < x)
         return comp_rank % 2
 
-    return ApproxProcess(lambda s: values[s], horizon, label, bit_fn=bit)
+    return ApproxProcess(lambda s: values[s], horizon, "strict-superset", bit_fn=bit)
 
 
 def _even_positions(N: int) -> int:
@@ -343,7 +340,7 @@ def _split(value: int, N: int) -> int:
     return kept | ((value ^ kept) << 1)
 
 
-def split_subset(A: ApproxProcess, label: str = "split-E") -> ApproxProcess:
+def split_subset(A: ApproxProcess) -> ApproxProcess:
     """From an all-odd-members process, keep the even-indexed members and the
     predecessors of the odd-indexed ones."""
     N = A.horizon.bits
@@ -354,10 +351,10 @@ def split_subset(A: ApproxProcess, label: str = "split-E") -> ApproxProcess:
         if members & evens:
             raise InputError("splitting requires all members odd at every stage")
         values.append(_split(members, N))
-    return ApproxProcess(lambda s: values[s], A.horizon, label)
+    return ApproxProcess(lambda s: values[s], A.horizon, "split-E")
 
 
-def split_superset(B: ApproxProcess, label: str = "split-F") -> ApproxProcess:
+def split_superset(B: ApproxProcess) -> ApproxProcess:
     """Dual form: from a process whose non-members are all odd, remove the
     even-indexed non-members and the predecessors of the odd-indexed ones."""
     N = B.horizon.bits
@@ -369,11 +366,10 @@ def split_superset(B: ApproxProcess, label: str = "split-F") -> ApproxProcess:
         if non_members & evens:
             raise InputError("dual splitting requires all non-members odd")
         values.append(full & ~_split(non_members, N))
-    return ApproxProcess(lambda s: values[s], B.horizon, label)
+    return ApproxProcess(lambda s: values[s], B.horizon, "split-F")
 
 
-def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
-                      label: str = "window-witness") -> ApproxProcess:
+def lowerfarm_witness(B: ApproxProcess, R: frozenset[int]) -> ApproxProcess:
     """Windowed union with a fixed recursive set, at stages where the window
     avoids it: output t is (B at stage s_t, restricted to [0, t]) union R.
     Raises InputError for a negative position in R and CapacityError when R
@@ -403,11 +399,11 @@ def lowerfarm_witness(B: ApproxProcess, R: frozenset[int],
             raise CapacityError(f"no admissible stage for window [0, {t}]")
         s_prev = s_t
         values.append((B.prefix(s_t).value & window_mask) | r_value)
-    return ApproxProcess(lambda s: values[s], B.horizon, label)
+    return ApproxProcess(lambda s: values[s], B.horizon, "window-witness")
 
 
 def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
-              subset_form: bool = False, label: str = "tilde") -> ApproxProcess:
+              subset_form: bool = False) -> ApproxProcess:
     """Triple-coded recombination of a one-marker-per-interval set with an
     enumeration over interval indices: members x with enumerated interval
     index contribute 3x, the others contribute 3x+1 and 3x+2 (the subset form
@@ -438,10 +434,9 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
             return 0
         return 1 - in_w
 
-    return ApproxProcess(prefix_value, A.horizon, label, bit_fn=bit)
+    return ApproxProcess(prefix_value, A.horizon, "tilde", bit_fn=bit)
 
 
-def max_join_gadget(B: ApproxProcess, W: Schedule,
-                    label: str = "join-gadget") -> ApproxProcess:
+def max_join_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
     """Join with the characteristic process of an enumeration schedule."""
-    return join(B, W.as_process(B.horizon), label)
+    return join(B, W.as_process(B.horizon), "join-gadget")

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from leftre.core import (EQUAL, GREATER, LESS, ApproxProcess, Horizon,
-                         Numbering, Prefix, Schedule, UsageError,
+from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
+                         ApproxProcess, Horizon, Numbering, Prefix, Schedule,
+                         UsageError, ValidationReport, change_stages,
                          first_difference, join, lex_cmp, limit_estimate,
                          validate_left_re, validate_monotone_membership)
 
@@ -151,3 +152,97 @@ class TestNumbering:
     def test_validate_all(self):
         nu = Numbering([staged([0, 3]), staged([1, 1, 9])])
         assert all(r.ok for r in nu.validate())
+
+
+def validate_left_re_reference(p):
+    """Slow oracle for validate_left_re: every pair of adjacent stages."""
+    prev = p.prefix(0)
+    for s in range(1, p.horizon.stages):
+        cur = p.prefix(s)
+        if lex_cmp(prev, cur) == GREATER:
+            pos = first_difference(prev, cur)
+            return ValidationReport(False, s - 1, pos,
+                                    f"prefix at stage {s - 1} lex-exceeds stage {s}")
+        prev = cur
+    return ValidationReport(True)
+
+
+def validate_monotone_membership_reference(p, direction):
+    """Slow oracle for validate_monotone_membership: every pair of adjacent
+    stages."""
+    prev = p.prefix(0)
+    for s in range(1, p.horizon.stages):
+        cur = p.prefix(s)
+        bad = prev.value & ~cur.value if direction == "up" else cur.value & ~prev.value
+        if bad:
+            pos = p.horizon.bits - bad.bit_length()
+            return ValidationReport(False, s - 1, pos,
+                                    f"membership at {pos} moved the wrong way at stage {s}")
+        prev = cur
+    return ValidationReport(True)
+
+
+def limit_estimate_reference(p):
+    """Slow oracle for limit_estimate: re-reads the trailing window."""
+    S = p.horizon.stages
+    final = p.prefix(S - 1)
+    window = min(STABILITY_WINDOW, S - 1)
+    stable = all(p.prefix(S - 1 - k).value == final.value
+                 for k in range(1, window + 1))
+    return final, stable
+
+
+@st.composite
+def stage_values(draw, bits):
+    """Stage values in runs of repeats, as drawn, sorted (left-r.e.), or made
+    nested upward or downward, over 1 to 20 stages."""
+    runs = draw(st.lists(st.tuples(st.integers(0, (1 << bits) - 1),
+                                   st.integers(1, 4)), min_size=1, max_size=8))
+    values = [v for v, k in runs for _ in range(k)][:20]
+    shape = draw(st.sampled_from(["drawn", "sorted", "up", "down"]))
+    if shape == "sorted":
+        values.sort()
+    elif shape in ("up", "down"):
+        acc = values[0]
+        for s, v in enumerate(values):
+            acc = acc | v if shape == "up" else acc & v
+            values[s] = acc
+    return values
+
+
+class TestChanges:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 6), st.data())
+    def test_per_stage_references_agree(self, bits, data):
+        values = data.draw(stage_values(bits))
+        p = ApproxProcess(values.__getitem__, Horizon(len(values), bits))
+        assert list(p.changes) == [s for s in range(1, len(values))
+                                   if values[s] != values[s - 1]]
+        assert validate_left_re(p) == validate_left_re_reference(p)
+        for direction in ("up", "down"):
+            assert validate_monotone_membership(p, direction) == \
+                validate_monotone_membership_reference(p, direction)
+        assert limit_estimate(p) == limit_estimate_reference(p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 20), st.data())
+    def test_change_stages_is_stage_0_and_every_change(self, S, data):
+        hz = Horizon(S, 4)
+        rows = data.draw(st.lists(st.lists(st.integers(0, 15), min_size=S,
+                                           max_size=S), max_size=4))
+        processes = [ApproxProcess(row.__getitem__, hz) for row in rows]
+        assert change_stages(processes) == {0} | {
+            s for row in rows for s in range(1, S) if row[s] != row[s - 1]}
+
+    def test_single_stage_horizon(self):
+        p = ApproxProcess(lambda s: 5, Horizon(1, 4))
+        assert p.changes == ()
+        assert change_stages([p]) == {0}
+        assert limit_estimate(p) == (Prefix(4, 5), True)
+
+    def test_stable_iff_the_last_change_precedes_the_window(self):
+        S = HZ.stages
+        for t in range(1, S):
+            p = ApproxProcess(lambda s: int(s >= t), HZ)
+            assert p.changes == (t,)
+            assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)

@@ -234,6 +234,24 @@ class TestDecoding:
         assert expected == K.final_members()
         assert decide_k_below(oracle, nu, 1, K) == expected
 
+    @pytest.mark.parametrize("back_at", [None, 6], ids=["stays", "transient"])
+    def test_decides_at_a_later_candidate_change(self, back_at):
+        # Every pair is out at stage 0 and K is empty.  Candidate 2 never
+        # passes; candidate 3 passes from its change at stage 5, for good or
+        # only for that stage, where nothing is emitted and K is unchanged.
+        K = Schedule.from_pairs([])
+        passing = range(5, back_at or HZ.stages)
+        # Position 1 is the bit of y = 0, shifted and doubled.
+        bit_1 = 1 << (HZ.bits - 2)
+        mover = ApproxProcess(lambda s: bit_1 if s in passing else 0, HZ)
+        odds = finite_set_process(range(1, HZ.bits, 2), HZ)
+        nu = Numbering([odds, b_from_k(K, HZ), finite_set_process((), HZ),
+                        mover])
+        oracle = RelationOracle.from_entries(
+            [((e, r), 0) for e in (2, 3) for r in (0, 1)])
+        assert decide_k_below_reference(oracle, nu, 1, K) == set()
+        assert decide_k_below(oracle, nu, 1, K) == set()
+
 
 class TestGazebo:
     def test_sorted_static_catalog_never_obliterates(self):
@@ -366,6 +384,19 @@ class TestPersistenceAudit:
         nu = Numbering([climber, static])
         oracle = RelationOracle.from_entries(
             (((1, 0), 9), ((0, 1), 2), ((0, 1), 0)))
+        assert check_persistence(oracle, nu) == ((0, 1), 5)
+        assert check_persistence_bruteforce(oracle, nu) == ((0, 1), 5)
+
+    @pytest.mark.parametrize("back_at", [None, 6], ids=["stays", "transient"])
+    def test_failure_at_a_later_index_change_without_emission(self, back_at):
+        # The one pair is emitted at stage 0.  Index 0 never changes; index 1
+        # drops below it at stage 5, for good or only for that stage.  Only
+        # index 1's change stage 5 shows the failure.
+        hz = Horizon(16, 4)
+        low = range(5, back_at or hz.stages)
+        nu = Numbering([ApproxProcess(lambda s: 2, hz),
+                        ApproxProcess(lambda s: 1 if s in low else 3, hz)])
+        oracle = RelationOracle.from_entries([((0, 1), 0)])
         assert check_persistence(oracle, nu) == ((0, 1), 5)
         assert check_persistence_bruteforce(oracle, nu) == ((0, 1), 5)
 
