@@ -194,7 +194,7 @@ def _run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
     for s in range(0, hz.stages, max(1, hz.stages // 16)):
         trace.line({"stage": s, "type": "markers", "a": list(state.markers(s))})
     target = A if minimal else B
-    report = zulu.btt_check(A, B, state.layout, seed=seed)
+    report = zulu.btt_check(A, B, state.layout)
     return {"validator": bool(validate_left_re(target)), "btt": report.ok}
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+Runs = Sequence[tuple[int, int]]  # ascending inclusive (start, end) runs
+
 LESS = -1
 EQUAL = 0
 GREATER = 1
@@ -100,6 +102,13 @@ class Prefix:
             value ^= 1 << b
         return frozenset(out)
 
+    def window(self, lo: int, hi: int) -> int:
+        """Bits lo..hi, packed with position lo most significant."""
+        if not 0 <= lo <= hi < self.length:
+            raise UsageError(f"window [{lo}, {hi}] outside prefix of length "
+                             f"{self.length}")
+        return (self.value >> (self.length - 1 - hi)) & ((1 << (hi - lo + 1)) - 1)
+
     def to_string(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
@@ -170,13 +179,17 @@ class ApproxProcess:
     from stage s - 1's; every other stage repeats its predecessor.
     Positions at or past the bit horizon are answered by the optional
     `bit_fn(s, n)`, which sparse constructions give to decide membership
-    arithmetically for huge positions; without one, reading them raises
-    UsageError.
+    arithmetically for huge positions, and, over a whole range, by the
+    optional `runs_fn(s, lo, hi)`: the ascending maximal inclusive
+    (start, end) runs of members in [max(lo, N), hi].  Both must describe
+    the same set; reading past the horizon without the one a read needs
+    raises UsageError.
     """
 
     def __init__(self, prefix_fn: Callable[[int], int], horizon: Horizon,
                  label: str = "",
-                 bit_fn: Optional[Callable[[int, int], int]] = None):
+                 bit_fn: Optional[Callable[[int, int], int]] = None,
+                 runs_fn: Optional[Callable[[int, int, int], Runs]] = None):
         N = horizon.bits
         prefixes = []
         changes = []
@@ -198,11 +211,16 @@ class ApproxProcess:
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
+        self.runs_fn = runs_fn
 
     def prefix(self, s: int) -> Prefix:
         if not 0 <= s < self.horizon.stages:
             raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
         return self._prefixes[s]
+
+    def _no_bits(self, at: str) -> UsageError:
+        return UsageError(f"process {self.label!r} has no bits past the "
+                          f"horizon of {self.horizon.bits}, read at {at}")
 
     def bit(self, s: int, n: int) -> int:
         if not 0 <= s < self.horizon.stages:
@@ -211,15 +229,98 @@ class ApproxProcess:
         if n < p.length:
             return p.bit(n)
         if self.bit_fn is None:
-            raise UsageError(f"process {self.label!r} has no bits past the "
-                             f"horizon of {p.length}, read at {n}")
+            raise self._no_bits(str(n))
         return self.bit_fn(s, n)
+
+    def past_runs(self, s: int, lo: int, hi: int) -> Runs:
+        """`runs_fn(s, lo, hi)`, checked to be ascending maximal runs inside
+        [max(lo, N), hi]; no runs when hi < N.  A missing `runs_fn` or an
+        answer that is not such runs raises UsageError."""
+        floor = max(lo, self.horizon.bits)
+        if hi < floor:
+            return []
+        if not 0 <= s < self.horizon.stages:
+            raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
+        if self.runs_fn is None:
+            raise self._no_bits(f"{floor}..{hi}")
+        runs = self.runs_fn(s, lo, hi)
+        end = floor - 2
+        for a, b in runs:
+            if not end + 2 <= a <= b <= hi:
+                raise UsageError(
+                    f"process {self.label!r}: stage {s} answers {(a, b)}, not "
+                    f"an ascending maximal run inside [{floor}, {hi}]")
+            end = b
+        return runs
 
     def final_prefix(self) -> Prefix:
         return self._prefixes[-1]
 
     def __repr__(self) -> str:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
+
+
+def stage_runs(p: Prefix, lo: int, hi: int, past: Runs) -> Runs:
+    """Ascending maximal runs of members in [lo, hi]: those of the packed
+    value of `p` below its length, joined to `past`, the runs at or past it."""
+    top = min(hi, p.length - 1)
+    runs = []
+    if lo <= top:
+        w = p.window(lo, top)
+        while w:
+            # Bits k - 1 down to z of w are the next run of 1s; bit i of w
+            # is position top - i.
+            k = w.bit_length()
+            z = (~w & ((1 << k) - 1)).bit_length()
+            runs.append((top + 1 - k, top - z))
+            w &= (1 << z) - 1
+    if runs and past and past[0][0] == runs[-1][1] + 1:
+        runs[-1] = (runs[-1][0], past[0][1])
+        past = past[1:]
+    return runs + list(past)
+
+
+def complement_runs(runs: Runs, lo: int, hi: int) -> Runs:
+    """The gaps of ascending maximal runs inside [lo, hi], as runs."""
+    gaps = []
+    for a, b in runs:
+        if a > lo:
+            gaps.append((lo, a - 1))
+        lo = b + 1
+    if lo <= hi:
+        gaps.append((lo, hi))
+    return gaps
+
+
+def first_mismatch(x: Runs, y: Runs) -> Optional[int]:
+    """Least position in exactly one of two ascending maximal run lists."""
+    for (a, b), (c, d) in zip(x, y):
+        if a != c:
+            return min(a, c)
+        if b != d:
+            return min(b, d) + 1
+    if len(x) == len(y):
+        return None
+    return max(x, y, key=len)[min(len(x), len(y))][0]
+
+
+def mirror_mismatch(a: Runs, b: Runs, lo: int, hi: int) -> Optional[int]:
+    """Least u in [lo, hi] with u in `a` iff hi + lo - u in `b`, for runs
+    inside [lo, hi]: where `a` differs from the mirror image of b's gaps."""
+    gaps = complement_runs(b, lo, hi)
+    return first_mismatch(a, [(hi + lo - e, hi + lo - s)
+                              for s, e in reversed(gaps)])
+
+
+def packed_mirror_mismatch(a: Prefix, b: Prefix, lo: int, hi: int
+                           ) -> Optional[int]:
+    """`mirror_mismatch` for a window [lo, hi] inside both prefixes: b's
+    window reversed must be the complement of a's, and the most significant
+    bit of their mismatch is the least failing position."""
+    width = hi - lo + 1
+    b_reversed = int(format(b.window(lo, hi), f"0{width}b")[::-1], 2)
+    bad = b_reversed ^ a.window(lo, hi) ^ ((1 << width) - 1)
+    return lo + width - bad.bit_length() if bad else None
 
 
 def change_stages(processes: Iterable[ApproxProcess]) -> set[int]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from random import Random
 from typing import Optional, Sequence
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   InternalInvariantError, Prefix, Schedule, UsageError, join,
-                   rank_parity)
+                   InternalInvariantError, Prefix, Runs, Schedule, UsageError,
+                   change_stages, complement_runs, join, mirror_mismatch,
+                   packed_mirror_mismatch, rank_parity, stage_runs)
 
 
 @dataclass(frozen=True)
@@ -110,16 +110,15 @@ class ZuluState:
     """Marker positions of one driving history over one layout.
 
     The member markers a_1..a_k of the covered intervals at a stage, and
-    their mirrors b_1..b_k, are each computed once per stage into a tuple,
-    so past-horizon membership is a containment test on one short tuple.
-    Block sums are not cached: each c(n, s) is taken once while a stage's
+    their mirrors b_1..b_k, are tuples computed once per distinct stage: a
+    stage at which no omega entry lands and `covered` does not grow shares
+    the tuple of the stage before.  Each c(n, s) is taken once while a
     table is built.
     """
 
     omega: Schedule
     layout: BlockLayout
-    _marker_cache: dict[int, tuple[int, ...]] = field(init=False, default_factory=dict)
-    _mirror_cache: dict[int, tuple[int, ...]] = field(init=False, default_factory=dict)
+    _tables: dict[int, tuple] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         _check_omega(self.omega)
@@ -147,35 +146,43 @@ class ZuluState:
     def covered(self, s: int) -> int:
         return min(s, self.layout.n_cap)
 
-    def markers(self, s: int) -> tuple[int, ...]:
-        """(a_1, ..., a_k) at stage s, for the k = covered(s) intervals."""
-        marks = self._marker_cache.get(s)
-        if marks is None:
+    @cached_property
+    def _moves(self) -> list[int]:
+        """The stages whose markers may differ from the stage before's."""
+        return sorted({0, *range(1, self.layout.n_cap + 1),
+                       *(t for _, t in self.omega.entries)})
+
+    def _table(self, s: int) -> tuple:
+        s = self._moves[bisect_right(self._moves, s) - 1]
+        if s not in self._tables:
             sums = [self.c(n, s) for n in range(self.covered(s) + 1)]
             marks = tuple(self._marker(n, s, sums[n - 1], sums[n])
                           for n in range(1, len(sums)))
-            self._marker_cache[s] = marks
-        return marks
+            self._tables[s] = marks, tuple(map(self.layout.mirror, marks))
+        return self._tables[s]
+
+    def markers(self, s: int) -> tuple[int, ...]:
+        """(a_1, ..., a_k) at stage s, for the k = covered(s) intervals."""
+        return self._table(s)[0]
 
     def mirrors(self, s: int) -> tuple[int, ...]:
         """(b_1, ..., b_k) at stage s: the mirror of each entry of markers(s)."""
-        mirrors = self._mirror_cache.get(s)
-        if mirrors is None:
-            mirrors = tuple(self.layout.mirror(a) for a in self.markers(s))
-            self._mirror_cache[s] = mirrors
-        return mirrors
+        return self._table(s)[1]
 
 
 def build_minimal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals."""
+    N = horizon.bits
     marks = [state.markers(s) for s in range(horizon.stages)]
 
     def bit(s: int, u: int) -> int:
         return 1 if u in marks[s] else 0
 
-    return ApproxProcess(
-        lambda s: Prefix.from_set(marks[s], horizon.bits).value,
-        horizon, "minimal", bit_fn=bit)
+    def runs(s: int, lo: int, hi: int) -> Runs:
+        return [(u, u) for u in marks[s] if max(lo, N) <= u <= hi]
+
+    return ApproxProcess(lambda s: Prefix.from_set(marks[s], N).value,
+                         horizon, "minimal", bit_fn=bit, runs_fn=runs)
 
 
 def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
@@ -189,6 +196,11 @@ def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     def bit(s: int, u: int) -> int:
         return 1 if u < ends[s] and u not in mirrors[s] else 0
 
+    def runs(s: int, lo: int, hi: int) -> Runs:
+        lo = max(lo, N)
+        return complement_runs([(b, b) for b in mirrors[s] if lo <= b <= hi],
+                               lo, min(hi, ends[s] - 1))
+
     def prefix_value(s: int) -> int:
         if not mirrors[s]:
             return 0
@@ -196,11 +208,11 @@ def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
         covered = ((1 << end) - 1) << (N - end)
         return covered & ~Prefix.from_set(mirrors[s], N).value
 
-    return ApproxProcess(prefix_value, horizon, "maximal", bit_fn=bit)
+    return ApproxProcess(prefix_value, horizon, "maximal", bit_fn=bit,
+                         runs_fn=runs)
 
 
-EXHAUSTIVE_BELOW = 3  # btt_check checks every position of I_1 and I_2
-SAMPLES_PER_INTERVAL = 32  # seeded random probes per larger interval and stage
+RUNS_FROM = 3  # btt_check compares I_n as runs from n = 3 on
 
 
 @dataclass(frozen=True)
@@ -210,84 +222,55 @@ class BttReport:
     checked: int = 0
 
 
-def _window(p: Prefix, lo: int, hi: int) -> int:
-    """Bits lo..hi of a stage prefix, packed with position lo most significant."""
-    return p.truncated(hi + 1).value & ((1 << (hi - lo + 1)) - 1)
-
-
 def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
-              stages: Optional[Sequence[int]] = None, seed: int = 0) -> BttReport:
-    """Verify u in A iff mirror(u) not in B over the covered intervals.
+              stages: Optional[Sequence[int]] = None) -> BttReport:
+    """Verify u in A iff mirror(u) not in B at every position of the covered
+    intervals.  The witness is the least failing position of the first
+    failing stage; `checked` counts the positions verified.
 
-    Intervals I_n with n < EXHAUSTIVE_BELOW are scanned exhaustively; the
-    doubly-exponential ones are probed at the interval boundaries and
-    SAMPLES_PER_INTERVAL seeded samples, each with its mirror.
+    I_1 and I_2 are read position by position: inside the bit horizon as
+    two packed windows (B's reversed must be the complement of A's), and
+    across it one `bit` read each.  From I_RUNS_FROM on, `mirror_mismatch`
+    compares A's and B's `stage_runs`.
 
-    An exhaustively scanned interval inside the bit horizon is checked as two
-    packed windows of its stage values: the mirror reverses the interval, so
-    the link holds iff B's window reversed is the complement of A's, and the
-    most significant bit of their mismatch is the first failing position.
-    `checked` counts the per-probe work either way: one link probe per
-    position up to the witness, and one mirror re-probe per member of an
-    interval that passes.
-
-    A probe below the bit horizon reads `bit(s, u)`; a probe at or past it
-    calls the process's `bit_fn` directly, as `bit` would after its stage
-    check (a process without one falls back to `bit`, which raises
-    UsageError).  Every stage first reads I_1, which starts at position 0
-    inside the horizon, so a stage outside the horizon is rejected before
-    any `bit_fn` call.
+    A stage with the same stage values, covered count and `past_runs` as
+    the last one checked has its outcome, so it is counted, not checked;
+    a stage that reads `bit_fn` is always checked.
     """
     if A.horizon != B.horizon:
         raise UsageError("processes must share a horizon")
     N = A.horizon.bits
-    rng = Random(seed)
-    randrange = rng.randrange
-    a_past = A.bit_fn or A.bit
-    b_past = B.bit_fn or B.bit
     if stages is None:
         stages = range(A.horizon.stages)
+    bounds = [layout.interval(n) for n in range(1, layout.n_cap + 1)]
     checked = 0
+    last = None
     for s in stages:
-        for n in range(1, min(s, layout.n_cap) + 1):
-            lo, hi = layout.interval(n)
-            # Every probe lies in I_n, so its mirror is hi + lo - u.
-            if n < EXHAUSTIVE_BELOW:
-                if hi < N:
-                    width = hi - lo + 1
-                    a_win = _window(A.prefix(s), lo, hi)
-                    b_win = _window(B.prefix(s), lo, hi)
-                    b_reversed = int(format(b_win, f"0{width}b")[::-1], 2)
-                    bad = b_reversed ^ a_win ^ ((1 << width) - 1)
-                    if bad:
-                        k = width - bad.bit_length()
-                        return BttReport(False, (s, lo + k), checked + k + 1)
-                    checked += width + a_win.bit_count()
-                    continue
-                probes = range(lo, hi + 1)
+        pa, pb = A.prefix(s), B.prefix(s)
+        covered = bounds[:s]
+        past = [(A.past_runs(s, lo, hi), B.past_runs(s, lo, hi))
+                for lo, hi in covered[RUNS_FROM - 1:]]
+        probed = any(hi >= N for _, hi in covered[:RUNS_FROM - 1])
+        key = None if probed else (pa, pb, len(covered), past)
+        if key is not None and key == last:
+            checked += per_stage
+            continue
+        start = checked
+        for n, (lo, hi) in enumerate(covered, 1):
+            if n >= RUNS_FROM:
+                a_runs, b_runs = past[n - RUNS_FROM]
+                u = mirror_mismatch(stage_runs(pa, lo, hi, a_runs),
+                                    stage_runs(pb, lo, hi, b_runs), lo, hi)
+            elif hi < N:
+                u = packed_mirror_mismatch(pa, pb, lo, hi)
             else:
-                # lo + randrange(width) draws what randrange(lo, hi + 1)
-                # draws, with fewer argument checks.
-                width = hi - lo + 1
-                probes = {lo, lo + 1, hi - 1, hi}
-                for _ in range(SAMPLES_PER_INTERVAL):
-                    probes.add(lo + randrange(width))
-                # Probe both sides of every membership boundary we can find.
-                for u in list(probes):
-                    probes.add(hi + lo - u)
-                probes = sorted(probes)
-            members = 0
-            for u in probes:
-                checked += 1
-                a = A.bit(s, u) if u < N else a_past(s, u)
-                v = hi + lo - u
-                # Not `a == b`: a bit_fn answering neither 0 nor 1 fails too.
-                if a != 1 - (B.bit(s, v) if v < N else b_past(s, v)):
-                    return BttReport(False, (s, u), checked)
-                members += a
-            # The link just read each member's mirror as 0, so its re-probe
-            # is counted, not read again.
-            checked += members
+                # Not `a == b`: a bit_fn answering neither 0 nor 1 fails.
+                u = next((u for u in range(lo, hi + 1)
+                          if A.bit(s, u) != 1 - B.bit(s, hi + lo - u)), None)
+            if u is not None:
+                return BttReport(False, (s, u), checked + u - lo + 1)
+            checked += hi - lo + 1
+        last, per_stage = key, checked - start
     return BttReport(True, None, checked)
 
 
@@ -407,10 +390,11 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
     """Triple-coded recombination of a one-marker-per-interval set with an
     enumeration over interval indices: members x with enumerated interval
     index contribute 3x, the others contribute 3x+1 and 3x+2 (the subset form
-    drops the 3x+2 leg)."""
+    drops the 3x+2 leg).  A stage value is computed only where A changes
+    or W gains an entry; every other stage repeats the one before."""
     N = A.horizon.bits
 
-    def prefix_value(s: int) -> int:
+    def stage_value(s: int) -> int:
         members = []
         for x in A.prefix(s).members():
             if 3 * x >= N:  # no leg of x inside the horizon
@@ -434,7 +418,11 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
             return 0
         return 1 - in_w
 
-    return ApproxProcess(prefix_value, A.horizon, "tilde", bit_fn=bit)
+    moves = change_stages([A]).union(t for _, t in W.entries)
+    values = []
+    for s in range(A.horizon.stages):
+        values.append(stage_value(s) if s in moves else values[-1])
+    return ApproxProcess(lambda s: values[s], A.horizon, "tilde", bit_fn=bit)
 
 
 def max_join_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:

@@ -4,8 +4,10 @@ from hypothesis import given, settings, strategies as st
 from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
                          ApproxProcess, Horizon, Numbering, Prefix, Schedule,
                          UsageError, ValidationReport, change_stages,
-                         first_difference, join, lex_cmp, limit_estimate,
-                         validate_left_re, validate_monotone_membership)
+                         complement_runs, first_difference, first_mismatch,
+                         join, lex_cmp, limit_estimate, mirror_mismatch,
+                         packed_mirror_mismatch, stage_runs, validate_left_re,
+                         validate_monotone_membership)
 
 HZ = Horizon(16, 24)
 
@@ -246,3 +248,90 @@ class TestChanges:
             p = ApproxProcess(lambda s: int(s >= t), HZ)
             assert p.changes == (t,)
             assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)
+
+
+def set_of_runs(runs) -> set[int]:
+    return {u for a, b in runs for u in range(a, b + 1)}
+
+
+def runs_of_set(members, lo, hi):
+    """Ascending maximal runs of a set inside [lo, hi], position by position."""
+    runs = []
+    for u in range(lo, hi + 1):
+        if u in members:
+            if runs and runs[-1][1] == u - 1:
+                runs[-1] = (runs[-1][0], u)
+            else:
+                runs.append((u, u))
+    return runs
+
+
+@st.composite
+def window_sets(draw):
+    """A window [lo, hi] and two member sets inside it."""
+    lo = draw(st.integers(0, 20))
+    hi = lo + draw(st.integers(0, 40))
+    members = st.sets(st.integers(lo, hi))
+    return lo, hi, draw(members), draw(members)
+
+
+class TestRuns:
+    """The run helpers against position-by-position oracles."""
+
+    @settings(max_examples=200)
+    @given(window_sets(), st.integers(1, 64))
+    def test_stage_runs(self, case, length):
+        lo, hi, members, past = case
+        below = {u for u in members if u < length}
+        p = Prefix.from_set(below, length)
+        past_runs = runs_of_set({u for u in past if u >= length}, lo, hi)
+        got = stage_runs(p, lo, hi, past_runs)
+        assert got == runs_of_set(
+            below | {u for u in past if u >= length}, lo, hi)
+
+    @settings(max_examples=200)
+    @given(window_sets())
+    def test_complement_and_mismatch(self, case):
+        lo, hi, a, b = case
+        x, y = runs_of_set(a, lo, hi), runs_of_set(b, lo, hi)
+        assert complement_runs(x, lo, hi) == runs_of_set(
+            set(range(lo, hi + 1)) - a, lo, hi)
+        assert first_mismatch(x, y) == min(a ^ b, default=None)
+        link = {u for u in range(lo, hi + 1) if (u in a) == (hi + lo - u in b)}
+        assert mirror_mismatch(x, y, lo, hi) == min(link, default=None)
+
+    @settings(max_examples=200)
+    @given(window_sets(), st.integers(0, 30))
+    def test_packed_mirror_mismatch(self, case, extra):
+        lo, hi, a, b = case
+        length = hi + 1 + extra
+        link = {u for u in range(lo, hi + 1) if (u in a) == (hi + lo - u in b)}
+        got = packed_mirror_mismatch(Prefix.from_set(a, length),
+                                     Prefix.from_set(b, length), lo, hi)
+        assert got == min(link, default=None)
+
+    def test_window(self):
+        p = Prefix.from_string("0110100")
+        assert p.window(1, 4) == 0b1101
+        assert p.window(6, 6) == 0
+        for lo, hi in [(-1, 2), (3, 2), (0, 7)]:
+            with pytest.raises(UsageError):
+                p.window(lo, hi)
+
+    def test_past_runs_checks_its_answer(self):
+        answers = {0: [(10, 12), (15, 15)], 1: [(10, 12), (13, 15)],
+                   2: [(12, 14), (10, 11)], 3: [(7, 9)], 4: [(20, 21)],
+                   5: [(12, 11)]}
+        p = ApproxProcess(lambda s: 0, Horizon(6, 8), "p",
+                          runs_fn=lambda s, lo, hi: answers[s])
+        assert p.past_runs(0, 3, 20) == [(10, 12), (15, 15)]
+        assert p.past_runs(0, 3, 7) == []  # wholly below the horizon
+        for s in range(1, 6):  # adjacent, unordered, below 8, past 20, empty
+            with pytest.raises(UsageError, match=f"'p': stage {s} answers"):
+                p.past_runs(s, 3, 20)
+        with pytest.raises(UsageError, match="stage 6 outside horizon of 6"):
+            p.past_runs(6, 3, 20)
+        bare = ApproxProcess(lambda s: 0, Horizon(6, 8), "bare")
+        with pytest.raises(UsageError, match="'bare' has no bits past the "
+                           "horizon of 8, read at 8..20"):
+            bare.past_runs(0, 3, 20)

@@ -1,12 +1,12 @@
 from functools import lru_cache
-from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, CapacityError, Horizon, InputError,
-                         Prefix, Schedule, UsageError, validate_left_re)
+                         Prefix, Schedule, UsageError, complement_runs,
+                         validate_left_re)
 from leftre.fixtures import (omega_fixture, omega_worked_example,
                              one_per_stage_schedule, random_leftre_process)
 from leftre.zulu import (BlockLayout, BttReport, ZuluState, btt_check,
@@ -139,6 +139,18 @@ def minimal_bit_reference(state, s, u):
     return 1 if u == marks[n - 1] else 0
 
 
+def runs_from_bits(bit_fn, s, lo, hi):
+    """The runs of members in [lo, hi] by reading every position."""
+    runs = []
+    for u in range(lo, hi + 1):
+        if bit_fn(s, u):
+            if runs and runs[-1][1] == u - 1:
+                runs[-1] = (runs[-1][0], u)
+            else:
+                runs.append((u, u))
+    return runs
+
+
 def maximal_bit_reference(state, s, u):
     """Past-horizon membership in build_maximal by interval lookup: u is a
     member iff its interval is covered and u is not that interval's mirror."""
@@ -177,22 +189,25 @@ class TestMinimalMaximal:
         state = ZuluState(om, LAYOUT)
         A = build_minimal(state, HZ)
         B = build_maximal(state, HZ)
-        report = btt_check(A, B, LAYOUT, seed=seed)
+        report = btt_check(A, B, LAYOUT)
         assert report.ok, report
 
-    @pytest.mark.parametrize("seed,checked", [(13, 21276), (29, 21275)])
+    # A passing audit verifies every position of I_1 (17 positions) from
+    # stage 1 on, of I_2 (257) from stage 2 on and of I_3 (65,537) from
+    # stage 3 on, whatever the seed.
+    @pytest.mark.parametrize("seed,checked", [(13, 17 + 274 + 61 * 65811),
+                                              (29, 17 + 274 + 61 * 65811)])
     def test_btt_probe_coverage_pinned(self, seed, checked):
         state = _zulu_state(HZ, seed, {"n_cap": 3})
         A = build_minimal(state, HZ)
         B = build_maximal(state, HZ)
-        assert btt_check(A, B, state.layout, seed=seed) == \
-            BttReport(True, None, checked)
+        assert btt_check(A, B, state.layout) == BttReport(True, None, checked)
 
-    @pytest.mark.parametrize("seed,checked", [(13, 175371), (29, 175362)])
+    @pytest.mark.parametrize("seed,checked", [(13, 17 + 274 + 509 * 65811),
+                                              (29, 17 + 274 + 509 * 65811)])
     def test_btt_probe_coverage_pinned_512x1024(self, seed, checked):
         _, A, B, layout = zulu_pair(512, 1024, seed)
-        assert btt_check(A, B, layout, seed=seed) == \
-            BttReport(True, None, checked)
+        assert btt_check(A, B, layout) == BttReport(True, None, checked)
 
     @pytest.mark.parametrize("seed", [13, 29])
     @pytest.mark.parametrize("n_cap", [1, 2, 3])
@@ -207,12 +222,20 @@ class TestMinimalMaximal:
         centres = [layout.offset(n) for n in range(1, n_cap + 2)]
         centres.append(layout.offset(n_cap + 1) + 1000)
         for s in range(hz.stages):
-            probes = {u for c in centres + list(state.markers(s))
-                      + list(state.mirrors(s)) for u in range(c - 3, c + 4)
+            marks = list(state.markers(s)) + list(state.mirrors(s))
+            probes = {u for c in centres + marks for u in range(c - 3, c + 4)
                       if u >= 0}
             for u in sorted(probes):
                 assert A.bit_fn(s, u) == minimal_bit_reference(state, s, u)
                 assert B.bit_fn(s, u) == maximal_bit_reference(state, s, u)
+            # runs_fn over the same windows, each window edge moved by up
+            # to 3, and over the whole of I_1 and I_2, read against bit_fn.
+            windows = [(max(c - d, 0), c + e) for c in centres + marks
+                       for d in (0, 1, 3) for e in (0, 1, 3)]
+            for lo, hi in windows + [layout.interval(n) for n in (1, 2)]:
+                for P in (A, B):
+                    assert P.runs_fn(s, lo, hi) == runs_from_bits(
+                        P.bit_fn, s, max(lo, hz.bits), hi), (P.label, lo, hi)
 
     def test_marker_tables_match_markers(self):
         om = omega_fixture(3, HZ, top_bit=7)
@@ -235,39 +258,21 @@ class TestMinimalMaximal:
         assert st_.a(1, 1) == LAYOUT.pair(1, 0, 3)
 
 
-def btt_check_reference(A, B, layout, stages=None, exhaustive_below=3,
-                        samples_per_interval=32, seed=0) -> BttReport:
-    """Slow oracle for `btt_check`: every probe reads one bit of A and one of
-    B, and every member's mirror is read again."""
+def btt_check_reference(A, B, layout, stages=None) -> BttReport:
+    """Slow oracle for `btt_check`: at every stage, every position u of every
+    covered interval, in order, reads A at u and B at the mirror of u
+    through `bit`."""
     if A.horizon != B.horizon:
         raise UsageError("processes must share a horizon")
-    rng = Random(seed)
     if stages is None:
         stages = range(A.horizon.stages)
     checked = 0
     for s in stages:
         for n in range(1, min(s, layout.n_cap) + 1):
             lo, hi = layout.interval(n)
-            if n < exhaustive_below:
-                probes = range(lo, hi + 1)
-            else:
-                probes = {lo, lo + 1, hi - 1, hi}
-                for _ in range(samples_per_interval):
-                    probes.add(rng.randrange(lo, hi + 1))
-                for u in list(probes):
-                    probes.add(hi + lo - u)
-                probes = sorted(probes)
-            member_hits = []
-            for u in probes:
+            for u in range(lo, hi + 1):
                 checked += 1
-                a = A.bit(s, u)
-                if a != 1 - B.bit(s, hi + lo - u):
-                    return BttReport(False, (s, u), checked)
-                if a:
-                    member_hits.append(u)
-            for u in member_hits:
-                checked += 1
-                if B.bit(s, hi + lo - u) != 0:
+                if A.bit(s, u) != 1 - B.bit(s, hi + lo - u):
                     return BttReport(False, (s, u), checked)
     return BttReport(True, None, checked)
 
@@ -283,17 +288,30 @@ def zulu_pair(stages: int, bits: int, seed: int):
 
 def flipped(p: ApproxProcess, stage: int, position: int) -> ApproxProcess:
     """`p` with the stage-`stage` bit at `position` (below the horizon)
-    inverted; positions past the horizon still go to `p`'s bit_fn."""
+    inverted; positions past the horizon still go to `p`'s bit_fn and
+    runs_fn."""
     mask = Prefix.from_set({position}, p.horizon.bits).value
     return ApproxProcess(
         lambda s: p.prefix(s).value ^ (mask if s == stage else 0),
-        p.horizon, p.label, bit_fn=p.bit_fn)
+        p.horizon, p.label, bit_fn=p.bit_fn, runs_fn=p.runs_fn)
 
 
-def with_bit_fn(p: ApproxProcess, bit_fn) -> ApproxProcess:
-    """`p`'s stage values with `bit_fn` answering past the horizon."""
+def with_past(p: ApproxProcess, bit_fn, runs_fn) -> ApproxProcess:
+    """`p`'s stage values with `bit_fn` and `runs_fn` answering past the
+    horizon."""
     return ApproxProcess(lambda s: p.prefix(s).value, p.horizon, p.label,
-                         bit_fn=bit_fn)
+                         bit_fn=bit_fn, runs_fn=runs_fn)
+
+
+def past_changed_at(p: ApproxProcess, stage: int, bit_fn, runs_fn):
+    """`p` whose past-horizon answers at `stage` come from `bit_fn` and
+    `runs_fn` (each given `p`'s own answer), and at every other stage are
+    `p`'s own."""
+    return with_past(
+        p, lambda s, u: bit_fn(s, u, p.bit_fn(s, u)) if s == stage
+        else p.bit_fn(s, u),
+        lambda s, lo, hi: runs_fn(s, lo, hi, p.runs_fn(s, lo, hi))
+        if s == stage else p.runs_fn(s, lo, hi))
 
 
 def outcome(check, *args, **kwargs):
@@ -304,19 +322,33 @@ def outcome(check, *args, **kwargs):
         return type(e), str(e)
 
 
+def around(stage: int) -> list[int]:
+    """A stage and its neighbours inside a 64-stage horizon: the exact audit
+    must not take a changed stage for a repeat of the one before."""
+    return [s for s in (stage - 1, stage, stage + 1) if 0 <= s < 64]
+
+
 class TestBttAgainstReference:
-    """The packed-window `btt_check` against the per-probe oracle.  At 64x128
-    I_2 straddles the bit horizon; from 300 bits on, I_1 and I_2 lie inside
-    it and I_3 straddles it."""
+    """The exact `btt_check` against the per-position oracle.  At 64x128 I_2
+    and I_3 straddle the bit horizon; from 300 bits on, I_1 and I_2 lie
+    inside it and I_3 straddles it.  The oracle reads every one of I_3's
+    65,537 positions per stage, so the checks that cover I_3 run over a few
+    stages."""
 
     @pytest.mark.parametrize("seed", [13, 29])
     @pytest.mark.parametrize("stages,bits", [(64, 128), (64, 300), (512, 1024),
                                              (1024, 2048)])
     def test_same_report_as_reference(self, stages, bits, seed):
         _, A, B, layout = zulu_pair(stages, bits, seed)
-        report = btt_check(A, B, layout, seed=seed)
+        subset = [0, 1, 2, 3, 4, stages // 2, stages - 1]
+        report = btt_check(A, B, layout, stages=subset)
         assert report.ok
-        assert report == btt_check_reference(A, B, layout, seed=seed)
+        assert report == btt_check_reference(A, B, layout, stages=subset)
+        # Over every stage, each repeated stage counts what the last checked
+        # one verified.
+        full = btt_check(A, B, layout)
+        assert full.ok and full.checked == sum(
+            btt_check(A, B, layout, stages=[s]).checked for s in range(stages))
 
     @settings(deadline=None, max_examples=40)
     @given(st.sampled_from([128, 300, 512]), st.sampled_from([13, 29]),
@@ -331,12 +363,14 @@ class TestBttAgainstReference:
             A = flipped(A, stage, position)
         else:
             B = flipped(B, stage, position)
-        report = btt_check(A, B, layout, seed=seed)
-        assert report == btt_check_reference(A, B, layout, seed=seed)
-        if position <= layout.interval(2)[1] and stage >= layout.ind(position):
-            # An exhaustively scanned interval always finds the flip.
+        report = btt_check(A, B, layout, stages=around(stage))
+        assert report == btt_check_reference(A, B, layout, stages=around(stage))
+        if stage >= layout.ind(position):
+            # The flipped position lies in a covered interval.
             u = position if flip_a else layout.mirror(position)
             assert report.witness == (stage, u)
+        else:
+            assert report.ok
 
     def test_mirror_at_the_member_found(self):
         # B misses each I_1 marker itself instead of its mirror: unreversed,
@@ -346,20 +380,25 @@ class TestBttAgainstReference:
                                    | set(state.mirrors(s)[:1]), 300).value
                 for s in range(64)}
         bad_b = ApproxProcess(lambda s: B.prefix(s).value ^ swap[s],
-                              B.horizon, "swapped", bit_fn=B.bit_fn)
-        report = btt_check(A, bad_b, layout, seed=13)
-        assert report == btt_check_reference(A, bad_b, layout, seed=13)
+                              B.horizon, "swapped", bit_fn=B.bit_fn,
+                              runs_fn=B.runs_fn)
+        report = btt_check(A, bad_b, layout)
+        assert report == btt_check_reference(A, bad_b, layout)
         assert not report.ok and report.witness[0] == 1
 
     @pytest.mark.parametrize("bits", [128, 300])
     @pytest.mark.parametrize("stage", [1, 2, 3, 40])
     def test_past_horizon_answers_inverted_at_one_stage(self, stage, bits):
         # At 64x128 I_2 and I_3 reach past the horizon, at 64x300 only I_3,
-        # which is covered from stage 3 on.
+        # which is covered from stage 3 on.  I_2 is read through bit_fn, I_3
+        # through runs_fn.
         _, A, B, layout = zulu_pair(64, bits, 13)
-        bad_b = with_bit_fn(B, lambda s, u: B.bit_fn(s, u) ^ (s == stage))
-        report = btt_check(A, bad_b, layout, seed=13)
-        assert report == btt_check_reference(A, bad_b, layout, seed=13)
+        bad_b = past_changed_at(
+            B, stage, lambda s, u, b: b ^ 1,
+            lambda s, lo, hi, runs: complement_runs(runs, max(lo, bits), hi))
+        report = btt_check(A, bad_b, layout, stages=around(stage))
+        assert report == btt_check_reference(A, bad_b, layout,
+                                             stages=around(stage))
         if stage >= 3 or (stage == 2 and bits == 128):
             assert not report.ok and report.witness[0] == stage
         else:
@@ -368,14 +407,32 @@ class TestBttAgainstReference:
     @pytest.mark.parametrize("bits", [128, 300])
     @pytest.mark.parametrize("side", ["A", "B"])
     def test_past_horizon_answer_neither_0_nor_1(self, side, bits):
+        # At 64x128 the I_2 probes read a bit_fn answer of 2 and fail.  At
+        # 64x300 only I_3 reaches past the horizon, read through runs_fn,
+        # whose answer at stage 9 is not a list of runs inside the range.
         _, A, B, layout = zulu_pair(64, bits, 29)
-        if side == "A":
-            A = with_bit_fn(A, lambda s, u, f=A.bit_fn: 2 if s == 9 else f(s, u))
+        P = A if side == "A" else B
+        if bits == 128:
+            bad = past_changed_at(P, 9, lambda s, u, b: 2,
+                                  lambda s, lo, hi, runs: runs)
         else:
-            B = with_bit_fn(B, lambda s, u, f=B.bit_fn: 2 if s == 9 else f(s, u))
-        report = btt_check(A, B, layout, seed=29)
-        assert report == btt_check_reference(A, B, layout, seed=29)
-        assert not report.ok and report.witness[0] == 9
+            bad = past_changed_at(P, 9, lambda s, u, b: b,
+                                  lambda s, lo, hi, runs: [*runs, (hi + 1,
+                                                                   hi + 1)])
+        if side == "A":
+            A = bad
+        else:
+            B = bad
+        if bits == 128:
+            report = btt_check(A, B, layout, stages=around(9))
+            assert report == btt_check_reference(A, B, layout,
+                                                 stages=around(9))
+            assert not report.ok and report.witness[0] == 9
+        else:
+            with pytest.raises(UsageError, match=(
+                    f"process {P.label!r}: stage 9 answers .* not an "
+                    f"ascending maximal run inside \\[300, 65810\\]")):
+                btt_check(A, B, layout)
 
     @pytest.mark.parametrize("strip,label", [
         ("AB", "maximal"), ("A", "minimal"), ("B", "maximal")])
@@ -384,37 +441,71 @@ class TestBttAgainstReference:
         # mirror (273), and A from position 128 on.
         _, A, B, layout = zulu_pair(64, 128, 13)
         if "A" in strip:
-            A = with_bit_fn(A, None)
+            A = with_past(A, None, None)
         if "B" in strip:
-            B = with_bit_fn(B, None)
-        got = outcome(btt_check, A, B, layout, seed=13)
-        assert got == outcome(btt_check_reference, A, B, layout, seed=13)
+            B = with_past(B, None, None)
+        got = outcome(btt_check, A, B, layout)
+        assert got == outcome(btt_check_reference, A, B, layout)
         assert got[0] is UsageError
         assert got[1].startswith(f"process {label!r} has no bits past the "
                                  "horizon of 128")
 
+    @pytest.mark.parametrize("strip,label", [
+        ("AB", "minimal"), ("A", "minimal"), ("B", "maximal")])
+    def test_no_runs_fn_past_the_horizon(self, strip, label):
+        # At 64x300 only I_3 reaches past the horizon, from stage 3 on; A's
+        # runs are asked for first.
+        _, A, B, layout = zulu_pair(64, 300, 13)
+        if "A" in strip:
+            A = with_past(A, A.bit_fn, None)
+        if "B" in strip:
+            B = with_past(B, B.bit_fn, None)
+        with pytest.raises(UsageError) as err:
+            btt_check(A, B, layout)
+        assert str(err.value) == (f"process {label!r} has no bits past the "
+                                  "horizon of 300, read at 300..65810")
+
     @pytest.mark.parametrize("bits", [8, 128, 300])
     def test_stage_outside_the_horizon(self, bits):
         _, A, B, layout = zulu_pair(64, bits, 13)
-        got = outcome(btt_check, A, B, layout, stages=[5, 64], seed=13)
+        got = outcome(btt_check, A, B, layout, stages=[5, 64])
         assert got == outcome(btt_check_reference, A, B, layout,
-                              stages=[5, 64], seed=13)
+                              stages=[5, 64])
         assert got == (UsageError, "stage 64 outside horizon of 64")
 
     def test_in_horizon_intervals_read_no_single_bits(self):
-        # At 64x300 the packed windows decide I_1 and I_2, so no position
-        # below I_3 is read one bit at a time.
+        # At 64x300 the packed windows decide I_1 and I_2 and the runs
+        # decide I_3, so no position is read one bit at a time.
         _, A, B, layout = zulu_pair(64, 300, 13)
-        lo_3 = layout.interval(3)[0]
         read = []
-        for p in (A, B):
-            proc_bit = p.bit
-            p.bit = lambda s, u, proc_bit=proc_bit: read.append(u) or proc_bit(s, u)
-        try:
-            assert btt_check(A, B, layout, seed=13).ok
-        finally:
-            del A.bit, B.bit
-        assert read and min(read) >= lo_3
+
+        def spy(p):
+            q = with_past(p, lambda s, u: read.append(u) or p.bit_fn(s, u),
+                          p.runs_fn)
+            q.bit = lambda s, u: read.append(u) or ApproxProcess.bit(q, s, u)
+            return q
+
+        assert btt_check(spy(A), spy(B), layout).ok
+        assert not read
+
+    def test_wrong_member_off_the_old_samples(self):
+        # An extra member of A deep inside I_3 at stage 40, past the 300-bit
+        # horizon: the link fails at u and only there, so only an audit that
+        # covers every position of I_3 finds it.
+        state, A, B, layout = zulu_pair(64, 300, 13)
+        lo, hi = layout.interval(3)
+        u = lo + 40000
+        assert u not in state.markers(40)
+        bad_a = past_changed_at(
+            A, 40, lambda s, v, a: 1 if v == u else a,
+            lambda s, lo_, hi_, runs: sorted([*runs, (u, u)])
+            if max(lo_, 300) <= u <= hi_ else runs)
+        report = btt_check(bad_a, B, layout, stages=around(40))
+        assert report.witness == (40, u)
+        assert report == btt_check_reference(bad_a, B, layout,
+                                             stages=around(40))
+        assert btt_check(bad_a, B, layout) == BttReport(
+            False, (40, u), 17 + 274 + 37 * 65811 + 274 + u - lo + 1)
 
 
 class TestMaxsep:
@@ -528,6 +619,20 @@ class TestTilde:
         # Interval 2 is not: the complementary legs appear instead.
         assert T.bit(s, 3 * a2) == 0
         assert T.bit(s, 3 * a2 + 1) == 1
+
+    @pytest.mark.parametrize("subset_form", [False, True])
+    def test_w_entry_between_changes_of_a(self, subset_form):
+        # W's entry lands at a stage where A keeps its value, and moves the
+        # legs of A's I_1 member there; bit_fn decides each position afresh.
+        om = omega_fixture(3, HZ, top_bit=7)
+        A = build_minimal(ZuluState(om, LAYOUT), HZ)
+        quiet = [s for s in range(4, HZ.stages) if s not in A.changes]
+        stage = quiet[len(quiet) // 2]
+        T = tilde_set(A, Schedule.from_pairs([(1, stage)]), LAYOUT, subset_form)
+        assert stage in T.changes
+        for s in range(HZ.stages):
+            assert T.prefix(s).value == Prefix.from_set(
+                (y for y in range(HZ.bits) if T.bit_fn(s, y)), HZ.bits).value
 
     def test_subset_form_drops_third_leg(self):
         om = omega_fixture(3, HZ, top_bit=7)
