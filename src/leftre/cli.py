@@ -130,7 +130,7 @@ def _run_markers(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> di
 
 def _run_generic(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
     Ws = fixtures.requirement_fixture()
-    bits = read_param(params, "bits", 14)
+    bits = read_param(params, "bits", 14, minimum=1)
     levels = read_param(params, "levels", 6, minimum=2)
     plan = genericity.build_generic_plan(Ws, bits, levels, hz)
     trace.line({"forced": plan.A.to_string(), "f": plan.f_values, "type": "plan"})

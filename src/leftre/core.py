@@ -312,17 +312,6 @@ def mirror_mismatch(a: Runs, b: Runs, lo: int, hi: int) -> Optional[int]:
                               for s, e in reversed(gaps)])
 
 
-def packed_mirror_mismatch(a: Prefix, b: Prefix, lo: int, hi: int
-                           ) -> Optional[int]:
-    """`mirror_mismatch` for a window [lo, hi] inside both prefixes: b's
-    window reversed must be the complement of a's, and the most significant
-    bit of their mismatch is the least failing position."""
-    width = hi - lo + 1
-    b_reversed = int(format(b.window(lo, hi), f"0{width}b")[::-1], 2)
-    bad = b_reversed ^ a.window(lo, hi) ^ ((1 << width) - 1)
-    return lo + width - bad.bit_length() if bad else None
-
-
 def change_stages(processes: Iterable[ApproxProcess]) -> set[int]:
     """Stage 0 and every stage at which one of the processes changes value."""
     return {0}.union(*(p.changes for p in processes))

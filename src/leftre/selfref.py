@@ -103,12 +103,22 @@ def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
     return ApproxProcess(prefix_value, alpha.horizon, label)
 
 
+def _last_shown(A: ApproxProcess, e: int) -> list[int]:
+    """For each stage s, the last stage <= s at which A shows e, or 0."""
+    stages = []
+    u = 0
+    for s in range(A.horizon.stages):
+        if A.bit(s, e) == 1:
+            u = s
+        stages.append(u)
+    return stages
+
+
 def make_into_itself(plan: SelfRefPlan) -> Numbering:
     """Follow the base family on surviving indices; on removed ones, switch to
     the chosen string followed by the boundary set, whose tail advances only
     while the driving approximation shows membership."""
-    hz = plan.base.horizon
-    final = hz.stages - 1
+    final = plan.base.horizon.stages - 1
     processes = []
     for e in range(plan.indices):
         alpha = plan.base.at(plan.h(e))
@@ -117,14 +127,9 @@ def make_into_itself(plan: SelfRefPlan) -> Numbering:
             processes.append(alpha)
             continue
         # The tail is frozen at the last stage that showed e in the driver.
-        tail_stage = []
-        u = 0
-        for s in range(hz.stages):
-            if plan.A.bit(s, e) == 1:
-                u = s
-            tail_stage.append(u)
         processes.append(_follow_then_switch(alpha, r, plan.sigma[e], plan.X,
-                                             tail_stage, f"beta-{e}"))
+                                             _last_shown(plan.A, e),
+                                             f"beta-{e}"))
     return Numbering(processes)
 
 
@@ -181,12 +186,7 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
         if e in place:
             processes.append(base.at(place[e]))
             continue
-        values = []
-        u = 0
-        for s in range(S):
-            if A.bit(s, e) == 1:
-                u = s
-            values.append(A.prefix(u).value)
+        values = [A.prefix(u).value for u in _last_shown(A, e)]
         processes.append(ApproxProcess(lambda s: values[s], hz, f"gamma-{e}"))
     return Numbering(processes)
 

@@ -205,7 +205,8 @@ class TestRunParams:
          'unknown key "n_cap" in split params; it reads none'),
         ({"stage": 16}, 'unknown key "stage" in the config; it reads '
                         'construction, stages, bits, seed, params'),
-    ])
+    ] + [({"construction": "generic", "params": {"bits": b}},
+          f"bits must be at least 1, got {b}") for b in (0, -1)])
     def test_bad_value_exits_2(self, config, message, tmp_path, capsys):
         if isinstance(config, dict):
             config = {"stages": 64, "bits": 128, **config}

@@ -6,7 +6,7 @@ from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
                          UsageError, ValidationReport, change_stages,
                          complement_runs, first_difference, first_mismatch,
                          join, lex_cmp, limit_estimate, mirror_mismatch,
-                         packed_mirror_mismatch, stage_runs, validate_left_re,
+                         stage_runs, validate_left_re,
                          validate_monotone_membership)
 
 HZ = Horizon(16, 24)
@@ -299,16 +299,6 @@ class TestRuns:
         assert first_mismatch(x, y) == min(a ^ b, default=None)
         link = {u for u in range(lo, hi + 1) if (u in a) == (hi + lo - u in b)}
         assert mirror_mismatch(x, y, lo, hi) == min(link, default=None)
-
-    @settings(max_examples=200)
-    @given(window_sets(), st.integers(0, 30))
-    def test_packed_mirror_mismatch(self, case, extra):
-        lo, hi, a, b = case
-        length = hi + 1 + extra
-        link = {u for u in range(lo, hi + 1) if (u in a) == (hi + lo - u in b)}
-        got = packed_mirror_mismatch(Prefix.from_set(a, length),
-                                     Prefix.from_set(b, length), lo, hi)
-        assert got == min(link, default=None)
 
     def test_window(self):
         p = Prefix.from_string("0110100")

@@ -250,6 +250,15 @@ class TestMinimalMaximal:
         with pytest.raises(InputError):
             ZuluState(bad, LAYOUT)
 
+    def test_repeated_entry_counted_once(self):
+        # A history bit entered twice is the same bit: both schedules
+        # describe the set {1} from stage 1 on.
+        once = ZuluState(Schedule.from_pairs([(1, 1)]), LAYOUT)
+        twice = ZuluState(Schedule.from_pairs([(1, 1), (1, 2)]), LAYOUT)
+        assert compute_c(twice.omega, 1, 2) == compute_c(once.omega, 1, 2) == 2
+        for s in range(6):
+            assert twice.markers(s) == once.markers(s)
+
     def test_static_history_static_markers(self):
         om = Schedule.from_pairs([])
         st_ = ZuluState(om, LAYOUT)
@@ -278,11 +287,11 @@ def btt_check_reference(A, B, layout, stages=None) -> BttReport:
 
 
 @lru_cache(maxsize=None)
-def zulu_pair(stages: int, bits: int, seed: int):
-    """The CLI's zulu state for a horizon and seed, its minimal and maximal
-    sets, and its layout."""
+def zulu_pair(stages: int, bits: int, seed: int, n_cap: int = 3):
+    """The CLI's zulu state for a horizon, seed and layout cap, its minimal
+    and maximal sets, and its layout."""
     hz = Horizon(stages, bits)
-    state = _zulu_state(hz, seed, {})
+    state = _zulu_state(hz, seed, {"n_cap": n_cap})
     return state, build_minimal(state, hz), build_maximal(state, hz), state.layout
 
 
@@ -371,6 +380,43 @@ class TestBttAgainstReference:
             assert report.witness == (stage, u)
         else:
             assert report.ok
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from([128, 300]), st.sampled_from([13, 29]),
+           st.sampled_from([2, 3]),
+           st.sampled_from(["clean", "flip A", "flip B", "past A", "past B"]),
+           st.data())
+    def test_any_stage_list(self, bits, seed, n_cap, mutant, data):
+        # Stage lists out of order, with repeats and gaps: an interval is
+        # counted unchecked only when its inputs equal those it last passed
+        # with, wherever that stage stood in the list.  I_3, covered when
+        # n_cap is 3, costs the oracle 65,537 reads per stage, so there the
+        # list holds the mutated stage and one neighbour.
+        _, A, B, layout = zulu_pair(64, bits, seed, n_cap)
+        # The mutated stage and its neighbours cover every interval.
+        stage = data.draw(st.integers(n_cap + 1, 62), label="stage")
+        side = mutant[-1]
+        P = A if side == "A" else B
+        if mutant.startswith("flip"):
+            position = data.draw(st.integers(0, bits - 1), label="position")
+            P = flipped(P, stage, position)
+        elif mutant.startswith("past"):
+            P = past_changed_at(
+                P, stage, lambda s, u, b: b ^ 1,
+                lambda s, lo, hi, runs: complement_runs(runs, max(lo, bits),
+                                                        hi))
+        A, B = (P, B) if side == "A" else (A, P)
+        # The mutated stage after one or more others, mostly its
+        # neighbours, which usually share its inputs but for the mutation.
+        near = st.sampled_from(around(stage))
+        others = (st.lists(st.one_of(near, near, near, st.integers(0, 63)),
+                           min_size=1, max_size=7) if n_cap == 2
+                  else st.lists(near, min_size=1, max_size=1))
+        stages = data.draw(others, label="stages")
+        stages.insert(data.draw(st.integers(1, len(stages)), label="at"),
+                      stage)
+        assert btt_check(A, B, layout, stages=stages) == btt_check_reference(
+            A, B, layout, stages=stages)
 
     def test_mirror_at_the_member_found(self):
         # B misses each I_1 marker itself instead of its mirror: unreversed,
@@ -470,8 +516,8 @@ class TestBttAgainstReference:
         assert got == (UsageError, "stage 64 outside horizon of 64")
 
     def test_in_horizon_intervals_read_no_single_bits(self):
-        # At 64x300 the packed windows decide I_1 and I_2 and the runs
-        # decide I_3, so no position is read one bit at a time.
+        # At 64x300 I_1 and I_2 lie inside the horizon and runs decide
+        # every interval, so no position is read one bit at a time.
         _, A, B, layout = zulu_pair(64, 300, 13)
         read = []
 
