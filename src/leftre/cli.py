@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Callable, Optional, TextIO
 
 from . import diagonal, fixtures, genericity, markers, relations, selfref, zulu
@@ -303,7 +304,7 @@ def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> d
     nu = fixtures.diagonal_catalog(hz)
     Ws = [Schedule.from_pairs([]) for _ in range(nu.index_range)]
     B, state = diagonal.build_diagonal(nu, Ws)
-    for row in state.trace_rows()[:200]:
+    for row in islice(state.trace_rows(), 200):
         trace.line({"type": "diag", **row})
     final = B.final_prefix()
     differs = all(final.value != limit_estimate(nu.at(e))[0].value

@@ -330,6 +330,7 @@ class ValidationReport:
     stage: Optional[int] = None
     position: Optional[int] = None
     reason: str = ""
+    checked: int = 0  # how much was verified, for checks that count it
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,7 +10,7 @@ vacated position rejoins the set at a smaller index than the one removed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
                    UsageError, change_stages)
@@ -54,13 +54,11 @@ class DiagonalState:
         """
         return self.e_cap + 1
 
-    def trace_rows(self) -> list[dict]:
-        rows = []
+    def trace_rows(self) -> Iterator[dict]:
         for s in range(len(self.x)):
             for e in range(len(self.x[s])):
-                rows.append({"stage": s, "e": e, "F": self.F[s][e],
-                             "d": self.d[s][e], "x": self.x[s][e]})
-        return rows
+                yield {"stage": s, "e": e, "F": self.F[s][e],
+                       "d": self.d[s][e], "x": self.x[s][e]}
 
 
 def build_diagonal(nu: Numbering,

@@ -11,6 +11,7 @@ dominates v(n), and which is retraced downward by a total function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .core import ApproxProcess, Horizon, InputError, Schedule, UsageError
@@ -34,22 +35,13 @@ class MarkerSystem:
 
     def marker(self, k: int, s: int) -> int:
         """Position of marker k in the stage-s snapshot (k-th smallest survivor)."""
-        for i, p in enumerate(self.live_at(s)):
-            if i == k:
-                return p
-        raise AssertionError("unreachable: survivor stream is infinite")
+        return next(islice(self.live_at(s), k, None))
 
     def final_stage(self) -> int:
         return self.horizon.stages - 1
 
     def final_markers(self, count: int) -> list[int]:
-        s = self.final_stage()
-        out = []
-        for i, p in enumerate(self.live_at(s)):
-            if i == count:
-                break
-            out.append(p)
-        return out
+        return list(islice(self.live_at(self.final_stage()), count))
 
     def snapshot_below(self, bound: int, s: int) -> list[int]:
         return [p for p in range(bound) if not self.removed(p, s)]

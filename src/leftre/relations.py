@@ -85,9 +85,6 @@ class RelationOracle:
     def has(self, i: int, j: int) -> bool:
         return 0 <= i < len(self.rows) and self.rows[i] >> j & 1 == 1
 
-    def max_stage(self) -> int:
-        return max((t for t, _, _ in self.stage_groups()), default=0)
-
     def csv_rows(self) -> list[str]:
         return [f"{i},{j},{t}" for (i, j), t in sorted(
             self.entries, key=lambda e: (e[1], pair_code(*e[0])))]
@@ -173,28 +170,22 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     if x == 0:
         return set()
     S = nu.horizon.stages
-    limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
-                S - 1) + 1
     candidates = range(2, nu.index_range)
-    changed = change_stages(nu.at(e) for e in candidates)
     # The stage-s views grow by the entries of stage s, taken in stage order.
     emissions = oracle.entries
     k_entries = sorted(K.entries, key=lambda e: e[1])
+    stages = change_stages(nu.at(e) for e in candidates).union(
+        (t for (_, j), t in emissions if j < 2), (t for _, t in k_entries))
     emitted: set[tuple[int, int]] = set()
     k_view: set[int] = set()
     i = k = 0
-    for s in range(limit):
-        moved = s in changed
+    for s in sorted(stages):
         while i < len(emissions) and emissions[i][1] <= s:
             emitted.add(emissions[i][0])
-            moved = moved or emissions[i][0][1] < 2
             i += 1
         while k < len(k_entries) and k_entries[k][1] <= s:
             k_view.add(k_entries[k][0])
-            moved = True
             k += 1
-        if not moved:
-            continue  # nothing read below changed since stage s - 1
         for e in candidates:
             if (e, 0) not in emitted or (e, 1) not in emitted:
                 continue
@@ -213,10 +204,9 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
 
 @dataclass
 class GazeboState:
-    followers: dict[int, int] = field(default_factory=dict)  # beta idx -> alpha idx
+    # alpha idx -> (beta idx, stage), for alpha idx 0, 1, ... in order
     established: dict[int, tuple[int, int]] = field(default_factory=dict)
     obliterated: dict[int, int] = field(default_factory=dict)  # alpha idx -> stage
-    next_fresh: int = 0
     # (stage, left side, bitset of the right sides emitted then), in
     # emission order: by stage, then left side.
     groups: list[tuple[int, int, int]] = field(default_factory=list)
@@ -258,12 +248,9 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
           for i in range(n)]
     changed = change_stages(beta)
 
-    state = GazeboState()
-    for j in range(n):
-        state.followers[j] = j
-        state.established[j] = (j, 0)
-    state.next_fresh = n
-    right_of = state.right_of
+    state = GazeboState(established={j: (j, 0) for j in range(n)})
+    followers = {j: j for j in range(n)}  # beta idx -> alpha idx
+    right_of = state.right_of  # one slot per follower established so far
     right_of.extend([0] * n)
 
     def emit_stage(s: int, fresh_from: int, killed: int, dead: int) -> None:
@@ -271,10 +258,10 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         # side emits once both sides are defined; live pairs follow beta, so
         # a live left side's right sides are the live followers whose value
         # is at least its own.
-        live = [(a, bv[b][s]) for b, a in state.followers.items()]
+        live = [(a, bv[b][s]) for b, a in followers.items()]
         at_least = _at_least(live)
         rights = {a: at_least[v] for a, v in live}
-        for a in range(state.next_fresh) if killed else sorted(rights):
+        for a in range(len(right_of)) if killed else sorted(rights):
             bits = rights.get(a, 0) | killed
             if a >= fresh_from:
                 bits |= dead
@@ -284,18 +271,18 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                 state.groups.append((s, a, bits))
 
     emit_stage(0, 0, 0, 0)
-    state.trace.append({"stage": 0, "followers": dict(state.followers),
+    state.trace.append({"stage": 0, "followers": dict(followers),
                         "obliterated": []})
     dead = 0  # bitset of the obliterated followers
     for s in range(1, hz.stages):
         killed = 0
         if s in changed:
             # i overtook j: the follower of j and every live index above it go.
-            overtaken = [state.followers[j] for i in range(n) for j in range(n)
+            overtaken = [followers[j] for i in range(n) for j in range(n)
                          if i != j and bv[i][s - 1] <= bv[j][s - 1]
                          and bv[i][s] > bv[j][s]]
             if overtaken:
-                killed = ((1 << state.next_fresh) - (1 << min(overtaken))) & ~dead
+                killed = ((1 << len(right_of)) - (1 << min(overtaken))) & ~dead
         # Cascade: an emitted pair with a dead left side must not outlive its
         # right side, or the comparison flips when the left goes all-ones.
         frontier = killed
@@ -306,27 +293,25 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
             frontier = reach & ~(dead | killed)
             killed |= frontier
         obliterated = list(_members(killed))
-        fresh_from = state.next_fresh
+        fresh_from = len(right_of)
         if killed:
             dead |= killed
             for a in obliterated:
                 state.obliterated[a] = s
-            for j in sorted(b for b, a in state.followers.items()
+            for j in sorted(b for b, a in followers.items()
                             if killed >> a & 1):
-                state.followers[j] = state.next_fresh
-                state.established[state.next_fresh] = (j, s)
-                state.next_fresh += 1
+                followers[j] = a = len(right_of)
+                state.established[a] = (j, s)
                 right_of.append(0)
         emit_stage(s, fresh_from, killed, dead)
-        state.trace.append({"stage": s, "followers": dict(state.followers),
+        state.trace.append({"stage": s, "followers": dict(followers),
                             "obliterated": obliterated})
 
     # A follower reads 0 before it is established, follows its beta index
     # until obliterated, and is all-ones from then on.
     S = hz.stages
     processes = []
-    for a in range(state.next_fresh):
-        i, t = state.established[a]
+    for a, (i, t) in state.established.items():
         o = max(t, state.obliterated.get(a, S))
         values = [0] * t + bv[i][t:o] + [ones] * (S - o)
         processes.append(ApproxProcess(values.__getitem__, hz, f"alpha-{a}"))

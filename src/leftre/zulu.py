@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Prefix, Runs, Schedule, UsageError,
-                   change_stages, complement_runs, join, mirror_mismatch,
-                   rank_parity, stage_runs)
+                   ValidationReport, change_stages, complement_runs, join,
+                   mirror_mismatch, rank_parity, stage_runs)
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,6 @@ class ZuluState:
     def __post_init__(self) -> None:
         _check_omega(self.omega)
 
-    def c(self, n: int, s: int) -> int:
-        return compute_c(self.omega, n, s)
-
     def _marker(self, n: int, s: int, c_prev: int, c_n: int) -> int:
         """a_n at stage s from the block sums c(n - 1, s) and c(n, s)."""
         b = self.layout.base(n)
@@ -134,7 +131,8 @@ class ZuluState:
     def a(self, n: int, s: int) -> int:
         if n < 1:
             raise UsageError("block differences start at n = 1")
-        return self._marker(n, s, self.c(n - 1, s), self.c(n, s))
+        return self._marker(n, s, compute_c(self.omega, n - 1, s),
+                            compute_c(self.omega, n, s))
 
     def b(self, n: int, s: int) -> int:
         return self.layout.mirror(self.a(n, s))
@@ -151,7 +149,8 @@ class ZuluState:
     def _table(self, s: int) -> tuple:
         s = self._moves[bisect_right(self._moves, s) - 1]
         if s not in self._tables:
-            sums = [self.c(n, s) for n in range(self.covered(s) + 1)]
+            sums = [compute_c(self.omega, n, s)
+                    for n in range(self.covered(s) + 1)]
             marks = tuple(self._marker(n, s, sums[n - 1], sums[n])
                           for n in range(1, len(sums)))
             self._tables[s] = marks, tuple(map(self.layout.mirror, marks))
@@ -211,18 +210,11 @@ def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
 RUNS_FROM = 3  # btt_check reads I_n across the horizon as runs from n = 3 on
 
 
-@dataclass(frozen=True)
-class BttReport:
-    ok: bool
-    witness: Optional[tuple[int, int]] = None  # (stage, position)
-    checked: int = 0
-
-
 def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
-              stages: Optional[Sequence[int]] = None) -> BttReport:
+              stages: Optional[Sequence[int]] = None) -> ValidationReport:
     """Verify u in A iff mirror(u) not in B at every position of the covered
-    intervals.  The witness is the least failing position of the first
-    failing stage; `checked` counts the positions verified.
+    intervals.  A failing report names the first failing stage and its least
+    failing position; `checked` counts the positions verified.
 
     Each interval is compared as runs: `mirror_mismatch` of A's and B's
     `stage_runs`.  An interval whose inputs, the two stage prefixes plus
@@ -256,9 +248,11 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
                     stage_runs(pb, lo, hi, past[1]), lo, hi)
                 passed[n] = key
             if u is not None:
-                return BttReport(False, (s, u), checked + u - lo + 1)
+                return ValidationReport(
+                    False, s, u, f"A at {u} equals B at its mirror {hi + lo - u}",
+                    checked + u - lo + 1)
             checked += hi - lo + 1
-    return BttReport(True, None, checked)
+    return ValidationReport(True, checked=checked)
 
 
 def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
@@ -276,9 +270,6 @@ def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
                 raise InputError(
                     f"stage {t} enumerates {len(by_stage.get(t, ()))} elements; "
                     "exactly one per stage is required")
-    # One element per stage from stage 0 on: the stage-s members are the
-    # first s + 1 elements in stage order.
-    order = [by_stage[t][0] for t in sorted(by_stage)]
     N = horizon.bits
     full = (1 << N) - 1
     members = A.as_process(horizon)
@@ -287,15 +278,7 @@ def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
         M = members.prefix(s).value
         C = full & ~M
         values.append(M | (C & ~rank_parity(C, N)))
-
-    def bit(s: int, x: int) -> int:
-        members = frozenset(order[:s + 1])
-        if x in members:
-            return 1
-        comp_rank = x - sum(1 for m in members if m < x)
-        return comp_rank % 2
-
-    return ApproxProcess(lambda s: values[s], horizon, "strict-superset", bit_fn=bit)
+    return ApproxProcess(lambda s: values[s], horizon, "strict-superset")
 
 
 def _even_positions(N: int) -> int:

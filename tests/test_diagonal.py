@@ -142,7 +142,7 @@ class TestBuildDiagonal:
     def test_trace_rows_shape(self):
         nu = diagonal_catalog(HZ)
         _, state = build_diagonal(nu, empty_ws(4))
-        rows = state.trace_rows()
+        rows = list(state.trace_rows())
         assert len(rows) == HZ.stages * 4
         assert set(rows[0]) == {"stage", "e", "F", "d", "x"}
 

@@ -101,7 +101,6 @@ class TestRelationOracle:
         assert oracle.groups == ((1, 0, 0b10), (3, 0, 0b10), (4, 2, 0b11))
         assert oracle.entries == (((0, 1), 1), ((0, 1), 3), ((2, 0), 4),
                                   ((2, 1), 4))
-        assert oracle.max_stage() == 4
 
     def test_first_mismatch_is_least_pair(self):
         a = RelationOracle((0b1, 0b1011, 0b1))
@@ -155,8 +154,8 @@ def decide_k_below_reference(oracle, nu, x, K, a_index=0, b_index=1):
     if x == 0:
         return set()
     S = nu.horizon.stages
-    limit = max(oracle.max_stage(), max((t for _, t in K.entries), default=0),
-                S - 1) + 1
+    limit = max(max((t for _, t in oracle.entries), default=0),
+                max((t for _, t in K.entries), default=0), S - 1) + 1
     for s in range(limit):
         emitted = frozenset(p for p, t in oracle.entries if t <= s)
         k_view = K.members_at(s)
@@ -260,7 +259,7 @@ class TestGazebo:
         beta = constant_numbering(sets, hz)
         alpha, state = gazebo_run(beta)
         assert not state.obliterated
-        assert state.next_fresh == 3
+        assert len(state.established) == 3
         for e in range(3):
             assert alpha.at(e).final_prefix() == beta.at(e).final_prefix()
 
@@ -300,7 +299,7 @@ class TestGazebo:
         beta = random_catalog(3, 4, HZ, "gz")
         alpha, state = gazebo_run(beta)
         emitted = gazebo_lex_emissions(state).pairs()
-        for a in range(state.next_fresh):
+        for a in range(len(state.established)):
             assert (a, a) in emitted
 
     def test_all_ones_catalog_rejected(self):

@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from leftre.cli import _zulu_state
 from leftre.core import (ApproxProcess, CapacityError, Horizon, InputError,
-                         Prefix, Schedule, UsageError, complement_runs,
-                         validate_left_re)
+                         Prefix, Schedule, UsageError, ValidationReport,
+                         complement_runs, validate_left_re)
 from leftre.fixtures import (omega_fixture, omega_worked_example,
                              one_per_stage_schedule, random_leftre_process)
-from leftre.zulu import (BlockLayout, BttReport, ZuluState, btt_check,
+from leftre.zulu import (BlockLayout, ZuluState, btt_check,
                          build_maximal, build_minimal, compute_c,
                          lowerfarm_witness,
                          max_join_gadget, maxsep_superset, split_subset,
@@ -201,13 +201,15 @@ class TestMinimalMaximal:
         state = _zulu_state(HZ, seed, {"n_cap": 3})
         A = build_minimal(state, HZ)
         B = build_maximal(state, HZ)
-        assert btt_check(A, B, state.layout) == BttReport(True, None, checked)
+        assert btt_check(A, B, state.layout) == ValidationReport(
+            True, checked=checked)
 
     @pytest.mark.parametrize("seed,checked", [(13, 17 + 274 + 509 * 65811),
                                               (29, 17 + 274 + 509 * 65811)])
     def test_btt_probe_coverage_pinned_512x1024(self, seed, checked):
         _, A, B, layout = zulu_pair(512, 1024, seed)
-        assert btt_check(A, B, layout) == BttReport(True, None, checked)
+        assert btt_check(A, B, layout) == ValidationReport(
+            True, checked=checked)
 
     @pytest.mark.parametrize("seed", [13, 29])
     @pytest.mark.parametrize("n_cap", [1, 2, 3])
@@ -267,7 +269,7 @@ class TestMinimalMaximal:
         assert st_.a(1, 1) == LAYOUT.pair(1, 0, 3)
 
 
-def btt_check_reference(A, B, layout, stages=None) -> BttReport:
+def btt_check_reference(A, B, layout, stages=None) -> ValidationReport:
     """Slow oracle for `btt_check`: at every stage, every position u of every
     covered interval, in order, reads A at u and B at the mirror of u
     through `bit`."""
@@ -282,8 +284,10 @@ def btt_check_reference(A, B, layout, stages=None) -> BttReport:
             for u in range(lo, hi + 1):
                 checked += 1
                 if A.bit(s, u) != 1 - B.bit(s, hi + lo - u):
-                    return BttReport(False, (s, u), checked)
-    return BttReport(True, None, checked)
+                    return ValidationReport(
+                        False, s, u,
+                        f"A at {u} equals B at its mirror {hi + lo - u}", checked)
+    return ValidationReport(True, checked=checked)
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +381,7 @@ class TestBttAgainstReference:
         if stage >= layout.ind(position):
             # The flipped position lies in a covered interval.
             u = position if flip_a else layout.mirror(position)
-            assert report.witness == (stage, u)
+            assert (report.stage, report.position) == (stage, u)
         else:
             assert report.ok
 
@@ -430,7 +434,7 @@ class TestBttAgainstReference:
                               runs_fn=B.runs_fn)
         report = btt_check(A, bad_b, layout)
         assert report == btt_check_reference(A, bad_b, layout)
-        assert not report.ok and report.witness[0] == 1
+        assert not report.ok and report.stage == 1
 
     @pytest.mark.parametrize("bits", [128, 300])
     @pytest.mark.parametrize("stage", [1, 2, 3, 40])
@@ -446,7 +450,7 @@ class TestBttAgainstReference:
         assert report == btt_check_reference(A, bad_b, layout,
                                              stages=around(stage))
         if stage >= 3 or (stage == 2 and bits == 128):
-            assert not report.ok and report.witness[0] == stage
+            assert not report.ok and report.stage == stage
         else:
             assert report.ok
 
@@ -474,7 +478,7 @@ class TestBttAgainstReference:
             return
         report = btt_check(A, B, layout, stages=around(9))
         assert report == btt_check_reference(A, B, layout, stages=around(9))
-        assert not report.ok and report.witness[0] == 9
+        assert not report.ok and report.stage == 9
 
     @pytest.mark.parametrize("strip,label", [
         ("AB", "maximal"), ("A", "minimal"), ("B", "maximal")])
@@ -543,11 +547,12 @@ class TestBttAgainstReference:
             lambda s, lo_, hi_, runs: sorted([*runs, (u, u)])
             if max(lo_, 300) <= u <= hi_ else runs)
         report = btt_check(bad_a, B, layout, stages=around(40))
-        assert report.witness == (40, u)
+        assert (report.stage, report.position) == (40, u)
         assert report == btt_check_reference(bad_a, B, layout,
                                              stages=around(40))
-        assert btt_check(bad_a, B, layout) == BttReport(
-            False, (40, u), 17 + 274 + 37 * 65811 + 274 + u - lo + 1)
+        assert btt_check(bad_a, B, layout) == ValidationReport(
+            False, 40, u, f"A at {u} equals B at its mirror {hi + lo - u}",
+            17 + 274 + 37 * 65811 + 274 + u - lo + 1)
 
 
 class TestMaxsep:
