@@ -173,7 +173,10 @@ class ApproxProcess:
 
     `prefix_fn(s)` is called once per stage s < horizon.stages, when the
     process is built, and must return the stage-s prefix as a packed integer
-    of horizon.bits bits; a value out of that range raises UsageError.
+    of horizon.bits bits; a value out of that range raises UsageError.  At a
+    stage s >= 1 it may instead return None, meaning "the value of stage
+    s - 1": a writer that knows where its value can move (the zulu sets,
+    tilde, diagonal) computes it only there.
     `prefix(s)` and `bit(s, n)` for n < horizon.bits read the stored values.
     `changes` is the ascending tuple of the stages s >= 1 whose value differs
     from stage s - 1's; every other stage repeats its predecessor.
@@ -186,8 +189,8 @@ class ApproxProcess:
     raises UsageError.
     """
 
-    def __init__(self, prefix_fn: Callable[[int], int], horizon: Horizon,
-                 label: str = "",
+    def __init__(self, prefix_fn: Callable[[int], Optional[int]],
+                 horizon: Horizon, label: str = "",
                  bit_fn: Optional[Callable[[int, int], int]] = None,
                  runs_fn: Optional[Callable[[int, int, int], Runs]] = None):
         N = horizon.bits
@@ -196,11 +199,12 @@ class ApproxProcess:
         p = None
         for s in range(horizon.stages):
             value = prefix_fn(s)
-            # A stage that repeats its predecessor's value shares its Prefix.
-            if p is None or value != p.value:
+            # A stage that repeats its predecessor's value shares its Prefix;
+            # None at stage 0 still reaches the range check.
+            if p is None or (value is not None and value != p.value):
                 try:
                     p = Prefix(N, value)
-                except UsageError:
+                except (TypeError, UsageError):
                     raise UsageError(f"process {label!r}: stage {s} value "
                                      f"does not fit {N} bits") from None
                 if s:
@@ -357,6 +361,8 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
     'up' is the subset-increasing discipline of an enumeration schedule;
     'down' is the complement-enumeration discipline of marker constructions.
     """
+    if direction not in ("up", "down"):
+        raise UsageError(f"direction must be 'up' or 'down', not {direction!r}")
     for s in p.changes:
         prev, cur = p.prefix(s - 1).value, p.prefix(s).value
         bad = prev & ~cur if direction == "up" else cur & ~prev
@@ -431,10 +437,6 @@ class Schedule:
 
     def final_members(self) -> frozenset[int]:
         return frozenset(x for x, _ in self.entries)
-
-    def max_member_at(self, s: int) -> Optional[int]:
-        ms = self.members_at(s)
-        return max(ms) if ms else None
 
     def bit(self, x: int, s: int) -> int:
         t = self.entry_stage(x)

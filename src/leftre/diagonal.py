@@ -99,13 +99,10 @@ def build_diagonal(nu: Numbering,
         state.d.append(row_d)
         state.x.append(row_x)
 
-    point_sets = [frozenset(row) for row in state.x]
+    # B is the complement of row x: its value moves only where the row does.
     full = (1 << hz.bits) - 1
-
-    def bit(s: int, y: int) -> int:
-        return 0 if y in point_sets[s] else 1
-
     B = ApproxProcess(
-        lambda s: full & ~Prefix.from_set(point_sets[s], hz.bits).value,
-        hz, "diagonal", bit_fn=bit)
+        lambda s: full & ~Prefix.from_set(state.x[s], hz.bits).value
+        if s == 0 or state.x[s] != state.x[s - 1] else None,
+        hz, "diagonal", bit_fn=lambda s, y: 0 if y in state.x[s] else 1)
     return B, state

@@ -213,7 +213,8 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
     """Restrict a process below the running maximum of an enumeration."""
     hz = B.horizon
     N = hz.bits
-    cutoffs = [W.max_member_at(s) for s in range(hz.stages)]
+    cutoffs = [max(W.members_at(s), default=None)
+               for s in range(hz.stages)]
 
     def prefix_value(s: int) -> int:
         c = cutoffs[s]

@@ -87,16 +87,8 @@ class BlockLayout:
         return hi + lo - u
 
 
-def _check_omega(omega: Schedule) -> None:
-    if omega.entry_stage(0) is not None:
-        raise InputError(
-            "bit 0 of the driving history must stay 0; the block-sum bound "
-            "c_n <= 2^(2^n) fails otherwise")
-
-
 def compute_c(omega: Schedule, n: int, s: int) -> int:
     """Block sum: sum over m < 2^n of 2^(2^n - m) times the stage-s bit at m."""
-    _check_omega(omega)
     top = 1 << n
     return sum(1 << (top - m) for m in omega.members_at(s) if m < top)
 
@@ -117,7 +109,10 @@ class ZuluState:
     _tables: dict[int, tuple] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_omega(self.omega)
+        if self.omega.entry_stage(0) is not None:
+            raise InputError(
+                "bit 0 of the driving history must stay 0; the block-sum "
+                "bound c_n <= 2^(2^n) fails otherwise")
 
     def _marker(self, n: int, s: int, c_prev: int, c_n: int) -> int:
         """a_n at stage s from the block sums c(n - 1, s) and c(n, s)."""
@@ -166,42 +161,47 @@ class ZuluState:
 
 
 def build_minimal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
-    """The set holding exactly the member markers of the covered intervals."""
+    """The set holding exactly the member markers of the covered intervals.
+    A stage value is computed only where the markers can move."""
     N = horizon.bits
-    marks = [state.markers(s) for s in range(horizon.stages)]
+    moves = set(state._moves)
 
     def bit(s: int, u: int) -> int:
-        return 1 if u in marks[s] else 0
+        return 1 if u in state.markers(s) else 0
 
     def runs(s: int, lo: int, hi: int) -> Runs:
-        return [(u, u) for u in marks[s] if max(lo, N) <= u <= hi]
+        return [(u, u) for u in state.markers(s) if max(lo, N) <= u <= hi]
 
-    return ApproxProcess(lambda s: Prefix.from_set(marks[s], N).value,
-                         horizon, "minimal", bit_fn=bit, runs_fn=runs)
+    return ApproxProcess(
+        lambda s: Prefix.from_set(state.markers(s), N).value
+        if s in moves else None, horizon, "minimal", bit_fn=bit, runs_fn=runs)
 
 
 def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
-    """The set missing exactly the mirror markers of the covered intervals."""
+    """The set missing exactly the mirror markers of the covered intervals.
+    A stage value is computed only where the mirrors can move."""
     layout = state.layout
     N = horizon.bits
-    mirrors = [state.mirrors(s) for s in range(horizon.stages)]
-    # ends[s] is the first position past the intervals covered at stage s.
-    ends = [layout.offset(len(m) + 1) for m in mirrors]
+    moves = set(state._moves)
+
+    def end(s: int) -> int:
+        """The first position past the intervals covered at stage s."""
+        return layout.offset(state.covered(s) + 1)
 
     def bit(s: int, u: int) -> int:
-        return 1 if u < ends[s] and u not in mirrors[s] else 0
+        return 1 if u < end(s) and u not in state.mirrors(s) else 0
 
     def runs(s: int, lo: int, hi: int) -> Runs:
         lo = max(lo, N)
-        return complement_runs([(b, b) for b in mirrors[s] if lo <= b <= hi],
-                               lo, min(hi, ends[s] - 1))
+        return complement_runs(
+            [(b, b) for b in state.mirrors(s) if lo <= b <= hi],
+            lo, min(hi, end(s) - 1))
 
-    def prefix_value(s: int) -> int:
-        if not mirrors[s]:
-            return 0
-        end = min(N, ends[s])
-        covered = ((1 << end) - 1) << (N - end)
-        return covered & ~Prefix.from_set(mirrors[s], N).value
+    def prefix_value(s: int) -> Optional[int]:
+        if s not in moves:
+            return None
+        covered = (1 << N) - (1 << max(N - end(s), 0))
+        return covered & ~Prefix.from_set(state.mirrors(s), N).value
 
     return ApproxProcess(prefix_value, horizon, "maximal", bit_fn=bit,
                          runs_fn=runs)
@@ -361,7 +361,7 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
     enumeration over interval indices: members x with enumerated interval
     index contribute 3x, the others contribute 3x+1 and 3x+2 (the subset form
     drops the 3x+2 leg).  A stage value is computed only where A changes
-    or W gains an entry; every other stage repeats the one before."""
+    or W gains an entry."""
     N = A.horizon.bits
 
     def stage_value(s: int) -> int:
@@ -389,10 +389,8 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
         return 1 - in_w
 
     moves = change_stages([A]).union(t for _, t in W.entries)
-    values = []
-    for s in range(A.horizon.stages):
-        values.append(stage_value(s) if s in moves else values[-1])
-    return ApproxProcess(lambda s: values[s], A.horizon, "tilde", bit_fn=bit)
+    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
+                         A.horizon, "tilde", bit_fn=bit)
 
 
 def max_join_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:

@@ -112,6 +112,10 @@ class TestValidators:
         assert not validate_monotone_membership(mixed, "up").ok
         assert not validate_monotone_membership(mixed, "down").ok
 
+    def test_membership_direction_unknown(self):
+        with pytest.raises(UsageError, match="'sideways'"):
+            validate_monotone_membership(staged([0, 1]), "sideways")
+
 
 class TestSchedule:
     def test_members_accumulate(self):
@@ -241,6 +245,21 @@ class TestChanges:
         assert p.changes == ()
         assert change_stages([p]) == {0}
         assert limit_estimate(p) == (Prefix(4, 5), True)
+
+    def test_none_repeats_the_stage_before(self):
+        # Stages 1-3 and 5-6 return None: each shares its predecessor's
+        # Prefix object and records no change; stage 4's new value after a
+        # run of Nones is a change, and stage 7 repeats it by value.
+        values = [5, None, None, None, 9, None, None, 9]
+        p = ApproxProcess(values.__getitem__, Horizon(8, 4))
+        assert p.changes == (4,)
+        assert [p.prefix(s).value for s in range(8)] == [5] * 4 + [9] * 4
+        for s in (1, 2, 3, 5, 6, 7):
+            assert p.prefix(s) is p.prefix(s - 1)
+
+    def test_none_at_stage_0_raises(self):
+        with pytest.raises(UsageError, match="stage 0"):
+            ApproxProcess(lambda s: None, Horizon(2, 4), "bad")
 
     def test_stable_iff_the_last_change_precedes_the_window(self):
         S = HZ.stages

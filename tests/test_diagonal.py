@@ -38,6 +38,12 @@ def compute_F_reference(nu: Numbering, e: int, s: int) -> int:
     return best
 
 
+def diagonal_value_reference(state, s, N):
+    """Slow oracle for build_diagonal's stage values: the complement of row
+    x of stage s, packed afresh at every stage."""
+    return ((1 << N) - 1) & ~Prefix.from_set(state.x[s], N).value
+
+
 def empty_ws(n):
     return [Schedule.from_pairs([]) for _ in range(n)]
 
@@ -178,3 +184,29 @@ class TestBuildDiagonal:
         assert all(B.final_prefix() != limit_estimate(nu.at(e))[0]
                    for e in range(4))
         assert main(["run", "diagonal", "--stages", "1", "--bits", "8"]) == 0
+
+
+class TestStageValuesAgainstReference:
+    """build_diagonal computes a stage value only where row x moves and
+    leaves every other stage to repeat the one before; every stage must
+    still equal the complement of its row."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 48), st.integers(8, 96),
+           st.sets(st.integers(0, 3), min_size=1), st.data())
+    def test_firing_schedules(self, stages, bits, fire_for, data):
+        # Catalog index i fills its first i positions at a stage before
+        # S // 2, where the schedules fire on the points settled by then.
+        hz = Horizon(stages, bits)
+        fill = st.integers(0, stages // 2 - 1)
+        nu = Numbering([finite_set_process(set(), hz)] + [
+            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
+            for i, t in zip((1, 2, 3), data.draw(st.lists(
+                fill, min_size=3, max_size=3)))])
+        _, settled = build_diagonal(nu, empty_ws(4))
+        Ws = diagonal_schedules(settled.x[-1], hz, tuple(fire_for))
+        B, state = build_diagonal(nu, Ws)
+        assert sorted(state.trigger_stages) == sorted(fire_for)
+        for s in range(stages):
+            assert B.prefix(s).value == diagonal_value_reference(state, s,
+                                                                 bits), s

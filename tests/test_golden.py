@@ -57,3 +57,25 @@ def test_wide_trace_matches_golden(construction, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == WIDE_GOLDEN_SHA256[construction]
+
+
+# The zulu, tilde and diagonal runs at 64x128, seed 13, whose stage values
+# are computed only where they can move.  Here I_2 (positions 17-273)
+# crosses the bit horizon, so the zulu runs reach btt_check's per-position
+# bit_fn reads, which no 256x512 run does.
+SMALL_GOLDEN_SHA256 = {
+    "zulu-min": "54430b45a2c8dc1479ece7da46771fe9a043ca421ddd3d7fe6c631d70a8ffc32",
+    "zulu-max": "735f8f42b99cd0aafabc999b653d193376624185f69240e67fcdadc285840363",
+    "tilde-a": "6667121e011be042c66fc7f8fe4e1d44ebd869cac833ec48cbb3cd2835db8fc9",
+    "diagonal": "4b6b8dc35f611aca2845fbf8187ed38edb4521d4b72574a62f36a5d911345366",
+}
+
+
+@pytest.mark.parametrize("construction", sorted(SMALL_GOLDEN_SHA256))
+def test_small_trace_matches_golden(construction, tmp_path):
+    out = tmp_path / "trace.jsonl"
+    code = main(["run", construction, "--stages", "64", "--bits", "128",
+                 "--seed", "13", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SMALL_GOLDEN_SHA256[construction]

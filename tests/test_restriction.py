@@ -6,25 +6,51 @@ horizon does not change what it already showed.  Each construction is built
 from fixed inputs that fit both horizons (every member below N), and for
 every stage s < S its stage-s value at S x N must equal the first N bits of
 its stage-s value at S' x N'.
+
+A construction that answers past the horizon must also answer there as a
+wider run stores: its `bit_fn` (and `runs_fn`, where it has one) at S x N,
+read over [N, N'), must equal the packed bits of the same stage at S x N'.
+
+`build_diagonal` is checked only where the smaller horizon raises no
+`CapacityError`: F(e) reads the (e+1)-st zero of each catalog stage value,
+and a catalog index may have fewer zeros below N than below N'.
 """
 from hypothesis import given, settings, strategies as st
 
-from leftre.core import ApproxProcess, Horizon, Prefix, Schedule
-from leftre.zulu import maxsep_superset, split_subset
+from leftre.core import (ApproxProcess, CapacityError, Horizon, Numbering,
+                         Prefix, Schedule)
+from leftre.diagonal import build_diagonal
+from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
+                         maxsep_superset, split_subset, tilde_set)
 
 
 @st.composite
-def horizon_pairs(draw):
-    """S x N and S' x N' with S <= S' and N <= N'."""
-    S, N = draw(st.integers(1, 8)), draw(st.integers(1, 24))
+def horizon_pairs(draw, bits=24):
+    """S x N and S' x N' with S <= S' and N <= N', each of N and N' - N at
+    most `bits`."""
+    S, N = draw(st.integers(1, 8)), draw(st.integers(1, bits))
     return (Horizon(S, N), Horizon(S + draw(st.integers(0, 8)),
-                                   N + draw(st.integers(0, 24))))
+                                   N + draw(st.integers(0, bits))))
 
 
 def assert_restricts(small: ApproxProcess, big: ApproxProcess) -> None:
     N = small.horizon.bits
     for s in range(small.horizon.stages):
         assert small.prefix(s) == big.prefix(s).truncated(N), s
+
+
+def assert_past_matches(small: ApproxProcess, wide: ApproxProcess) -> None:
+    """`small`'s past-horizon answers over [N, N') against the packed bits
+    of `wide`, the same construction at S x N'."""
+    N, wide_N = small.horizon.bits, wide.horizon.bits
+    for s in range(small.horizon.stages):
+        bits = [wide.prefix(s).bit(n) for n in range(N, wide_N)]
+        assert [small.bit_fn(s, n) for n in range(N, wide_N)] == bits, s
+        if small.runs_fn is not None:
+            members = {n for n, b in enumerate(bits, N) if b}
+            starts = [n for n in sorted(members) if n - 1 not in members]
+            ends = [n for n in sorted(members) if n + 1 not in members]
+            assert small.past_runs(s, N, wide_N - 1) == list(zip(starts, ends))
 
 
 @settings(deadline=None)
@@ -53,3 +79,61 @@ def test_split_subset(hzs, data):
         return ApproxProcess(values.__getitem__, h)
 
     assert_restricts(split_subset(process(hz)), split_subset(process(wide)))
+
+
+@st.composite
+def zulu_inputs(draw):
+    """A layout cap, a driving history over bits 1 .. 2^n_cap - 1 and an
+    enumeration of interval indices, entered at stages up to 16."""
+    n_cap = draw(st.sampled_from([2, 3]))
+    stage = st.integers(0, 16)
+    omega = draw(st.lists(st.tuples(st.integers(1, 2 ** n_cap - 1), stage),
+                          max_size=6))
+    W = draw(st.lists(st.tuples(st.integers(1, n_cap), stage), max_size=3))
+    return (ZuluState(Schedule.from_pairs(omega), BlockLayout(n_cap)),
+            Schedule.from_pairs(W))
+
+
+# I_1 and I_2 end at 16 and 273: horizons up to 300 bits cut through both.
+@settings(deadline=None, max_examples=100)
+@given(horizon_pairs(bits=300), zulu_inputs(), st.booleans())
+def test_zulu_and_tilde(hzs, inputs, subset_form):
+    hz, wide = hzs
+    state, W = inputs
+    past = Horizon(hz.stages, wide.bits)
+    for build in (build_minimal, build_maximal):
+        small = build(state, hz)
+        assert_restricts(small, build(state, wide))
+        assert_past_matches(small, build(state, past))
+
+    def tilde(h: Horizon) -> ApproxProcess:
+        return tilde_set(build_minimal(state, h), W, state.layout, subset_form)
+
+    assert_restricts(tilde(hz), tilde(wide))
+    assert_past_matches(tilde(hz), tilde(past))
+
+
+@settings(deadline=None, max_examples=100)
+@given(horizon_pairs(bits=250), st.data())
+def test_diagonal(hzs, data):
+    # Each catalog index fills its first k < min(N, 6) positions at up to
+    # two stages, so each F(e) is at most 8 and d(e) stays below D_CAP; the
+    # schedules hold points 2^e 3^d and their triples, which fire the bump.
+    hz, wide = hzs
+    fills = st.tuples(st.integers(0, min(hz.bits, 6) - 1), st.integers(0, 8))
+    catalog = [[(x, t) for k, t in data.draw(st.lists(fills, max_size=2))
+                for x in range(k)] for _ in range(4)]
+    Ws = [Schedule.from_pairs(data.draw(st.lists(st.tuples(
+        st.sampled_from([(1 << e) * 3 ** d for d in range(5)]),
+        st.integers(0, 16)), max_size=3))) for e in range(4)]
+
+    def diagonal(h: Horizon) -> ApproxProcess:
+        nu = Numbering([Schedule.from_pairs(c).as_process(h) for c in catalog])
+        return build_diagonal(nu, Ws)[0]
+
+    try:
+        small = diagonal(hz)
+    except CapacityError:
+        return
+    assert_restricts(small, diagonal(wide))
+    assert_past_matches(small, diagonal(Horizon(hz.stages, wide.bits)))

@@ -161,6 +161,69 @@ def maximal_bit_reference(state, s, u):
     return 0 if u == mirrors[n - 1] else 1
 
 
+def minimal_value_reference(state, s, N):
+    """Slow oracle for build_minimal's stage values: the markers of stage s,
+    packed afresh at every stage."""
+    return Prefix.from_set(state.markers(s), N).value
+
+
+def maximal_value_reference(state, s, N):
+    """Slow oracle for build_maximal's stage values: the positions of the
+    covered intervals below N, less their mirrors, packed afresh at every
+    stage."""
+    mirrors = state.mirrors(s)
+    if not mirrors:
+        return 0
+    end = min(N, state.layout.offset(len(mirrors) + 1))
+    covered = ((1 << end) - 1) << (N - end)
+    return covered & ~Prefix.from_set(mirrors, N).value
+
+
+def tilde_value_reference(A, W, layout, s, subset_form):
+    """Slow oracle for tilde_set's stage values: the legs of every member of
+    A at stage s, packed afresh at every stage."""
+    N = A.horizon.bits
+    members = []
+    for x in A.prefix(s).members():
+        if 3 * x >= N:
+            continue
+        if W.bit(layout.ind(x), s):
+            members.append(3 * x)
+        else:
+            members.append(3 * x + 1)
+            if not subset_form:
+                members.append(3 * x + 2)
+    return Prefix.from_set(members, N).value
+
+
+class TestStageValuesAgainstReference:
+    """The zulu sets and tilde compute a stage value only where it can move
+    and leave every other stage to repeat the one before; every stage must
+    still equal the value recomputed there."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([2, 3]), st.integers(1, 24), st.integers(1, 320),
+           st.booleans(), st.data())
+    def test_random_histories(self, n_cap, stages, bits, subset_form, data):
+        # Bits 1 .. 2^n_cap - 1 of the history and interval indices of W
+        # enter at any stage of the horizon or past it.
+        stage = st.integers(0, stages + 1)
+        omega = Schedule.from_pairs(data.draw(st.lists(
+            st.tuples(st.integers(1, 2 ** n_cap - 1), stage), max_size=8)))
+        W = Schedule.from_pairs(data.draw(st.lists(
+            st.tuples(st.integers(1, n_cap), stage), max_size=4)))
+        hz = Horizon(stages, bits)
+        state = ZuluState(omega, BlockLayout(n_cap))
+        A = build_minimal(state, hz)
+        B = build_maximal(state, hz)
+        T = tilde_set(A, W, state.layout, subset_form)
+        for s in range(stages):
+            assert A.prefix(s).value == minimal_value_reference(state, s, bits)
+            assert B.prefix(s).value == maximal_value_reference(state, s, bits)
+            assert T.prefix(s).value == tilde_value_reference(
+                A, W, state.layout, s, subset_form)
+
+
 class TestMinimalMaximal:
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_validators(self, seed):
