@@ -7,17 +7,42 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from itertools import islice
+from types import ModuleType
 from typing import Callable, Optional, TextIO
 
-from . import diagonal, fixtures, genericity, markers, relations, selfref, zulu
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Schedule,
                    UsageError, finite_set_process, index_set_estimate,
                    limit_estimate, validate_left_re,
                    validate_monotone_membership)
+
+
+def _load_on_first_use(name: str) -> ModuleType:
+    """The module leftre.<name>, whose body runs when a caller first reads
+    one of its attributes, so a run executes only the modules it uses.
+
+    The module object sits in sys.modules and on the package from the start,
+    so every importer (and anything that looks the module up there) shares
+    it; a module already in sys.modules is reused as it is.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+diagonal, fixtures, genericity, markers, relations, selfref, zulu = map(
+    _load_on_first_use, ("diagonal", "fixtures", "genericity", "markers",
+                         "relations", "selfref", "zulu"))
 
 JSON_TYPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
 

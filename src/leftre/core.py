@@ -10,7 +10,6 @@ validators every construction in the package is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 Runs = Sequence[tuple[int, int]]  # ascending inclusive (start, end) runs
@@ -36,18 +35,41 @@ class InternalInvariantError(RuntimeError):
     """An invariant of a construction failed: a bug, never clamped."""
 
 
-@dataclass(frozen=True)
-class Horizon:
-    stages: int
-    bits: int
+class Record:
+    """A value over the public attributes its `__init__` sets, in order.
 
-    def __post_init__(self) -> None:
-        if self.stages <= 0 or self.bits <= 0:
+    Gives what a frozen dataclass gives: `==` against a record of the same
+    class, the hash of the tuple of fields and the repr
+    `Name(field=value, ...)`.  Records are not frozen, but nothing assigns a
+    field after `__init__`, so a hash never changes; an attribute whose name
+    starts with `_` is derived and takes no part.
+    """
+
+    def _fields(self) -> tuple:
+        return tuple(v for k, v in vars(self).items() if k[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + "(" + ", ".join(
+            f"{k}={v!r}" for k, v in vars(self).items() if k[0] != "_") + ")"
+
+
+class Horizon(Record):
+    def __init__(self, stages: int, bits: int):
+        if stages <= 0 or bits <= 0:
             raise UsageError("horizon must be positive in both dimensions")
+        self.stages = stages
+        self.bits = bits
 
 
-@dataclass(frozen=True)
-class Prefix:
+class Prefix(Record):
     """A finite initial segment of a characteristic bit sequence.
 
     Bits are packed into an integer with position 0 as the most significant
@@ -55,14 +77,13 @@ class Prefix:
     comparison of `value`.
     """
 
-    length: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
+    def __init__(self, length: int, value: int):
+        if length < 0:
             raise UsageError("negative prefix length")
-        if not 0 <= self.value < (1 << self.length):
+        if not 0 <= value < (1 << length):
             raise UsageError("prefix value out of range for its length")
+        self.length = length
+        self.value = value
 
     @classmethod
     def from_string(cls, s: str) -> "Prefix":
@@ -328,13 +349,15 @@ def finite_set_process(members: Iterable[int], horizon: Horizon,
     return ApproxProcess(lambda s: value, horizon, label)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    stage: Optional[int] = None
-    position: Optional[int] = None
-    reason: str = ""
-    checked: int = 0  # how much was verified, for checks that count it
+class ValidationReport(Record):
+    def __init__(self, ok: bool, stage: Optional[int] = None,
+                 position: Optional[int] = None, reason: str = "",
+                 checked: int = 0):
+        self.ok = ok
+        self.stage = stage
+        self.position = position
+        self.reason = reason
+        self.checked = checked  # how much was verified, for checks that count it
 
     def __bool__(self) -> bool:
         return self.ok
@@ -408,8 +431,7 @@ class Numbering:
         return [validate_left_re(p) for p in self._processes]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """A finite list of (element, entry-stage) pairs.
 
     Element x is a member (of W_e, of K, or of the 1 bits of a history such
@@ -417,12 +439,11 @@ class Schedule:
     history is lex-monotone.
     """
 
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for x, s in self.entries:
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        for x, s in entries:
             if x < 0 or s < 0:
                 raise UsageError("schedule entries must be pairs of naturals")
+        self.entries = entries
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Schedule":

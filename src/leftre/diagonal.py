@@ -9,7 +9,6 @@ vacated position rejoins the set at a smaller index than the one removed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
@@ -38,13 +37,13 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
     return best
 
 
-@dataclass
 class DiagonalState:
-    e_cap: int
-    F: list[list[int]] = field(default_factory=list)  # per stage, per e
-    d: list[list[int]] = field(default_factory=list)
-    x: list[list[int]] = field(default_factory=list)
-    trigger_stages: dict[int, list[int]] = field(default_factory=dict)
+    def __init__(self, e_cap: int):
+        self.e_cap = e_cap
+        self.F: list[list[int]] = []  # per stage, per e
+        self.d: list[list[int]] = []
+        self.x: list[list[int]] = []
+        self.trigger_stages: dict[int, list[int]] = {}
 
     def active(self) -> int:
         """Number of tracked indices, the same at every stage.
@@ -73,6 +72,12 @@ def build_diagonal(nu: Numbering,
     cur_F: dict[int, int] = {}
     cur_d: dict[int, int] = {}
     bumped: dict[int, bool] = {}
+    # Each tracked schedule's first entry stage per element (sorted
+    # descending, the least stage of a repeated element is written last), so
+    # the trigger test is two lookups: y is in W_e at stage s iff
+    # entered[e][y] <= s.
+    entered = [dict(sorted(W.entries, reverse=True))
+               for W in Ws[:state.active()]]
     # F reads only the tracked processes: reuse the last row while none of
     # them changes value.
     fresh = change_stages(nu.at(e) for e in range(state.active()))
@@ -85,7 +90,8 @@ def build_diagonal(nu: Numbering,
                 bumped[e] = False
             cur_d[e] = max(cur_d.get(e, 0), F)
             x = (1 << e) * 3 ** cur_d[e]
-            if not bumped[e] and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
+            if (not bumped[e] and entered[e].get(x, s + 1) > s
+                    and entered[e].get(3 * x, s + 1) <= s):
                 cur_d[e] += 1
                 bumped[e] = True
                 state.trigger_stages.setdefault(e, []).append(s)

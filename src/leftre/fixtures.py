@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from random import Random
 
+from . import genericity, markers, selfref
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   Numbering, Schedule, finite_set_process)
-from .genericity import RequirementList
-from .markers import MarkerSystem, build_retraceable
-from .selfref import SelfRefPlan, build_selfref_plan, has_one_at_or_beyond
+                   Numbering, Schedule)
 
 
 FREEZE_TAIL = 10  # stages at the end of a random process with no moves
@@ -124,10 +122,10 @@ def settle_plus5() -> list[int]:
     return [n + 5 for n in range(20)]
 
 
-def requirement_fixture() -> RequirementList:
+def requirement_fixture() -> genericity.RequirementList:
     """Four short-string requirement lists; every long prefix settles them
     vacuously, so indifference flips are harmless by design."""
-    return RequirementList.from_strings([
+    return genericity.RequirementList.from_strings([
         ["1", "01"],
         ["00", "10", "11"],
         ["010", "0110"],
@@ -135,8 +133,8 @@ def requirement_fixture() -> RequirementList:
     ])
 
 
-def marker_fixture(horizon: Horizon) -> MarkerSystem:
-    return build_retraceable(settle_plus5(), horizon)
+def marker_fixture(horizon: Horizon) -> markers.MarkerSystem:
+    return markers.build_retraceable(settle_plus5(), horizon)
 
 
 def bambam_infinite_process(horizon: Horizon) -> ApproxProcess:
@@ -171,7 +169,7 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
         "late-boundary")
 
 
-def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
+def selfref_fixture(seed: int, horizon: Horizon) -> selfref.SelfRefPlan:
     """A full self-reference plan: a zero-headed catalog (so every switch
     string is just "1"), markers from the settling fixture, a schedule-driven
     membership approximation, and a late boundary set.  Raises CapacityError
@@ -185,28 +183,25 @@ def selfref_fixture(seed: int, horizon: Horizon) -> SelfRefPlan:
         raise CapacityError(
             f"checkpoint {checkpoint} after a 1-bit switch string needs "
             f"{checkpoint + 2} bits, got {horizon.bits}")
-    markers = marker_fixture(horizon)
+    I = marker_fixture(horizon)
     rng = Random(seed + 7)
     entries = [(e, rng.randrange(1, horizon.stages)) for e in range(size)
                if rng.random() < 0.5]
     A = Schedule.from_pairs(entries).as_process(horizon, "driving")
     X = late_boundary_process(horizon, checkpoint)
-    return build_selfref_plan(base, A, markers, X,
-                              has_one_at_or_beyond(checkpoint))
+    return selfref.build_selfref_plan(base, A, I, X,
+                                      selfref.has_one_at_or_beyond(checkpoint))
 
 
 def diagonal_catalog(horizon: Horizon) -> Numbering:
     """Zero-rich static catalog: empty, evens, multiples of three, and the
-    complement of the first eight positions."""
+    complement of the first eight positions, each packed by repeating its
+    bit pattern out to N bits."""
     N = horizon.bits
-    shapes = [
-        frozenset(),
-        frozenset(range(0, N, 2)),
-        frozenset(range(0, N, 3)),
-        frozenset(range(8, N)),
-    ]
-    return Numbering([finite_set_process(m, horizon, f"diag-{i}")
-                      for i, m in enumerate(shapes)])
+    values = [int((p * (N // len(p) + 1))[:N], 2)
+              for p in ("0", "10", "100", "0" * 8 + "1" * N)]
+    return Numbering([ApproxProcess(lambda s, v=v: v, horizon, f"diag-{i}")
+                      for i, v in enumerate(values)])
 
 
 def diagonal_schedules(state_points: list[int], horizon: Horizon,

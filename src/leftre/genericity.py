@@ -12,21 +12,19 @@ positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .core import CapacityError, Horizon, InputError, Prefix, UsageError
+from .core import (CapacityError, Horizon, InputError, Prefix, Record,
+                   UsageError)
 from .markers import MarkerSystem, build_retraceable
 
 
-@dataclass(frozen=True)
-class RequirementList:
-    reqs: tuple[frozenset[str], ...]  # one set of binary strings per requirement
-
-    def __post_init__(self) -> None:
-        if any(set(w) - {"0", "1"} for strings in self.reqs for w in strings):
+class RequirementList(Record):
+    def __init__(self, reqs: tuple[frozenset[str], ...]):
+        if any(set(w) - {"0", "1"} for strings in reqs for w in strings):
             raise UsageError("requirement strings must be binary")
+        self.reqs = reqs  # one set of binary strings per requirement
 
     @property
     def count(self) -> int:
@@ -127,13 +125,14 @@ def intervals_from_values(f: Sequence[int]) -> list[range]:
     return [range(f[k] + 1, f[k + 1] + 1) for k in range(len(f) - 1)]
 
 
-@dataclass
 class GenericPlan:
-    A: Prefix
-    f_values: list[int]
-    J: list[range]
-    markers: MarkerSystem
-    Ws: RequirementList
+    def __init__(self, A: Prefix, f_values: list[int], J: list[range],
+                 markers: MarkerSystem, Ws: RequirementList):
+        self.A = A
+        self.f_values = f_values
+        self.J = J
+        self.markers = markers
+        self.Ws = Ws
 
     def marker_free_intervals(self, k_bound: int) -> list[int]:
         s = self.markers.final_stage()
@@ -163,12 +162,13 @@ def build_generic_plan(Ws: RequirementList, bits: int, levels: int,
     return GenericPlan(A, f, intervals_from_values(f), markers, Ws)
 
 
-@dataclass(frozen=True)
-class IndifferenceReport:
-    ok: bool
-    positions: tuple[int, ...]
-    variants_checked: int
-    failures: tuple[tuple[str, int], ...]  # (variant as bit string, failing index)
+class IndifferenceReport(Record):
+    def __init__(self, ok: bool, positions: tuple[int, ...],
+                 variants_checked: int, failures: tuple[tuple[str, int], ...]):
+        self.ok = ok
+        self.positions = positions
+        self.variants_checked = variants_checked
+        self.failures = failures  # (variant as bit string, failing index)
 
 
 def verify_indifference(A: Prefix, I: MarkerSystem, Ws: RequirementList,

@@ -10,17 +10,17 @@ dominates v(n), and which is retraced downward by a total function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import ApproxProcess, Horizon, InputError, Schedule, UsageError
 
 
-@dataclass
 class MarkerSystem:
-    horizon: Horizon
-    removal_stage: dict[int, int] = field(default_factory=dict)
+    def __init__(self, horizon: Horizon,
+                 removal_stage: Optional[dict[int, int]] = None):
+        self.horizon = horizon
+        self.removal_stage = {} if removal_stage is None else removal_stage
 
     def removed(self, pos: int, s: int) -> bool:
         t = self.removal_stage.get(pos)

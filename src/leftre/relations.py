@@ -12,13 +12,12 @@ established, so no emitted comparison is ever invalidated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   InternalInvariantError, Numbering, Prefix, Schedule,
-                   UsageError, change_stages, limit_estimate)
+                   InternalInvariantError, Numbering, Prefix, Record,
+                   Schedule, UsageError, change_stages, limit_estimate)
 
 
 def pair_code(i: int, j: int) -> int:
@@ -33,8 +32,7 @@ def _members(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class RelationOracle:
+class RelationOracle(Record):
     """A relation on indices and the stages at which its pairs are enumerated.
 
     `rows[i]` is the bitset of the right sides of left side i (bit j for
@@ -46,8 +44,10 @@ class RelationOracle:
     `csv_rows()` are derived from these.
     """
 
-    rows: tuple[int, ...]
-    groups: Optional[tuple[tuple[int, int, int], ...]] = None
+    def __init__(self, rows: tuple[int, ...],
+                 groups: Optional[tuple[tuple[int, int, int], ...]] = None):
+        self.rows = rows
+        self.groups = groups
 
     @classmethod
     def from_entries(cls, entries: Iterable[tuple[tuple[int, int], int]]
@@ -202,16 +202,16 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
                         f"{x} on this horizon")
 
 
-@dataclass
 class GazeboState:
-    # alpha idx -> (beta idx, stage), for alpha idx 0, 1, ... in order
-    established: dict[int, tuple[int, int]] = field(default_factory=dict)
-    obliterated: dict[int, int] = field(default_factory=dict)  # alpha idx -> stage
-    # (stage, left side, bitset of the right sides emitted then), in
-    # emission order: by stage, then left side.
-    groups: list[tuple[int, int, int]] = field(default_factory=list)
-    right_of: list[int] = field(default_factory=list)  # bit b of right_of[a]: (a, b) emitted
-    trace: list[dict] = field(default_factory=list)
+    def __init__(self, established: dict[int, tuple[int, int]]):
+        # alpha idx -> (beta idx, stage), for alpha idx 0, 1, ... in order
+        self.established = established
+        self.obliterated: dict[int, int] = {}  # alpha idx -> stage
+        # (stage, left side, bitset of the right sides emitted then), in
+        # emission order: by stage, then left side.
+        self.groups: list[tuple[int, int, int]] = []
+        self.right_of: list[int] = []  # bit b of right_of[a]: (a, b) emitted
+        self.trace: list[dict] = []
 
     @property
     def emissions(self) -> list[tuple[tuple[int, int], int]]:
@@ -248,7 +248,7 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
           for i in range(n)]
     changed = change_stages(beta)
 
-    state = GazeboState(established={j: (j, 0) for j in range(n)})
+    state = GazeboState({j: (j, 0) for j in range(n)})
     followers = {j: j for j in range(n)}  # beta idx -> alpha idx
     right_of = state.right_of  # one slot per follower established so far
     right_of.extend([0] * n)

@@ -11,7 +11,6 @@ here too, all on the same freezing machinery.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (ApproxProcess, CapacityError, InputError, Numbering,
@@ -47,16 +46,19 @@ def limit_equals(target: Prefix) -> Callable[[ApproxProcess], bool]:
     return decide
 
 
-@dataclass
 class SelfRefPlan:
-    base: Numbering
-    A: ApproxProcess
-    I: MarkerSystem
-    h: Callable[[int], int]
-    X: ApproxProcess
-    classC: Callable[[ApproxProcess], bool]
-    sigma: dict[int, Prefix]
-    indices: int
+    def __init__(self, base: Numbering, A: ApproxProcess, I: MarkerSystem,
+                 h: Callable[[int], int], X: ApproxProcess,
+                 classC: Callable[[ApproxProcess], bool],
+                 sigma: dict[int, Prefix], indices: int):
+        self.base = base
+        self.A = A
+        self.I = I
+        self.h = h
+        self.X = X
+        self.classC = classC
+        self.sigma = sigma
+        self.indices = indices
 
 
 def build_selfref_plan(base: Numbering, A: ApproxProcess, I: MarkerSystem,

@@ -10,18 +10,15 @@ splitting, witness and gadget constructions that live over the same layout.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   InternalInvariantError, Prefix, Runs, Schedule, UsageError,
-                   ValidationReport, change_stages, complement_runs, join,
+                   InternalInvariantError, Prefix, Record, Runs, Schedule,
+                   UsageError, ValidationReport, change_stages, complement_runs, join,
                    mirror_mismatch, rank_parity, stage_runs)
 
 
-@dataclass(frozen=True)
-class BlockLayout:
+class BlockLayout(Record):
     """Disjoint intervals I_1, I_2, ... tiling the naturals from 0.
 
     I_n holds the full pairing range {offset(n) + x*2^(2^n) + y} for
@@ -32,22 +29,20 @@ class BlockLayout:
     `offset` and `interval` are lookups and `interval_of` is a bisect.
     """
 
-    n_cap: int
+    def __init__(self, n_cap: int):
+        self.n_cap = n_cap
+        # _bounds[n] is the first position past I_n (_bounds[0] = 0), for
+        # n = 0 .. n_cap + 1.
+        bounds = [0]
+        for n in range(1, n_cap + 2):
+            bounds.append(bounds[-1] + self.size(n))
+        self._bounds = tuple(bounds)
 
     def base(self, n: int) -> int:
         return 1 << (1 << n)
 
     def size(self, n: int) -> int:
         return (1 << (1 << (n + 1))) + 1
-
-    @cached_property
-    def _bounds(self) -> tuple[int, ...]:
-        """bounds[n] is the first position past I_n (bounds[0] = 0), for
-        n = 0 .. n_cap + 1."""
-        bounds = [0]
-        for n in range(1, self.n_cap + 2):
-            bounds.append(bounds[-1] + self.size(n))
-        return tuple(bounds)
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.n_cap + 1:
@@ -93,7 +88,6 @@ def compute_c(omega: Schedule, n: int, s: int) -> int:
     return sum(1 << (top - m) for m in omega.members_at(s) if m < top)
 
 
-@dataclass
 class ZuluState:
     """Marker positions of one driving history over one layout.
 
@@ -104,15 +98,17 @@ class ZuluState:
     table is built.
     """
 
-    omega: Schedule
-    layout: BlockLayout
-    _tables: dict[int, tuple] = field(init=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.omega.entry_stage(0) is not None:
+    def __init__(self, omega: Schedule, layout: BlockLayout):
+        if omega.entry_stage(0) is not None:
             raise InputError(
                 "bit 0 of the driving history must stay 0; the block-sum "
                 "bound c_n <= 2^(2^n) fails otherwise")
+        self.omega = omega
+        self.layout = layout
+        self._tables: dict[int, tuple] = {}
+        # The stages whose markers may differ from the stage before's.
+        self._moves = sorted({0, *range(1, layout.n_cap + 1),
+                              *(t for _, t in omega.entries)})
 
     def _marker(self, n: int, s: int, c_prev: int, c_n: int) -> int:
         """a_n at stage s from the block sums c(n - 1, s) and c(n, s)."""
@@ -134,12 +130,6 @@ class ZuluState:
 
     def covered(self, s: int) -> int:
         return min(s, self.layout.n_cap)
-
-    @cached_property
-    def _moves(self) -> list[int]:
-        """The stages whose markers may differ from the stage before's."""
-        return sorted({0, *range(1, self.layout.n_cap + 1),
-                       *(t for _, t in self.omega.entries)})
 
     def _table(self, s: int) -> tuple:
         s = self._moves[bisect_right(self._moves, s) - 1]

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -24,12 +25,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_cli_process(*argv, timeout=60):
-    """The CLI in a child process, killed if it outlives `timeout` seconds."""
+def run_python_process(*argv, timeout=60):
+    """`python argv...` in a child process with this leftre on its path,
+    killed if it outlives `timeout` seconds."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "leftre.cli", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, timeout=timeout,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_cli_process(*argv, timeout=60):
+    """The CLI in a child process, killed if it outlives `timeout` seconds."""
+    return run_python_process("-m", "leftre.cli", *argv, timeout=timeout)
 
 
 class TestRun:
@@ -447,3 +454,58 @@ class TestGazeboWitness:
         assert verdict == json.dumps({"checks": {
             "matches-bruteforce": False, "persistence": True,
             "validator": True}, "ok": False, "type": "verdict"}, sort_keys=True)
+
+
+# Prints, after `from leftre import cli` and the statements substituted for
+# {run}, which leftre modules sit in sys.modules, which of them have run their
+# body (a module still waiting for its first use is not a plain ModuleType),
+# and whether dataclasses was imported.
+COLD_START = """
+import contextlib, io, json, sys, types
+from leftre import cli
+{run}
+leftre = {{n: m for n, m in sys.modules.items() if n.startswith("leftre.")}}
+print(json.dumps({{
+    "loaded": sorted(leftre),
+    "executed": sorted(n for n, m in leftre.items() if type(m) is types.ModuleType),
+    "dataclasses": "dataclasses" in sys.modules}}))
+"""
+
+
+def cold_start(run=""):
+    child = run_python_process("-c", COLD_START.format(run=run))
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    """A fresh `leftre run` executes only the modules its construction uses
+    and imports no dataclasses."""
+
+    @pytest.mark.parametrize("construction,unused", [
+        ("gazebo", ("zulu", "diagonal", "genericity", "markers", "selfref")),
+        ("zulu-min", ("relations", "diagonal", "genericity", "markers",
+                      "selfref")),
+    ])
+    def test_run_executes_only_what_it_uses(self, construction, unused):
+        state = cold_start(
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['run', {construction!r}, '--stages', '64',"
+            f" '--bits', '128', '--seed', '3']) == 0")
+        assert not state["dataclasses"]
+        unused = {f"leftre.{name}" for name in unused}
+        assert unused <= set(state["loaded"])
+        assert unused.isdisjoint(state["executed"])
+
+    def test_import_registers_every_traced_module(self):
+        # perfbench's tracer wraps the leftre modules it finds in sys.modules.
+        path = Path(SRC).parent / "perfbench" / "tracer.py"
+        if not path.is_file():
+            pytest.skip("no perfbench next to this leftre")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        targets = {f"leftre.{t[0]}" for t in tracer.TARGETS} | {"leftre.cli"}
+        state = cold_start()
+        assert targets <= set(state["loaded"])
+        assert not state["dataclasses"]

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
-                         ApproxProcess, Horizon, Numbering, Prefix, Schedule,
-                         UsageError, ValidationReport, change_stages,
-                         complement_runs, first_difference, first_mismatch,
-                         join, lex_cmp, limit_estimate, mirror_mismatch,
-                         stage_runs, validate_left_re,
+                         ApproxProcess, Horizon, InputError, Numbering,
+                         Prefix, Schedule, UsageError, ValidationReport,
+                         change_stages, complement_runs, first_difference,
+                         first_mismatch, join, lex_cmp, limit_estimate,
+                         mirror_mismatch, stage_runs, validate_left_re,
                          validate_monotone_membership)
+from leftre.genericity import IndifferenceReport, RequirementList
+from leftre.relations import RelationOracle
+from leftre.zulu import BlockLayout, ZuluState
 
 HZ = Horizon(16, 24)
 
@@ -129,6 +132,83 @@ class TestSchedule:
         p = W.as_process(HZ)
         assert validate_left_re(p).ok
         assert validate_monotone_membership(p, "up").ok
+
+
+class TestRecord:
+    """Records keep the equality, hash and repr of the frozen dataclasses
+    they replace; the reprs are those the dataclasses printed."""
+
+    REPRS = [
+        (lambda: Prefix(3, 5), "Prefix(length=3, value=5)"),
+        (lambda: Horizon(2, 4), "Horizon(stages=2, bits=4)"),
+        (lambda: ValidationReport(False, 1, 2, "r", 3),
+         "ValidationReport(ok=False, stage=1, position=2, reason='r', "
+         "checked=3)"),
+        (lambda: ValidationReport(True),
+         "ValidationReport(ok=True, stage=None, position=None, reason='', "
+         "checked=0)"),
+        (lambda: Schedule.from_pairs([(1, 2), (3, 5)]),
+         "Schedule(entries=((1, 2), (3, 5)))"),
+        (lambda: BlockLayout(2), "BlockLayout(n_cap=2)"),
+        (lambda: RelationOracle((1, 2), ((0, 0, 1), (1, 1, 2))),
+         "RelationOracle(rows=(1, 2), groups=((0, 0, 1), (1, 1, 2)))"),
+        (lambda: RelationOracle((3,)), "RelationOracle(rows=(3,), groups=None)"),
+        (lambda: RequirementList.from_strings([["1"]]),
+         "RequirementList(reqs=(frozenset({'1'}),))"),
+        (lambda: IndifferenceReport(True, (1, 2), 4, ()),
+         "IndifferenceReport(ok=True, positions=(1, 2), variants_checked=4, "
+         "failures=())"),
+        (lambda: ApproxProcess(lambda s: 0, Horizon(2, 4), "p"),
+         "ApproxProcess('p', Horizon(stages=2, bits=4))"),
+    ]
+
+    @pytest.mark.parametrize("make,text", REPRS)
+    def test_repr(self, make, text):
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("make,fields", [
+        (lambda: Prefix(3, 5), (3, 5)),
+        (lambda: Horizon(2, 4), (2, 4)),
+        (lambda: ValidationReport(False, 1, 2, "r", 3), (False, 1, 2, "r", 3)),
+        (lambda: Schedule.from_pairs([(1, 2)]), (((1, 2),),)),
+        (lambda: BlockLayout(2), (2,)),
+        (lambda: RelationOracle((1, 2)), ((1, 2), None)),
+        (lambda: IndifferenceReport(True, (1,), 2, ()), (True, (1,), 2, ())),
+    ])
+    def test_equal_records_share_the_tuple_hash(self, make, fields):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) == hash(fields)
+
+    def test_other_classes_are_unequal(self):
+        assert Prefix(3, 5) != Horizon(3, 5)
+        assert Horizon(3, 5) != Prefix(3, 5)
+        assert Prefix(3, 5) != (3, 5)
+        assert Prefix(3, 5) != Prefix(3, 4)
+        assert ValidationReport(True) != ValidationReport(True, checked=1)
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: Horizon(0, 4), UsageError, "horizon must be positive"),
+        (lambda: Horizon(4, -1), UsageError, "horizon must be positive"),
+        (lambda: Prefix(-1, 0), UsageError, "negative prefix length"),
+        (lambda: Prefix(2, 4), UsageError, "prefix value out of range"),
+        (lambda: Prefix(2, -1), UsageError, "prefix value out of range"),
+        (lambda: Schedule(((1, 2), (-1, 0))), UsageError,
+         "schedule entries must be pairs of naturals"),
+        (lambda: RequirementList((frozenset({"012"}),)), UsageError,
+         "requirement strings must be binary"),
+        (lambda: ZuluState(Schedule(((0, 3),)), BlockLayout(2)), InputError,
+         "bit 0 of the driving history must stay 0"),
+    ])
+    def test_validating_init_raises(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make()
+
+    def test_layout_hash_ignores_its_bounds_table(self):
+        layout = BlockLayout(3)
+        before = hash(layout)
+        assert layout.offset(1) == 0
+        assert hash(layout) == before == hash(BlockLayout(3)) == hash((3,))
 
 
 class TestJoin:

@@ -210,3 +210,55 @@ class TestStageValuesAgainstReference:
         for s in range(stages):
             assert B.prefix(s).value == diagonal_value_reference(state, s,
                                                                  bits), s
+
+
+def trigger_reference(Ws, F_rows):
+    """The trigger stages of build_diagonal's loop over its F rows, reading
+    each schedule through Schedule.bit at every stage."""
+    out = {}
+    for e in range(len(F_rows[0])):
+        F_prev, d, bumped = None, 0, False
+        for s, row in enumerate(F_rows):
+            if row[e] != F_prev:
+                F_prev, bumped = row[e], False
+            d = max(d, row[e])
+            x = (1 << e) * 3 ** d
+            if not bumped and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
+                d += 1
+                bumped = True
+                out.setdefault(e, []).append(s)
+    return out
+
+
+class TestTriggerAgainstReference:
+    """build_diagonal reads each schedule's first entry stage per element
+    once; the trigger must fire where per-stage Schedule.bit reads fire it,
+    also for repeated and out-of-order entries."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 40), st.data())
+    def test_random_schedules(self, stages, data):
+        hz = Horizon(stages, 64)
+        nu = diagonal_catalog(hz)
+        _, settled = build_diagonal(nu, empty_ws(4))
+        entry = st.tuples(st.sampled_from((0, 1, 2, 3)),
+                          st.integers(0, stages - 1))
+        Ws = [Schedule.from_pairs(
+                  (3 ** k * x, t) for k, t in data.draw(st.lists(entry,
+                                                                 max_size=6)))
+              for x in settled.x[0]]
+        _, state = build_diagonal(nu, Ws)
+        assert state.trigger_stages == trigger_reference(Ws, state.F)
+
+
+class TestDiagonalCatalog:
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 100])
+    def test_packed_patterns_match_from_set(self, N):
+        hz = Horizon(3, N)
+        shapes = [(), range(0, N, 2), range(0, N, 3), range(8, N)]
+        nu = diagonal_catalog(hz)
+        assert [nu.at(i).label for i in range(4)] == [f"diag-{i}"
+                                                       for i in range(4)]
+        for i, members in enumerate(shapes):
+            expected = Prefix.from_set(members, N)
+            assert all(nu.at(i).prefix(s) == expected for s in range(3))
