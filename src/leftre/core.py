@@ -198,7 +198,11 @@ class ApproxProcess:
     stage s >= 1 it may instead return None, meaning "the value of stage
     s - 1": a writer that knows where its value can move (the zulu sets,
     tilde, diagonal) computes it only there.
-    `prefix(s)` and `bit(s, n)` for n < horizon.bits read the stored values.
+    One int is stored per stage; a stage that repeats its predecessor's
+    value, or returns None, stores the predecessor's int object, so a writer
+    that copies another process's values shares its ints.  `value(s)` reads
+    that int; `prefix(s)` and `final_prefix()` wrap it in a `Prefix` on each
+    call, and `bit(s, n)` for n < horizon.bits shifts it.
     `changes` is the ascending tuple of the stages s >= 1 whose value differs
     from stage s - 1's; every other stage repeats its predecessor.
     Positions at or past the bit horizon are answered by the optional
@@ -214,45 +218,53 @@ class ApproxProcess:
                  horizon: Horizon, label: str = "",
                  bit_fn: Optional[Callable[[int, int], int]] = None,
                  runs_fn: Optional[Callable[[int, int, int], Runs]] = None):
-        N = horizon.bits
-        prefixes = []
+        top = 1 << horizon.bits
+        values = []
         changes = []
-        p = None
+        v = None
         for s in range(horizon.stages):
             value = prefix_fn(s)
-            # A stage that repeats its predecessor's value shares its Prefix;
+            # A stage that repeats its predecessor's value shares its int;
             # None at stage 0 still reaches the range check.
-            if p is None or (value is not None and value != p.value):
+            if not s or (value is not None and value != v):
                 try:
-                    p = Prefix(N, value)
-                except (TypeError, UsageError):
+                    fits = 0 <= value < top
+                except TypeError:
+                    fits = False
+                if not fits:
                     raise UsageError(f"process {label!r}: stage {s} value "
-                                     f"does not fit {N} bits") from None
+                                     f"does not fit {horizon.bits} bits")
+                v = value
                 if s:
                     changes.append(s)
-            prefixes.append(p)
-        self._prefixes = tuple(prefixes)
+            values.append(v)
+        self._values = tuple(values)
         self.changes = tuple(changes)
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
         self.runs_fn = runs_fn
 
-    def prefix(self, s: int) -> Prefix:
+    def value(self, s: int) -> int:
+        """The packed stage-s value."""
         if not 0 <= s < self.horizon.stages:
             raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
-        return self._prefixes[s]
+        return self._values[s]
+
+    def prefix(self, s: int) -> Prefix:
+        return Prefix(self.horizon.bits, self.value(s))
 
     def _no_bits(self, at: str) -> UsageError:
         return UsageError(f"process {self.label!r} has no bits past the "
                           f"horizon of {self.horizon.bits}, read at {at}")
 
     def bit(self, s: int, n: int) -> int:
-        if not 0 <= s < self.horizon.stages:
-            raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
-        p = self._prefixes[s]
-        if n < p.length:
-            return p.bit(n)
+        value = self.value(s)
+        N = self.horizon.bits
+        if n < N:
+            if n < 0:
+                raise UsageError(f"position {n} outside prefix of length {N}")
+            return (value >> (N - 1 - n)) & 1
         if self.bit_fn is None:
             raise self._no_bits(str(n))
         return self.bit_fn(s, n)
@@ -279,7 +291,7 @@ class ApproxProcess:
         return runs
 
     def final_prefix(self) -> Prefix:
-        return self._prefixes[-1]
+        return Prefix(self.horizon.bits, self._values[-1])
 
     def __repr__(self) -> str:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
@@ -369,10 +381,11 @@ def validate_left_re(p: ApproxProcess) -> ValidationReport:
     Reports the earliest violating (stage, position) pair; `stage` is the
     stage whose prefix exceeds its successor's.  Only `p.changes` is walked.
     """
+    values = p._values
     for s in p.changes:
-        prev, cur = p.prefix(s - 1), p.prefix(s)
-        if lex_cmp(prev, cur) == GREATER:
-            pos = first_difference(prev, cur)
+        prev, cur = values[s - 1], values[s]
+        if prev > cur:
+            pos = p.horizon.bits - (prev ^ cur).bit_length()
             return ValidationReport(False, s - 1, pos,
                                     f"prefix at stage {s - 1} lex-exceeds stage {s}")
     return ValidationReport(True)
@@ -386,8 +399,9 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
     """
     if direction not in ("up", "down"):
         raise UsageError(f"direction must be 'up' or 'down', not {direction!r}")
+    values = p._values
     for s in p.changes:
-        prev, cur = p.prefix(s - 1).value, p.prefix(s).value
+        prev, cur = values[s - 1], values[s]
         bad = prev & ~cur if direction == "up" else cur & ~prev
         if bad:
             pos = p.horizon.bits - bad.bit_length()

@@ -26,7 +26,7 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
     N = nu.horizon.bits
     full = (1 << N) - 1
     for i in range(e + 1):
-        zeros = full & ~nu.at(i).prefix(s).value
+        zeros = full & ~nu.at(i).value(s)
         if zeros.bit_count() <= e:
             raise CapacityError(
                 f"catalog index {i} has fewer than {e + 1} zeros at stage {s}")
@@ -40,7 +40,9 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
 class DiagonalState:
     def __init__(self, e_cap: int):
         self.e_cap = e_cap
-        self.F: list[list[int]] = []  # per stage, per e
+        # Per stage, per e; a stage whose row equals the one before holds
+        # that row's list.
+        self.F: list[list[int]] = []
         self.d: list[list[int]] = []
         self.x: list[list[int]] = []
         self.trigger_stages: dict[int, list[int]] = {}
@@ -101,14 +103,14 @@ def build_diagonal(nu: Numbering,
             row_F.append(F)
             row_d.append(cur_d[e])
             row_x.append(x)
-        state.F.append(row_F)
-        state.d.append(row_d)
-        state.x.append(row_x)
+        for rows, row in ((state.F, row_F), (state.d, row_d), (state.x, row_x)):
+            rows.append(rows[-1] if rows and rows[-1] == row else row)
 
-    # B is the complement of row x: its value moves only where the row does.
+    # B is the complement of row x: its value moves only where the row does,
+    # which is where the row is a new list.
     full = (1 << hz.bits) - 1
     B = ApproxProcess(
         lambda s: full & ~Prefix.from_set(state.x[s], hz.bits).value
-        if s == 0 or state.x[s] != state.x[s - 1] else None,
+        if s == 0 or state.x[s] is not state.x[s - 1] else None,
         hz, "diagonal", bit_fn=lambda s, y: 0 if y in state.x[s] else 1)
     return B, state

@@ -68,7 +68,7 @@ def random_catalog(seed: int, size: int, horizon: Horizon,
         p = random_leftre_process(seed * 1000 + sub, horizon,
                                   f"{label}-{len(processes)}")
         sub += 1
-        v = p.final_prefix().value
+        v = p.value(horizon.stages - 1)
         if v in finals or v == (1 << horizon.bits) - 1:
             continue
         finals.add(v)

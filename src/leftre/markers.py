@@ -13,7 +13,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .core import ApproxProcess, Horizon, InputError, Schedule, UsageError
+from .core import (ApproxProcess, Horizon, InputError, Schedule, UsageError,
+                   change_stages)
 
 
 class MarkerSystem:
@@ -51,8 +52,10 @@ class MarkerSystem:
         hz = self.horizon
         full = (1 << hz.bits) - 1
         removed = self.complement_schedule().as_process(hz)
-        return ApproxProcess(lambda s: full & ~removed.prefix(s).value, hz,
-                             "marker-set")
+        moves = change_stages([removed])
+        return ApproxProcess(
+            lambda s: full & ~removed.value(s) if s in moves else None, hz,
+            "marker-set")
 
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""

@@ -150,8 +150,9 @@ def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
     # Entering x flips the pair 2x, 2x+1 from 01 to 10.
     flips = Schedule.from_pairs([(2 * x + r, t) for x, t in K.entries
                                  for r in (0, 1)]).as_process(horizon)
-    return ApproxProcess(lambda s: odds ^ flips.prefix(s).value, horizon,
-                         "coded-k")
+    moves = change_stages([flips])
+    return ApproxProcess(lambda s: odds ^ flips.value(s) if s in moves else None,
+                         horizon, "coded-k")
 
 
 def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
@@ -244,8 +245,7 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         for j in range(i):
             if finals[j].value == f.value:
                 raise InputError(f"catalog indices {j} and {i} coincide")
-    bv = [[beta.at(i).prefix(s).value for s in range(hz.stages)]
-          for i in range(n)]
+    bv = [[beta.at(i).value(s) for s in range(hz.stages)] for i in range(n)]
     changed = change_stages(beta)
 
     state = GazeboState({j: (j, 0) for j in range(n)})
@@ -349,10 +349,10 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
             _, i, bits = groups[k]
             emitted[i] = emitted.get(i, 0) | bits
             k += 1
-        values = [p.prefix(s).value for p in processes]
+        values = [p.value(s) for p in processes]
         at_least = _at_least(enumerate(values))
         if any(bits & ~at_least[values[i]] for i, bits in emitted.items()):
-            rows = [[p.prefix(t).value for t in range(S)] for p in processes]
+            rows = [[p.value(t) for t in range(S)] for p in processes]
             return next(((i, j), t) for (i, j), e in oracle.entries
                         for t in range(e, S) if rows[i][t] > rows[j][t])
     return None

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from .core import (ApproxProcess, CapacityError, InputError, Numbering,
                    Prefix, Schedule, UsageError, finite_set_process,
-                   first_difference, lex_cmp, GREATER, LESS, limit_estimate)
+                   first_difference, lex_cmp, LESS, limit_estimate)
 from .markers import MarkerSystem, count_h
 
 
@@ -99,8 +99,8 @@ def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
 
     def prefix_value(s: int) -> int:
         if s < r:
-            return alpha.prefix(s).value
-        return head | X.prefix(tail_stage[s]).value >> L
+            return alpha.value(s)
+        return head | X.value(tail_stage[s]) >> L
 
     return ApproxProcess(prefix_value, alpha.horizon, label)
 
@@ -166,9 +166,9 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
     if base.index_range and base.horizon != hz:
         raise UsageError("base catalog must share the horizon")
     S = hz.stages
-    final_value = A.prefix(S - 1).value
+    final_value = A.value(S - 1)
     for n in range(S - 1):
-        if A.prefix(n).value == final_value:
+        if A.value(n) == final_value:
             raise InputError(
                 "the approximation must differ from its limit estimate at every "
                 "earlier stage")
@@ -188,7 +188,8 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
         if e in place:
             processes.append(base.at(place[e]))
             continue
-        values = [A.prefix(u).value for u in _last_shown(A, e)]
+        # Each stage holds A's own int, not a copy of it.
+        values = [A.value(u) for u in _last_shown(A, e)]
         processes.append(ApproxProcess(lambda s: values[s], hz, f"gamma-{e}"))
     return Numbering(processes)
 
@@ -205,7 +206,7 @@ def singleton_witness(alpha: Numbering, A: ApproxProcess, r: Prefix) -> Schedule
     entries = []
     for e in range(alpha.index_range):
         for s in range(hz.stages):
-            if lex_cmp(alpha.at(e).prefix(s), r_pad) == GREATER:
+            if alpha.at(e).value(s) > r_pad.value:
                 entries.append((e, s))
                 break
     return Schedule.from_pairs(entries)
@@ -224,7 +225,7 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
             return 0
         keep = min(c, N)
         mask = ((1 << keep) - 1) << (N - keep) if keep else 0
-        return B.prefix(s).value & mask
+        return B.value(s) & mask
 
     return ApproxProcess(prefix_value, hz, "cutoff")
 

@@ -207,9 +207,10 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     failing position; `checked` counts the positions verified.
 
     Each interval is compared as runs: `mirror_mismatch` of A's and B's
-    `stage_runs`.  An interval whose inputs, the two stage prefixes plus
+    `stage_runs`.  An interval whose inputs, the two stage values plus
     both `past_runs` where it reaches past the bit horizon, equal those it
-    last passed with is counted, not compared.  Where I_1 or I_2 reaches
+    last passed with is counted, not compared; a stage's two `Prefix`es are
+    built only for an interval it compares.  Where I_1 or I_2 reaches
     past the horizon it is read one `bit` per position at every stage
     instead, so that small horizons still call `bit_fn`: the traced
     zulu-min run of `perfbench/test_perfbench.py` (16x32) counts them.
@@ -223,7 +224,8 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     passed = [None] * len(bounds)  # the inputs each interval last passed with
     checked = 0
     for s in stages:
-        pa, pb = A.prefix(s), B.prefix(s)
+        va, vb = A.value(s), B.value(s)
+        pa = pb = None
         for n, (lo, hi) in enumerate(bounds[:s]):
             if hi >= N and n + 1 < RUNS_FROM:
                 # Not `a == b`: a bit_fn answering neither 0 nor 1 fails.
@@ -232,10 +234,13 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
             else:
                 past = ((A.past_runs(s, lo, hi), B.past_runs(s, lo, hi))
                         if hi >= N else ([], []))
-                key = pa, pb, past
-                u = None if key == passed[n] else mirror_mismatch(
-                    stage_runs(pa, lo, hi, past[0]),
-                    stage_runs(pb, lo, hi, past[1]), lo, hi)
+                key = va, vb, past
+                u = None
+                if key != passed[n]:
+                    if pa is None:
+                        pa, pb = Prefix(N, va), Prefix(N, vb)
+                    u = mirror_mismatch(stage_runs(pa, lo, hi, past[0]),
+                                        stage_runs(pb, lo, hi, past[1]), lo, hi)
                 passed[n] = key
             if u is not None:
                 return ValidationReport(
@@ -263,12 +268,15 @@ def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
     N = horizon.bits
     full = (1 << N) - 1
     members = A.as_process(horizon)
-    values: list[int] = []
-    for s in range(horizon.stages):
-        M = members.prefix(s).value
+    moves = change_stages([members])
+
+    def stage_value(s: int) -> int:
+        M = members.value(s)
         C = full & ~M
-        values.append(M | (C & ~rank_parity(C, N)))
-    return ApproxProcess(lambda s: values[s], horizon, "strict-superset")
+        return M | (C & ~rank_parity(C, N))
+
+    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
+                         horizon, "strict-superset")
 
 
 def _even_positions(N: int) -> int:
@@ -285,31 +293,39 @@ def _split(value: int, N: int) -> int:
 
 def split_subset(A: ApproxProcess) -> ApproxProcess:
     """From an all-odd-members process, keep the even-indexed members and the
-    predecessors of the odd-indexed ones."""
+    predecessors of the odd-indexed ones.  A stage value is computed only
+    where A changes."""
     N = A.horizon.bits
     evens = _even_positions(N)
-    values = []
-    for s in range(A.horizon.stages):
-        members = A.prefix(s).value
+    moves = change_stages([A])
+
+    def stage_value(s: int) -> int:
+        members = A.value(s)
         if members & evens:
             raise InputError("splitting requires all members odd at every stage")
-        values.append(_split(members, N))
-    return ApproxProcess(lambda s: values[s], A.horizon, "split-E")
+        return _split(members, N)
+
+    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
+                         A.horizon, "split-E")
 
 
 def split_superset(B: ApproxProcess) -> ApproxProcess:
     """Dual form: from a process whose non-members are all odd, remove the
-    even-indexed non-members and the predecessors of the odd-indexed ones."""
+    even-indexed non-members and the predecessors of the odd-indexed ones.
+    A stage value is computed only where B changes."""
     N = B.horizon.bits
     full = (1 << N) - 1
     evens = _even_positions(N)
-    values = []
-    for s in range(B.horizon.stages):
-        non_members = full & ~B.prefix(s).value
+    moves = change_stages([B])
+
+    def stage_value(s: int) -> int:
+        non_members = full & ~B.value(s)
         if non_members & evens:
             raise InputError("dual splitting requires all non-members odd")
-        values.append(full & ~_split(non_members, N))
-    return ApproxProcess(lambda s: values[s], B.horizon, "split-F")
+        return full & ~_split(non_members, N)
+
+    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
+                         B.horizon, "split-F")
 
 
 def lowerfarm_witness(B: ApproxProcess, R: frozenset[int]) -> ApproxProcess:
@@ -335,13 +351,13 @@ def lowerfarm_witness(B: ApproxProcess, R: frozenset[int]) -> ApproxProcess:
         window_mask = ((1 << window_top) - 1) << (N - window_top)
         s_t = None
         for s in range(s_prev, S):
-            if B.prefix(s).value & window_mask & r_value == 0:
+            if B.value(s) & window_mask & r_value == 0:
                 s_t = s
                 break
         if s_t is None:
             raise CapacityError(f"no admissible stage for window [0, {t}]")
         s_prev = s_t
-        values.append((B.prefix(s_t).value & window_mask) | r_value)
+        values.append((B.value(s_t) & window_mask) | r_value)
     return ApproxProcess(lambda s: values[s], B.horizon, "window-witness")
 
 

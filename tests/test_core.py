@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +10,10 @@ from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
                          first_mismatch, join, lex_cmp, limit_estimate,
                          mirror_mismatch, stage_runs, validate_left_re,
                          validate_monotone_membership)
+from leftre.fixtures import bambam_infinite_process, random_catalog
 from leftre.genericity import IndifferenceReport, RequirementList
 from leftre.relations import RelationOracle
+from leftre.selfref import singleton_numbering_infinite
 from leftre.zulu import BlockLayout, ZuluState
 
 HZ = Horizon(16, 24)
@@ -309,6 +313,10 @@ class TestChanges:
             assert validate_monotone_membership(p, direction) == \
                 validate_monotone_membership_reference(p, direction)
         assert limit_estimate(p) == limit_estimate_reference(p)
+        for s, value in enumerate(values):
+            assert p.value(s) == value
+            assert p.prefix(s) == Prefix(bits, value)
+            assert [p.bit(s, n) for n in range(bits)] == bits_of(p.prefix(s))
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 20), st.data())
@@ -327,15 +335,19 @@ class TestChanges:
         assert limit_estimate(p) == (Prefix(4, 5), True)
 
     def test_none_repeats_the_stage_before(self):
-        # Stages 1-3 and 5-6 return None: each shares its predecessor's
-        # Prefix object and records no change; stage 4's new value after a
-        # run of Nones is a change, and stage 7 repeats it by value.
-        values = [5, None, None, None, 9, None, None, 9]
-        p = ApproxProcess(values.__getitem__, Horizon(8, 4))
+        # Stages 1-3 and 5-6 return None: each shares its predecessor's int
+        # object and records no change; stage 4's new value after a run of
+        # Nones is a change, and stage 7 repeats it by value with an int of
+        # its own.  The values are wider than the interpreter's cached small
+        # ints, so sharing is not an accident of caching.
+        a, b = 5 << 100, 9 << 100
+        values = [a, None, None, None, b, None, None, int(str(b))]
+        assert values[7] is not b
+        p = ApproxProcess(values.__getitem__, Horizon(8, 104))
         assert p.changes == (4,)
-        assert [p.prefix(s).value for s in range(8)] == [5] * 4 + [9] * 4
+        assert [p.prefix(s).value for s in range(8)] == [a] * 4 + [b] * 4
         for s in (1, 2, 3, 5, 6, 7):
-            assert p.prefix(s) is p.prefix(s - 1)
+            assert p.value(s) is p.value(s - 1)
 
     def test_none_at_stage_0_raises(self):
         with pytest.raises(UsageError, match="stage 0"):
@@ -347,6 +359,39 @@ class TestChanges:
             p = ApproxProcess(lambda s: int(s >= t), HZ)
             assert p.changes == (t,)
             assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)
+
+
+class TestStorage:
+    """A process stores one int per stage and no `Prefix`; a copy of another
+    process's values holds that process's int objects."""
+
+    def test_a_process_holds_its_ints_not_wrappers(self):
+        hz = Horizon(256, 4096)
+        values = [(1 << 4095) | s for s in range(256)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = ApproxProcess(values.__getitem__, hz)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # 256 stage slots and 255 change stages take about 4 KB; a Prefix
+        # per stage would add about 100 B each.
+        assert held < 8192, held
+        assert all(p.value(s) is values[s] for s in range(256))
+
+    def test_bambam_copies_hold_the_ints_of_their_source(self):
+        hz = Horizon(64, 128)
+        A = bambam_infinite_process(hz)
+        R = list(range(1, 12, 2))
+        gamma = singleton_numbering_infinite(
+            A, R, random_catalog(13, 6, hz, "bambam-base"))
+        copies = [e for e in range(gamma.index_range) if e not in R]
+        assert copies
+        for e in copies:
+            for s in range(hz.stages):
+                u = max((t for t in range(s + 1) if A.bit(t, e)), default=0)
+                assert gamma.at(e).value(s) is A.value(u), (e, s)
 
 
 def set_of_runs(runs) -> set[int]:

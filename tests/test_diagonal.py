@@ -251,6 +251,61 @@ class TestTriggerAgainstReference:
         assert state.trigger_stages == trigger_reference(Ws, state.F)
 
 
+def trace_rows_reference(nu, Ws, stages):
+    """build_diagonal's trace rows rebuilt stage by stage: F from compute_F
+    at every stage, the trigger read through Schedule.bit."""
+    n = min(nu.index_range, len(Ws))
+    F_prev, d, bumped = [None] * n, [0] * n, [False] * n
+    for s in range(stages):
+        for e in range(n):
+            F = compute_F(nu, e, s)
+            if F != F_prev[e]:
+                F_prev[e], bumped[e] = F, False
+            d[e] = max(d[e], F)
+            x = (1 << e) * 3 ** d[e]
+            if not bumped[e] and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
+                d[e] += 1
+                bumped[e] = True
+                x *= 3
+            yield {"stage": s, "e": e, "F": F, "d": d[e], "x": x}
+
+
+class TestSharedRows:
+    """A stage whose F, d or x row equals the row before stores that row's
+    list; the trace rows are still those of a per-stage rebuild."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 40), st.data())
+    def test_equal_rows_are_one_list(self, stages, data):
+        # Catalog index i fills its first i positions at a drawn stage, which
+        # moves F; the schedules hold the points of the first F row and their
+        # triples, which fire the bump.
+        hz = Horizon(stages, 64)
+        fill = st.integers(0, stages - 1)
+        nu = Numbering([finite_set_process(set(), hz)] + [
+            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
+            for i, t in zip((1, 2, 3), data.draw(st.lists(
+                fill, min_size=3, max_size=3)))])
+        _, settled = build_diagonal(nu, empty_ws(4))
+        entry = st.tuples(st.sampled_from((0, 1, 2)), fill)
+        Ws = [Schedule.from_pairs(
+                  (3 ** k * x, t) for k, t in data.draw(st.lists(entry,
+                                                                 max_size=4)))
+              for x in settled.x[0]]
+        _, state = build_diagonal(nu, Ws)
+        for rows in (state.F, state.d, state.x):
+            for s in range(1, stages):
+                assert (rows[s] is rows[s - 1]) == (rows[s] == rows[s - 1]), s
+        assert list(state.trace_rows()) == list(
+            trace_rows_reference(nu, Ws, stages))
+
+    def test_a_still_catalog_keeps_one_row(self):
+        nu = diagonal_catalog(HZ)
+        _, state = build_diagonal(nu, empty_ws(4))
+        for rows in (state.F, state.d, state.x):
+            assert all(row is rows[0] for row in rows)
+
+
 class TestDiagonalCatalog:
     @pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 100])
     def test_packed_patterns_match_from_set(self, N):

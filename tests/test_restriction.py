@@ -5,7 +5,9 @@ The paper's sets are infinite, so a finite run is faithful only if a larger
 horizon does not change what it already showed.  Each construction is built
 from fixed inputs that fit both horizons (every member below N), and for
 every stage s < S its stage-s value at S x N must equal the first N bits of
-its stage-s value at S' x N'.
+its stage-s value at S' x N'.  The schedule-driven writers (`as_process`,
+`b_from_k`, `membership_process`) also take elements between N and N',
+which the smaller run must leave out.
 
 A construction that answers past the horizon must also answer there as a
 wider run stores: its `bit_fn` (and `runs_fn`, where it has one) at S x N,
@@ -20,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from leftre.core import (ApproxProcess, CapacityError, Horizon, Numbering,
                          Prefix, Schedule)
 from leftre.diagonal import build_diagonal
+from leftre.markers import MarkerSystem
+from leftre.relations import b_from_k
 from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
                          maxsep_superset, split_subset, tilde_set)
 
@@ -51,6 +55,43 @@ def assert_past_matches(small: ApproxProcess, wide: ApproxProcess) -> None:
             starts = [n for n in sorted(members) if n - 1 not in members]
             ends = [n for n in sorted(members) if n + 1 not in members]
             assert small.past_runs(s, N, wide_N - 1) == list(zip(starts, ends))
+
+
+def entries(data, wide: Horizon, elements: int) -> list[tuple[int, int]]:
+    """(element, stage) pairs with elements below `elements` and stages up
+    to two past the wider horizon's last."""
+    return data.draw(st.lists(st.tuples(st.integers(0, elements - 1),
+                                        st.integers(0, wide.stages + 1)),
+                              max_size=12))
+
+
+@settings(deadline=None)
+@given(horizon_pairs(), st.data())
+def test_schedule_as_process(hzs, data):
+    hz, wide = hzs
+    W = Schedule.from_pairs(entries(data, wide, wide.bits))
+    assert_restricts(W.as_process(hz), W.as_process(wide))
+
+
+@settings(deadline=None)
+@given(horizon_pairs(), st.data())
+def test_b_from_k(hzs, data):
+    # x codes positions 2x and 2x + 1, so K reaches the pair holding N' - 1.
+    hz, wide = hzs
+    K = Schedule.from_pairs(entries(data, wide, (wide.bits + 1) // 2))
+    assert_restricts(b_from_k(K, hz), b_from_k(K, wide))
+
+
+@settings(deadline=None)
+@given(horizon_pairs(), st.data())
+def test_marker_membership_process(hzs, data):
+    hz, wide = hzs
+    removals = dict(entries(data, wide, wide.bits))
+
+    def membership(h: Horizon) -> ApproxProcess:
+        return MarkerSystem(h, dict(removals)).membership_process()
+
+    assert_restricts(membership(hz), membership(wide))
 
 
 @settings(deadline=None)
