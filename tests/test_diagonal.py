@@ -212,22 +212,27 @@ class TestStageValuesAgainstReference:
                                                                  bits), s
 
 
-def trigger_reference(Ws, F_rows):
-    """The trigger stages of build_diagonal's loop over its F rows, reading
-    each schedule through Schedule.bit at every stage."""
-    out = {}
-    for e in range(len(F_rows[0])):
-        F_prev, d, bumped = None, 0, False
-        for s, row in enumerate(F_rows):
-            if row[e] != F_prev:
-                F_prev, bumped = row[e], False
-            d = max(d, row[e])
-            x = (1 << e) * 3 ** d
-            if not bumped and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
-                d += 1
-                bumped = True
-                out.setdefault(e, []).append(s)
-    return out
+def diagonal_reference(nu, Ws, stages):
+    """build_diagonal rebuilt stage by stage: F from compute_F at every
+    stage, the trigger read through Schedule.bit.  Returns the trace rows and
+    the trigger stages of each index."""
+    n = min(nu.index_range, len(Ws))
+    F_prev, d, bumped = [None] * n, [0] * n, [False] * n
+    rows, triggers = [], {}
+    for s in range(stages):
+        for e in range(n):
+            F = compute_F(nu, e, s)
+            if F != F_prev[e]:
+                F_prev[e], bumped[e] = F, False
+            d[e] = max(d[e], F)
+            x = (1 << e) * 3 ** d[e]
+            if not bumped[e] and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
+                d[e] += 1
+                bumped[e] = True
+                x *= 3
+                triggers.setdefault(e, []).append(s)
+            rows.append({"stage": s, "e": e, "F": F, "d": d[e], "x": x})
+    return rows, triggers
 
 
 class TestTriggerAgainstReference:
@@ -248,26 +253,7 @@ class TestTriggerAgainstReference:
                                                                  max_size=6)))
               for x in settled.x[0]]
         _, state = build_diagonal(nu, Ws)
-        assert state.trigger_stages == trigger_reference(Ws, state.F)
-
-
-def trace_rows_reference(nu, Ws, stages):
-    """build_diagonal's trace rows rebuilt stage by stage: F from compute_F
-    at every stage, the trigger read through Schedule.bit."""
-    n = min(nu.index_range, len(Ws))
-    F_prev, d, bumped = [None] * n, [0] * n, [False] * n
-    for s in range(stages):
-        for e in range(n):
-            F = compute_F(nu, e, s)
-            if F != F_prev[e]:
-                F_prev[e], bumped[e] = F, False
-            d[e] = max(d[e], F)
-            x = (1 << e) * 3 ** d[e]
-            if not bumped[e] and Ws[e].bit(x, s) == 0 and Ws[e].bit(3 * x, s) == 1:
-                d[e] += 1
-                bumped[e] = True
-                x *= 3
-            yield {"stage": s, "e": e, "F": F, "d": d[e], "x": x}
+        assert state.trigger_stages == diagonal_reference(nu, Ws, stages)[1]
 
 
 class TestSharedRows:
@@ -296,8 +282,8 @@ class TestSharedRows:
         for rows in (state.F, state.d, state.x):
             for s in range(1, stages):
                 assert (rows[s] is rows[s - 1]) == (rows[s] == rows[s - 1]), s
-        assert list(state.trace_rows()) == list(
-            trace_rows_reference(nu, Ws, stages))
+        assert list(state.trace_rows()) == diagonal_reference(nu, Ws,
+                                                               stages)[0]
 
     def test_a_still_catalog_keeps_one_row(self):
         nu = diagonal_catalog(HZ)

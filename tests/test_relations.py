@@ -23,10 +23,13 @@ AUDIT_HZ = Horizon(64, 128)
 
 def check_persistence_bruteforce(oracle, alpha):
     """Slow oracle for check_persistence: every entry, every stage from its
-    emission on, compared through prefixes and lex_cmp."""
+    emission on, compared through prefixes and lex_cmp.  Each stage prefix
+    is read once, as `prefix(s)` builds a `Prefix` on every call."""
+    S = alpha.horizon.stages
+    rows = [[p.prefix(s) for s in range(S)] for p in alpha]
     for (i, j), t in oracle.entries:
-        for s in range(t, alpha.horizon.stages):
-            if lex_cmp(alpha.at(i).prefix(s), alpha.at(j).prefix(s)) == GREATER:
+        for s in range(t, S):
+            if lex_cmp(rows[i][s], rows[j][s]) == GREATER:
                 return ((i, j), s)
     return None
 

@@ -65,7 +65,7 @@ def entries(data, wide: Horizon, elements: int) -> list[tuple[int, int]]:
                               max_size=12))
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=50)
 @given(horizon_pairs(), st.data())
 def test_schedule_as_process(hzs, data):
     hz, wide = hzs
@@ -73,7 +73,7 @@ def test_schedule_as_process(hzs, data):
     assert_restricts(W.as_process(hz), W.as_process(wide))
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=50)
 @given(horizon_pairs(), st.data())
 def test_b_from_k(hzs, data):
     # x codes positions 2x and 2x + 1, so K reaches the pair holding N' - 1.
@@ -82,7 +82,7 @@ def test_b_from_k(hzs, data):
     assert_restricts(b_from_k(K, hz), b_from_k(K, wide))
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=50)
 @given(horizon_pairs(), st.data())
 def test_marker_membership_process(hzs, data):
     hz, wide = hzs
