@@ -2,7 +2,9 @@
 
 One construction per invocation; everything is driven by a JSON config plus
 a seed, and all outputs (JSON-lines traces, CSV oracle dumps) are canonical,
-so identical invocations produce byte-identical files.
+so identical invocations produce byte-identical files.  Each construction's
+runner lives in the module of its construction; this module parses the
+arguments, writes the trace and dispatches to the runner.
 """
 from __future__ import annotations
 
@@ -10,15 +12,12 @@ import argparse
 import importlib.util
 import json
 import sys
-from itertools import islice
 from types import ModuleType
 from typing import Callable, Optional, TextIO
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   InternalInvariantError, Numbering, Prefix, Schedule,
-                   UsageError, finite_set_process, index_set_estimate,
-                   limit_estimate, validate_left_re,
-                   validate_monotone_membership)
+                   InternalInvariantError, Numbering, Prefix, UsageError,
+                   read_param, validate_left_re)
 
 
 def _load_on_first_use(name: str) -> ModuleType:
@@ -43,28 +42,6 @@ def _load_on_first_use(name: str) -> ModuleType:
 diagonal, fixtures, genericity, markers, relations, selfref, zulu = map(
     _load_on_first_use, ("diagonal", "fixtures", "genericity", "markers",
                          "relations", "selfref", "zulu"))
-
-JSON_TYPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
-
-
-def read_param(obj: dict, name: str, default, minimum: Optional[int] = None,
-               maximum: Optional[int] = None):
-    """obj[name], or `default` when absent.
-
-    Raises UsageError when the value's JSON type is not the default's (a
-    list default takes a list of ints), or when an int lies outside
-    [minimum, maximum].
-    """
-    value = obj.get(name, default)
-    if type(value) is not type(default) or (
-            type(value) is list and any(type(v) is not int for v in value)):
-        raise UsageError(f"{name} must be {JSON_TYPES[type(default)]}, got "
-                         f"{json.dumps(value)}")
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{name} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise UsageError(f"{name} must be at most {maximum}, got {value}")
-    return value
 
 
 def save_numbering(nu: Numbering, path: str) -> None:
@@ -123,246 +100,24 @@ class TraceWriter:
         self.out.write("\n")
 
 
-def _process_rows(p: ApproxProcess, trace: TraceWriter) -> None:
-    """Every 16th stage's prefix, then the last stage's."""
-    S = p.horizon.stages
-    for s in range(0, S, 16):
-        trace.line({"prefix": p.prefix(s).to_string(), "stage": s, "type": "stage"})
-    trace.line({"prefix": p.prefix(S - 1).to_string(), "stage": S - 1,
-                "type": "stage"})
-
-
-def _run_markers(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    # count_h reads the snapshot after stage x + 1 at each final marker x,
-    # and the last marker ends past the largest settled value v, so the
-    # horizon needs v + 3 stages, as generic's marker build does.
-    if max(fixtures.settle_plus5()) + 2 >= hz.stages:
-        raise CapacityError("stage horizon too small for the marker construction")
-    m = fixtures.marker_fixture(hz)
-    finals = m.final_markers(20)
-    trace.line({"markers": finals, "type": "final-markers"})
-    checks = {
-        "dominates": all(finals[n] > n + 5 for n in range(20)),
-        "retrace": all(markers.retrace(m, finals[n + 1]) == finals[n]
-                       for n in range(19)),
-        "count": all(markers.count_h(m, finals[n]) == n for n in range(20)),
-        # The marker set is complement-enumerable: membership only ever moves
-        # 1 -> 0, so the down-direction validator is the right contract here.
-        "complement-monotone": bool(validate_monotone_membership(
-            m.membership_process(), "down")),
-    }
-    return checks
-
-
-def _run_generic(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    Ws = fixtures.requirement_fixture()
-    bits = read_param(params, "bits", 14, minimum=1)
-    levels = read_param(params, "levels", 6, minimum=2)
-    plan = genericity.build_generic_plan(Ws, bits, levels, hz)
-    trace.line({"forced": plan.A.to_string(), "f": plan.f_values, "type": "plan"})
-    free = plan.marker_free_intervals(levels)
-    report = genericity.verify_indifference(plan.A, plan.markers, Ws, Ws.count - 1)
-    trace.line({"free-intervals": free, "type": "intervals",
-                "variants": report.variants_checked})
-    satisfied = all(
-        genericity.prefix_meets_requirement(plan.A, Ws.strings_at(e), bits)
-        for e in range(Ws.count))
-    return {"forced-satisfies": satisfied, "indifference": report.ok}
-
-
-def _run_selfref(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    plan = fixtures.selfref_fixture(seed, hz)
-    beta = selfref.make_into_itself(plan)
-    est = index_set_estimate(beta, plan.classC)
-    a_set = plan.A.final_prefix().members() & frozenset(range(plan.indices))
-    removed = frozenset(e for e in range(plan.indices)
-                        if plan.I.removed(e, hz.stages - 1))
-    trace.line({"a": sorted(a_set), "index-set": sorted(est),
-                "removed": sorted(removed), "type": "sets"})
-    surviving = frozenset(range(plan.indices)) - removed
-    sym = (est ^ a_set)
-    checks = {
-        "delta-in-surviving": sym <= surviving,
-        "outside-matches": all((e in est) == (e in a_set) for e in removed),
-        "validator": all(bool(r) for r in beta.validate()),
-    }
-    return checks
-
-
-def _run_bambam(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    A = fixtures.bambam_infinite_process(hz)
-    a_members = A.final_prefix().members()
-    R = [b for b in range(1, hz.bits, 2)][:6]
-    base = fixtures.random_catalog(seed, 6, hz, "bambam-base")
-    gamma = selfref.singleton_numbering_infinite(A, R, base)
-    target, _ = limit_estimate(A)
-    est = index_set_estimate(gamma, selfref.limit_equals(target))
-    expected = frozenset(e for e in range(gamma.index_range) if e in a_members)
-    trace.line({"expected": sorted(expected), "index-set": sorted(est),
-                "type": "sets"})
-    return {"index-set-exact": est == expected,
-            "validator": all(bool(r) for r in gamma.validate())}
-
-
-def _zulu_state(hz: Horizon, seed: int, params: dict) -> zulu.ZuluState:
-    # A member marker of I_14 has more than 4300 digits, more than Python
-    # writes for an int in a JSON trace line.
-    n_cap = read_param(params, "n_cap", 3, minimum=1, maximum=13)
-    omega = fixtures.omega_fixture(seed, hz, top_bit=min(2 ** n_cap - 1, 32))
-    return zulu.ZuluState(omega, zulu.BlockLayout(n_cap))
-
-
-def _run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
-              minimal: bool) -> dict:
-    state = _zulu_state(hz, seed, params)
-    A = zulu.build_minimal(state, hz)
-    B = zulu.build_maximal(state, hz)
-    for s in range(0, hz.stages, max(1, hz.stages // 16)):
-        trace.line({"stage": s, "type": "markers", "a": list(state.markers(s))})
-    target = A if minimal else B
-    report = zulu.btt_check(A, B, state.layout)
-    return {"validator": bool(validate_left_re(target)), "btt": report.ok}
-
-
-def _run_maxsep(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    if hz.bits < 3:
-        raise CapacityError(
-            f"a strict superset needs at least 3 bits, got {hz.bits}: the "
-            f"complement has no second position to add")
-    A = fixtures.one_per_stage_schedule(seed, hz)
-    E = zulu.maxsep_superset(A, hz)
-    _process_rows(E, trace)
-    final_a = A.final_members()
-    final_e = E.final_prefix().members()
-    comp = [x for x in range(hz.bits) if x not in final_a]
-    audit = all((x in final_e) == (r % 2 == 1) for r, x in enumerate(comp))
-    return {"validator": bool(validate_left_re(E)),
-            "strict-superset": final_a < final_e, "every-second": audit}
-
-
-def _run_split(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    odds = fixtures.one_per_stage_schedule(seed, Horizon(hz.stages, hz.bits // 2))
-    A = Schedule.from_pairs([(2 * x + 1, s) for x, s in odds.entries]
-                            ).as_process(hz, "odd-stream")
-    E = zulu.split_subset(A)
-    _process_rows(E, trace)
-    members = sorted(A.final_prefix().members())
-    e_final = E.final_prefix().members()
-    alternate = all((m in e_final) == (k % 2 == 0) for k, m in enumerate(members))
-    return {"validator": bool(validate_left_re(E)), "alternation": alternate}
-
-
-def _run_lowerfarm(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    B = fixtures.random_leftre_process(seed, hz, "lowerfarm-b", head_zeros=8)
-    R = frozenset(read_param(params, "fixed", [0, 2, 4]))
-    E = zulu.lowerfarm_witness(B, R)
-    _process_rows(E, trace)
-    return {"validator": bool(validate_left_re(E)),
-            "contains-fixed": R <= E.final_prefix().members()}
-
-
-def _run_tilde(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    state = _zulu_state(hz, seed, params)
-    A = zulu.build_minimal(state, hz)
-    W = Schedule.from_pairs([(1, 2), (3, 5)])
-    T = zulu.tilde_set(A, W, state.layout)
-    _process_rows(T, trace)
-    return {"validator": bool(validate_left_re(T))}
-
-
-def _decode_family(K: Schedule, x: int, hz: Horizon) -> Numbering:
-    if 2 * x > hz.bits:
-        # y = x - 1 codes at 2x - 1, past the horizon, where no candidate
-        # can show it, so the decoding search would run out of stages.
-        raise CapacityError(f"decoding below {x} needs {2 * x} bits, got "
-                            f"{hz.bits}")
-    odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
-    B = relations.b_from_k(K, hz)
-    final_k = K.final_members()
-    cands = [finite_set_process((2 * y + 1 for y in range(x1)
-                                 if y not in final_k), hz, f"cand-{x1}")
-             for x1 in range(x + 1)]
-    return Numbering([odds, B] + cands)
-
-
-def _run_inc_decode(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    x = read_param(params, "x", 8, minimum=0)
-    ok = True
-    for i, K in enumerate(fixtures.k_fixtures(hz)):
-        nu = _decode_family(K, x, hz)
-        oracle = relations.inc_oracle_bruteforce(nu)
-        got = relations.decide_k_below(oracle, nu, x, K)
-        expected = {y for y in K.final_members() if y < x}
-        trace.line({"decoded": sorted(got), "expected": sorted(expected),
-                    "fixture": i, "type": "decode"})
-        ok = ok and got == expected
-    return {"decoded-exact": ok}
-
-
-def _run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    beta = fixtures.random_catalog(seed, read_param(params, "size", 5, minimum=1),
-                                   hz, "gazebo-beta")
-    alpha, state = relations.gazebo_run(beta)
-    for row in state.trace:
-        trace.line({"type": "gazebo", **{k: v for k, v in sorted(row.items())}})
-    oracle = relations.gazebo_lex_emissions(state)
-    bad = relations.check_persistence(oracle, alpha)
-    if bad is not None:
-        (i, j), s = bad
-        print(f"persistence: emitted pair ({i}, {j}) compares greater at "
-              f"stage {s}", file=sys.stderr)
-    brute = relations.lex_oracle_bruteforce(alpha)
-    mismatch = relations.first_mismatch(oracle, brute)
-    if mismatch is not None:
-        i, j = mismatch
-        holder = "follower" if oracle.has(i, j) else "brute-force"
-        print(f"matches-bruteforce: left side {i} first differs at right side "
-              f"{j}, held only by the {holder} oracle", file=sys.stderr)
-    return {
-        "persistence": bad is None,
-        "matches-bruteforce": mismatch is None,
-        "validator": all(bool(r) for r in alpha.validate()),
-    }
-
-
-def _run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    nu = fixtures.diagonal_catalog(hz)
-    Ws = [Schedule.from_pairs([]) for _ in range(nu.index_range)]
-    B, state = diagonal.build_diagonal(nu, Ws)
-    for row in islice(state.trace_rows(), 200):
-        trace.line({"type": "diag", **row})
-    final = B.final_prefix()
-    differs = all(final.value != limit_estimate(nu.at(e))[0].value
-                  for e in range(nu.index_range))
-    return {"validator": bool(validate_left_re(B)), "differs-from-catalog": differs}
-
-
-def _run_excise(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
-    alpha = fixtures.random_catalog(seed, 5, hz, "excise-base")
-    R = Schedule.from_pairs([(1, 4), (3, 9)])
-    X = fixtures.late_boundary_process(hz, read_param(params, "checkpoint", 20))
-    beta = selfref.excise(alpha, R, X)
-    for e in range(beta.index_range):
-        trace.line({"final": beta.at(e).final_prefix().to_string(), "index": e,
-                    "type": "excised"})
-    return {"validator": all(bool(r) for r in beta.validate())}
-
-
+# Each runner is looked up in its construction's module only when called, so
+# a run executes only the modules its construction uses; a runner takes the
+# run's horizon, seed, params and trace writer and returns its named checks.
 RUNNERS: dict[str, Callable] = {
-    "markers": _run_markers,
-    "generic": _run_generic,
-    "selfref": _run_selfref,
-    "bambam": _run_bambam,
-    "zulu-min": lambda hz, seed, p, t: _run_zulu(hz, seed, p, t, True),
-    "zulu-max": lambda hz, seed, p, t: _run_zulu(hz, seed, p, t, False),
-    "maxsep": _run_maxsep,
-    "split": _run_split,
-    "lowerfarm": _run_lowerfarm,
-    "tilde-a": _run_tilde,
-    "inc-decode": _run_inc_decode,
-    "gazebo": _run_gazebo,
-    "diagonal": _run_diagonal,
-    "excise": _run_excise,
+    "markers": lambda *a: markers.run_markers(*a),
+    "generic": lambda *a: genericity.run_generic(*a),
+    "selfref": lambda *a: selfref.run_selfref(*a),
+    "bambam": lambda *a: selfref.run_bambam(*a),
+    "zulu-min": lambda *a: zulu.run_zulu(*a, True),
+    "zulu-max": lambda *a: zulu.run_zulu(*a, False),
+    "maxsep": lambda *a: zulu.run_maxsep(*a),
+    "split": lambda *a: zulu.run_split(*a),
+    "lowerfarm": lambda *a: zulu.run_lowerfarm(*a),
+    "tilde-a": lambda *a: zulu.run_tilde(*a),
+    "inc-decode": lambda *a: relations.run_inc_decode(*a),
+    "gazebo": lambda *a: relations.run_gazebo(*a),
+    "diagonal": lambda *a: diagonal.run_diagonal(*a),
+    "excise": lambda *a: selfref.run_excise(*a),
 }
 CONSTRUCTIONS = tuple(RUNNERS)
 CONFIG_KEYS = ("construction", "stages", "bits", "seed", "params")

@@ -10,6 +10,8 @@ validators every construction in the package is checked against.
 """
 from __future__ import annotations
 
+import json
+import sys
 from typing import Callable, Iterable, Optional, Sequence
 
 Runs = Sequence[tuple[int, int]]  # ascending inclusive (start, end) runs
@@ -203,8 +205,9 @@ class ApproxProcess:
     that copies another process's values shares its ints.  `value(s)` reads
     that int; `prefix(s)` and `final_prefix()` wrap it in a `Prefix` on each
     call, and `bit(s, n)` for n < horizon.bits shifts it.
-    `changes` is the ascending tuple of the stages s >= 1 whose value differs
-    from stage s - 1's; every other stage repeats its predecessor.
+    `changes` is the ascending sequence of the stages s >= 1 whose value
+    differs from stage s - 1's, stored as 8-byte machine ints; every other
+    stage repeats its predecessor.
     Positions at or past the bit horizon are answered by the optional
     `bit_fn(s, n)`, which sparse constructions give to decide membership
     arithmetically for huge positions, and, over a whole range, by the
@@ -220,7 +223,7 @@ class ApproxProcess:
                  runs_fn: Optional[Callable[[int, int, int], Runs]] = None):
         top = 1 << horizon.bits
         values = []
-        changes = []
+        changes = bytearray()
         v = None
         for s in range(horizon.stages):
             value = prefix_fn(s)
@@ -236,10 +239,12 @@ class ApproxProcess:
                                      f"does not fit {horizon.bits} bits")
                 v = value
                 if s:
-                    changes.append(s)
+                    changes += s.to_bytes(8, sys.byteorder)
             values.append(v)
         self._values = tuple(values)
-        self.changes = tuple(changes)
+        # A read-only view of 8-byte ints: a sequence like a tuple, without
+        # an int object per entry, and with no extension module to load.
+        self.changes = memoryview(bytes(changes)).cast("q")
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
@@ -522,3 +527,26 @@ def index_set_estimate(nu: Numbering,
     """Indices whose process satisfies the predicate, a decidable surrogate
     for membership of the index in a class of sets."""
     return frozenset(e for e in range(nu.index_range) if pred(nu.at(e)))
+
+
+JSON_TYPES = {int: "an integer", list: "a list of integers", dict: "a JSON object"}
+
+
+def read_param(obj: dict, name: str, default, minimum: Optional[int] = None,
+               maximum: Optional[int] = None):
+    """obj[name], or `default` when absent.
+
+    Raises UsageError when the value's JSON type is not the default's (a
+    list default takes a list of ints), or when an int lies outside
+    [minimum, maximum].
+    """
+    value = obj.get(name, default)
+    if type(value) is not type(default) or (
+            type(value) is list and any(type(v) is not int for v in value)):
+        raise UsageError(f"{name} must be {JSON_TYPES[type(default)]}, got "
+                         f"{json.dumps(value)}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise UsageError(f"{name} must be at most {maximum}, got {value}")
+    return value

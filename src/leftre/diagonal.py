@@ -9,10 +9,16 @@ vacated position rejoins the set at a smaller index than the one removed.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import (ApproxProcess, CapacityError, Numbering, Prefix, Schedule,
-                   UsageError, change_stages)
+from . import fixtures
+from .core import (ApproxProcess, CapacityError, Horizon, Numbering, Prefix,
+                   Schedule, UsageError, change_stages, limit_estimate,
+                   validate_left_re)
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 D_CAP = 12  # largest exponent d(e) a point may reach
 
@@ -114,3 +120,16 @@ def build_diagonal(nu: Numbering,
         if s == 0 or state.x[s] is not state.x[s - 1] else None,
         hz, "diagonal", bit_fn=lambda s, y: 0 if y in state.x[s] else 1)
     return B, state
+
+
+# The CLI runner, dispatched from cli.RUNNERS.
+def run_diagonal(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    nu = fixtures.diagonal_catalog(hz)
+    Ws = [Schedule.from_pairs([]) for _ in range(nu.index_range)]
+    B, state = build_diagonal(nu, Ws)
+    for row in islice(state.trace_rows(), 200):
+        trace.line({"type": "diag", **row})
+    final = B.final_prefix()
+    differs = all(final.value != limit_estimate(nu.at(e))[0].value
+                  for e in range(nu.index_range))
+    return {"validator": bool(validate_left_re(B)), "differs-from-catalog": differs}

@@ -13,11 +13,15 @@ positions.
 from __future__ import annotations
 
 from itertools import product
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import fixtures
 from .core import (CapacityError, Horizon, InputError, Prefix, Record,
-                   UsageError)
+                   UsageError, read_param)
 from .markers import MarkerSystem, build_retraceable
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 
 class RequirementList(Record):
@@ -203,3 +207,20 @@ def verify_indifference(A: Prefix, I: MarkerSystem, Ws: RequirementList,
                 failures.append((X.to_string(), e))
                 break
     return IndifferenceReport(not failures, positions, checked, tuple(failures))
+
+
+# The CLI runner, dispatched from cli.RUNNERS.
+def run_generic(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    Ws = fixtures.requirement_fixture()
+    bits = read_param(params, "bits", 14, minimum=1)
+    levels = read_param(params, "levels", 6, minimum=2)
+    plan = build_generic_plan(Ws, bits, levels, hz)
+    trace.line({"forced": plan.A.to_string(), "f": plan.f_values, "type": "plan"})
+    free = plan.marker_free_intervals(levels)
+    report = verify_indifference(plan.A, plan.markers, Ws, Ws.count - 1)
+    trace.line({"free-intervals": free, "type": "intervals",
+                "variants": report.variants_checked})
+    satisfied = all(
+        prefix_meets_requirement(plan.A, Ws.strings_at(e), bits)
+        for e in range(Ws.count))
+    return {"forced-satisfies": satisfied, "indifference": report.ok}

@@ -11,10 +11,13 @@ dominates v(n), and which is retraced downward by a total function.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .core import (ApproxProcess, Horizon, InputError, Schedule, UsageError,
-                   change_stages)
+from .core import (ApproxProcess, CapacityError, Horizon, InputError, Schedule,
+                   UsageError, change_stages, validate_monotone_membership)
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 
 class MarkerSystem:
@@ -116,3 +119,30 @@ def count_h(m: MarkerSystem, x: int) -> int:
     if snap_stage > m.final_stage():
         raise UsageError(f"snapshot after stage {snap_stage} is beyond the horizon")
     return len(m.snapshot_below(x + 1, snap_stage)) - 1
+
+
+# The CLI runner, dispatched from cli.RUNNERS.
+def run_markers(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    # fixtures imports genericity and selfref, which import this module, so
+    # a top-level import here would run them before MarkerSystem exists.
+    from . import fixtures
+
+    # count_h reads the snapshot after stage x + 1 at each final marker x,
+    # and the last marker ends past the largest settled value v, so the
+    # horizon needs v + 3 stages, as generic's marker build does.
+    if max(fixtures.settle_plus5()) + 2 >= hz.stages:
+        raise CapacityError("stage horizon too small for the marker construction")
+    m = fixtures.marker_fixture(hz)
+    finals = m.final_markers(20)
+    trace.line({"markers": finals, "type": "final-markers"})
+    checks = {
+        "dominates": all(finals[n] > n + 5 for n in range(20)),
+        "retrace": all(retrace(m, finals[n + 1]) == finals[n]
+                       for n in range(19)),
+        "count": all(count_h(m, finals[n]) == n for n in range(20)),
+        # The marker set is complement-enumerable: membership only ever moves
+        # 1 -> 0, so the down-direction validator is the right contract here.
+        "complement-monotone": bool(validate_monotone_membership(
+            m.membership_process(), "down")),
+    }
+    return checks

@@ -12,12 +12,18 @@ established, so no emitted comparison is ever invalidated.
 """
 from __future__ import annotations
 
+import sys
 from itertools import zip_longest
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
+from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Record,
-                   Schedule, UsageError, change_stages, limit_estimate)
+                   Schedule, UsageError, change_stages, finite_set_process,
+                   limit_estimate, read_param)
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 
 def pair_code(i: int, j: int) -> int:
@@ -356,3 +362,60 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
             return next(((i, j), t) for (i, j), e in oracle.entries
                         for t in range(e, S) if rows[i][t] > rows[j][t])
     return None
+
+
+# CLI runners, dispatched from cli.RUNNERS.
+
+def _decode_family(K: Schedule, x: int, hz: Horizon) -> Numbering:
+    if 2 * x > hz.bits:
+        # y = x - 1 codes at 2x - 1, past the horizon, where no candidate
+        # can show it, so the decoding search would run out of stages.
+        raise CapacityError(f"decoding below {x} needs {2 * x} bits, got "
+                            f"{hz.bits}")
+    odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
+    B = b_from_k(K, hz)
+    final_k = K.final_members()
+    cands = [finite_set_process((2 * y + 1 for y in range(x1)
+                                 if y not in final_k), hz, f"cand-{x1}")
+             for x1 in range(x + 1)]
+    return Numbering([odds, B] + cands)
+
+
+def run_inc_decode(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    x = read_param(params, "x", 8, minimum=0)
+    ok = True
+    for i, K in enumerate(fixtures.k_fixtures(hz)):
+        nu = _decode_family(K, x, hz)
+        oracle = inc_oracle_bruteforce(nu)
+        got = decide_k_below(oracle, nu, x, K)
+        expected = {y for y in K.final_members() if y < x}
+        trace.line({"decoded": sorted(got), "expected": sorted(expected),
+                    "fixture": i, "type": "decode"})
+        ok = ok and got == expected
+    return {"decoded-exact": ok}
+
+
+def run_gazebo(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    beta = fixtures.random_catalog(seed, read_param(params, "size", 5, minimum=1),
+                                   hz, "gazebo-beta")
+    alpha, state = gazebo_run(beta)
+    for row in state.trace:
+        trace.line({"type": "gazebo", **{k: v for k, v in sorted(row.items())}})
+    oracle = gazebo_lex_emissions(state)
+    bad = check_persistence(oracle, alpha)
+    if bad is not None:
+        (i, j), s = bad
+        print(f"persistence: emitted pair ({i}, {j}) compares greater at "
+              f"stage {s}", file=sys.stderr)
+    brute = lex_oracle_bruteforce(alpha)
+    mismatch = first_mismatch(oracle, brute)
+    if mismatch is not None:
+        i, j = mismatch
+        holder = "follower" if oracle.has(i, j) else "brute-force"
+        print(f"matches-bruteforce: left side {i} first differs at right side "
+              f"{j}, held only by the {holder} oracle", file=sys.stderr)
+    return {
+        "persistence": bad is None,
+        "matches-bruteforce": mismatch is None,
+        "validator": all(bool(r) for r in alpha.validate()),
+    }

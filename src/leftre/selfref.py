@@ -11,12 +11,17 @@ here too, all on the same freezing machinery.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .core import (ApproxProcess, CapacityError, InputError, Numbering,
-                   Prefix, Schedule, UsageError, finite_set_process,
-                   first_difference, lex_cmp, LESS, limit_estimate)
+from . import fixtures
+from .core import (ApproxProcess, CapacityError, Horizon, InputError,
+                   Numbering, Prefix, Schedule, UsageError, finite_set_process,
+                   first_difference, index_set_estimate, lex_cmp, LESS,
+                   limit_estimate, read_param)
 from .markers import MarkerSystem, count_h
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 
 def sigma_above(p: Prefix) -> Prefix:
@@ -246,3 +251,50 @@ def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:
         processes.append(_follow_then_switch(alpha.at(e), r, sig, X,
                                              range(hz.stages), f"excised-{e}"))
     return Numbering(processes)
+
+
+# CLI runners, dispatched from cli.RUNNERS.
+
+def run_selfref(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    plan = fixtures.selfref_fixture(seed, hz)
+    beta = make_into_itself(plan)
+    est = index_set_estimate(beta, plan.classC)
+    a_set = plan.A.final_prefix().members() & frozenset(range(plan.indices))
+    removed = frozenset(e for e in range(plan.indices)
+                        if plan.I.removed(e, hz.stages - 1))
+    trace.line({"a": sorted(a_set), "index-set": sorted(est),
+                "removed": sorted(removed), "type": "sets"})
+    surviving = frozenset(range(plan.indices)) - removed
+    sym = (est ^ a_set)
+    checks = {
+        "delta-in-surviving": sym <= surviving,
+        "outside-matches": all((e in est) == (e in a_set) for e in removed),
+        "validator": all(bool(r) for r in beta.validate()),
+    }
+    return checks
+
+
+def run_bambam(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    A = fixtures.bambam_infinite_process(hz)
+    a_members = A.final_prefix().members()
+    R = [b for b in range(1, hz.bits, 2)][:6]
+    base = fixtures.random_catalog(seed, 6, hz, "bambam-base")
+    gamma = singleton_numbering_infinite(A, R, base)
+    target, _ = limit_estimate(A)
+    est = index_set_estimate(gamma, limit_equals(target))
+    expected = frozenset(e for e in range(gamma.index_range) if e in a_members)
+    trace.line({"expected": sorted(expected), "index-set": sorted(est),
+                "type": "sets"})
+    return {"index-set-exact": est == expected,
+            "validator": all(bool(r) for r in gamma.validate())}
+
+
+def run_excise(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    alpha = fixtures.random_catalog(seed, 5, hz, "excise-base")
+    R = Schedule.from_pairs([(1, 4), (3, 9)])
+    X = fixtures.late_boundary_process(hz, read_param(params, "checkpoint", 20))
+    beta = excise(alpha, R, X)
+    for e in range(beta.index_range):
+        trace.line({"final": beta.at(e).final_prefix().to_string(), "index": e,
+                    "type": "excised"})
+    return {"validator": all(bool(r) for r in beta.validate())}

@@ -10,12 +10,17 @@ splitting, witness and gadget constructions that live over the same layout.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Prefix, Record, Runs, Schedule,
                    UsageError, ValidationReport, change_stages, complement_runs, join,
-                   mirror_mismatch, rank_parity, stage_runs)
+                   mirror_mismatch, rank_parity, read_param, stage_runs,
+                   validate_left_re)
+
+if TYPE_CHECKING:
+    from .cli import TraceWriter
 
 
 class BlockLayout(Record):
@@ -402,3 +407,80 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
 def max_join_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
     """Join with the characteristic process of an enumeration schedule."""
     return join(B, W.as_process(B.horizon), "join-gadget")
+
+
+# CLI runners, dispatched from cli.RUNNERS.
+
+def _process_rows(p: ApproxProcess, trace: TraceWriter) -> None:
+    """Every 16th stage's prefix, then the last stage's."""
+    S = p.horizon.stages
+    for s in range(0, S, 16):
+        trace.line({"prefix": p.prefix(s).to_string(), "stage": s, "type": "stage"})
+    trace.line({"prefix": p.prefix(S - 1).to_string(), "stage": S - 1,
+                "type": "stage"})
+
+
+def _zulu_state(hz: Horizon, seed: int, params: dict) -> ZuluState:
+    # A member marker of I_14 has more than 4300 digits, more than Python
+    # writes for an int in a JSON trace line.
+    n_cap = read_param(params, "n_cap", 3, minimum=1, maximum=13)
+    omega = fixtures.omega_fixture(seed, hz, top_bit=min(2 ** n_cap - 1, 32))
+    return ZuluState(omega, BlockLayout(n_cap))
+
+
+def run_zulu(hz: Horizon, seed: int, params: dict, trace: TraceWriter,
+             minimal: bool) -> dict:
+    state = _zulu_state(hz, seed, params)
+    A = build_minimal(state, hz)
+    B = build_maximal(state, hz)
+    for s in range(0, hz.stages, max(1, hz.stages // 16)):
+        trace.line({"stage": s, "type": "markers", "a": list(state.markers(s))})
+    target = A if minimal else B
+    report = btt_check(A, B, state.layout)
+    return {"validator": bool(validate_left_re(target)), "btt": report.ok}
+
+
+def run_maxsep(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    if hz.bits < 3:
+        raise CapacityError(
+            f"a strict superset needs at least 3 bits, got {hz.bits}: the "
+            f"complement has no second position to add")
+    A = fixtures.one_per_stage_schedule(seed, hz)
+    E = maxsep_superset(A, hz)
+    _process_rows(E, trace)
+    final_a = A.final_members()
+    final_e = E.final_prefix().members()
+    comp = [x for x in range(hz.bits) if x not in final_a]
+    audit = all((x in final_e) == (r % 2 == 1) for r, x in enumerate(comp))
+    return {"validator": bool(validate_left_re(E)),
+            "strict-superset": final_a < final_e, "every-second": audit}
+
+
+def run_split(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    odds = fixtures.one_per_stage_schedule(seed, Horizon(hz.stages, hz.bits // 2))
+    A = Schedule.from_pairs([(2 * x + 1, s) for x, s in odds.entries]
+                            ).as_process(hz, "odd-stream")
+    E = split_subset(A)
+    _process_rows(E, trace)
+    members = sorted(A.final_prefix().members())
+    e_final = E.final_prefix().members()
+    alternate = all((m in e_final) == (k % 2 == 0) for k, m in enumerate(members))
+    return {"validator": bool(validate_left_re(E)), "alternation": alternate}
+
+
+def run_lowerfarm(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    B = fixtures.random_leftre_process(seed, hz, "lowerfarm-b", head_zeros=8)
+    R = frozenset(read_param(params, "fixed", [0, 2, 4]))
+    E = lowerfarm_witness(B, R)
+    _process_rows(E, trace)
+    return {"validator": bool(validate_left_re(E)),
+            "contains-fixed": R <= E.final_prefix().members()}
+
+
+def run_tilde(hz: Horizon, seed: int, params: dict, trace: TraceWriter) -> dict:
+    state = _zulu_state(hz, seed, params)
+    A = build_minimal(state, hz)
+    W = Schedule.from_pairs([(1, 2), (3, 5)])
+    T = tilde_set(A, W, state.layout)
+    _process_rows(T, trace)
+    return {"validator": bool(validate_left_re(T))}

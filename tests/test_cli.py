@@ -472,6 +472,10 @@ print(json.dumps({{
 """
 
 
+MODULES = sorted(p.stem for p in Path(leftre.__file__).parent.glob("*.py")
+                 if p.stem != "__init__")
+
+
 def cold_start(run=""):
     child = run_python_process("-c", COLD_START.format(run=run))
     assert child.returncode == 0, child.stderr
@@ -482,20 +486,44 @@ class TestColdStart:
     """A fresh `leftre run` executes only the modules its construction uses
     and imports no dataclasses."""
 
-    @pytest.mark.parametrize("construction,unused", [
-        ("gazebo", ("zulu", "diagonal", "genericity", "markers", "selfref")),
-        ("zulu-min", ("relations", "diagonal", "genericity", "markers",
-                      "selfref")),
-    ])
-    def test_run_executes_only_what_it_uses(self, construction, unused):
+    # The leftre modules a run of each construction executes besides cli and
+    # core: its runner's module, the fixtures and what they import eagerly.
+    USES = {
+        "markers": ("markers", "fixtures"),
+        "generic": ("genericity", "markers", "fixtures"),
+        "selfref": ("selfref", "markers", "fixtures"),
+        "bambam": ("selfref", "markers", "fixtures"),
+        "excise": ("selfref", "markers", "fixtures"),
+        "zulu-min": ("zulu", "fixtures"),
+        "zulu-max": ("zulu", "fixtures"),
+        "maxsep": ("zulu", "fixtures"),
+        "split": ("zulu", "fixtures"),
+        "lowerfarm": ("zulu", "fixtures"),
+        "tilde-a": ("zulu", "fixtures"),
+        "inc-decode": ("relations", "fixtures"),
+        "gazebo": ("relations", "fixtures"),
+        "diagonal": ("diagonal", "fixtures"),
+    }
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_run_executes_only_what_it_uses(self, construction):
         state = cold_start(
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['run', {construction!r}, '--stages', '64',"
             f" '--bits', '128', '--seed', '3']) == 0")
         assert not state["dataclasses"]
-        unused = {f"leftre.{name}" for name in unused}
-        assert unused <= set(state["loaded"])
-        assert unused.isdisjoint(state["executed"])
+        uses = {f"leftre.{name}"
+                for name in ("cli", "core", *self.USES[construction])}
+        assert set(state["executed"]) == uses
+        assert state["loaded"] == [f"leftre.{name}" for name in MODULES]
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_each_module_imports_on_its_own(self, name):
+        # fixtures imports genericity, markers and selfref, and the runners
+        # of most construction modules read fixtures: no import cycle through
+        # fixtures may leave a name undefined.
+        child = run_python_process("-c", f"import leftre.{name}")
+        assert child.returncode == 0, child.stderr
 
     def test_import_registers_every_traced_module(self):
         # perfbench's tracer wraps the leftre modules it finds in sys.modules.

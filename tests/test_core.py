@@ -330,7 +330,7 @@ class TestChanges:
 
     def test_single_stage_horizon(self):
         p = ApproxProcess(lambda s: 5, Horizon(1, 4))
-        assert p.changes == ()
+        assert tuple(p.changes) == ()
         assert change_stages([p]) == {0}
         assert limit_estimate(p) == (Prefix(4, 5), True)
 
@@ -344,7 +344,7 @@ class TestChanges:
         values = [a, None, None, None, b, None, None, int(str(b))]
         assert values[7] is not b
         p = ApproxProcess(values.__getitem__, Horizon(8, 104))
-        assert p.changes == (4,)
+        assert tuple(p.changes) == (4,)
         assert [p.prefix(s).value for s in range(8)] == [a] * 4 + [b] * 4
         for s in (1, 2, 3, 5, 6, 7):
             assert p.value(s) is p.value(s - 1)
@@ -357,7 +357,7 @@ class TestChanges:
         S = HZ.stages
         for t in range(1, S):
             p = ApproxProcess(lambda s: int(s >= t), HZ)
-            assert p.changes == (t,)
+            assert tuple(p.changes) == (t,)
             assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)
 
 
@@ -379,6 +379,22 @@ class TestStorage:
         # per stage would add about 100 B each.
         assert held < 8192, held
         assert all(p.value(s) is values[s] for s in range(256))
+
+    def test_change_stages_take_no_int_object_each(self):
+        # Every stage changes; most stage numbers are past the interpreter's
+        # cached small ints, and the values are int objects of their own.
+        values = [2 * s for s in range(2048)]
+        tracemalloc.start()
+        try:
+            p = ApproxProcess(values.__getitem__, Horizon(2048, 12))
+            assert len(p.changes) == 2047
+            before = tracemalloc.get_traced_memory()[0]
+            del p.changes
+            held = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 8 bytes per change stage; a tuple of ints takes about 74 KB.
+        assert held <= 20 * 1024, held
 
     def test_bambam_copies_hold_the_ints_of_their_source(self):
         hz = Horizon(64, 128)

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.cli import _zulu_state
+from leftre.zulu import _zulu_state
 from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
                          rank_parity)
 from leftre.diagonal import build_diagonal

@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leftre.cli import _zulu_state
+from leftre.zulu import _zulu_state
 from leftre.core import (ApproxProcess, CapacityError, Horizon, InputError,
                          Prefix, Schedule, UsageError, ValidationReport,
                          complement_runs, validate_left_re)
