@@ -157,6 +157,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     params = read_param(config, "params", {})
     _reject_unknown(params, PARAMS.get(construction, ()),
                     f"{construction} params")
+    # Built now: once memory has run out, formatting it could fail again.
+    args.out_of_memory = (f"error: out of memory running {construction} at "
+                          f"{hz.stages} stages x {hz.bits} bits")
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         trace = TraceWriter(out)
@@ -235,11 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.out_of_memory = f"error: out of memory in {args.command}"
     try:
         return args.fn(args)
     except (UsageError, InputError, CapacityError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(args.out_of_memory, file=sys.stderr)
         return 2
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Runs = Sequence[tuple[int, int]]  # ascending inclusive (start, end) runs
 
@@ -35,6 +35,14 @@ class CapacityError(RuntimeError):
 
 class InternalInvariantError(RuntimeError):
     """An invariant of a construction failed: a bug, never clamped."""
+
+
+def one_bits(bits: int) -> Iterator[int]:
+    """Indices of the 1 bits of an int, ascending from the least significant."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class Record:
@@ -117,13 +125,7 @@ class Prefix(Record):
     def members(self) -> frozenset[int]:
         """Positions of the 1 bits, found by walking the set bits of `value`."""
         top = self.length - 1
-        value = self.value
-        out = []
-        while value:
-            b = value.bit_length() - 1
-            out.append(top - b)
-            value ^= 1 << b
-        return frozenset(out)
+        return frozenset(top - b for b in one_bits(self.value))
 
     def window(self, lo: int, hi: int) -> int:
         """Bits lo..hi, packed with position lo most significant."""
@@ -359,6 +361,15 @@ def change_stages(processes: Iterable[ApproxProcess]) -> set[int]:
     return {0}.union(*(p.changes for p in processes))
 
 
+def derived_process(source: ApproxProcess, fn: Callable[[int], int],
+                    label: str = "") -> ApproxProcess:
+    """The process whose stage-s value is `fn(source.value(s))`; `fn` is
+    called only at stage 0 and at `source.changes`."""
+    moves = change_stages([source])
+    return ApproxProcess(lambda s: fn(source.value(s)) if s in moves else None,
+                         source.horizon, label)
+
+
 def finite_set_process(members: Iterable[int], horizon: Horizon,
                        label: str = "") -> ApproxProcess:
     """The process that shows the same set of positions at every stage."""
@@ -483,19 +494,16 @@ class Schedule(Record):
         return 1 if t is not None and t <= s else 0
 
     def as_process(self, horizon: Horizon, label: str = "schedule") -> ApproxProcess:
+        """The bit history on `horizon`, built at entry stages only; an entry
+        at or past either horizon adds nothing."""
         N = horizon.bits
-        entries = sorted(self.entries, key=lambda e: e[1])
-        stage_values = []
+        points = {0: 0}  # entry stage -> value from that stage on
         value = 0
-        i = 0
-        for s in range(horizon.stages):
-            while i < len(entries) and entries[i][1] <= s:
-                x = entries[i][0]
-                if x < N:
-                    value |= 1 << (N - 1 - x)
-                i += 1
-            stage_values.append(value)
-        return ApproxProcess(lambda s: stage_values[s], horizon, label)
+        for x, s in sorted(self.entries, key=lambda e: e[1]):
+            if s < horizon.stages and x < N:
+                value |= 1 << (N - 1 - x)
+                points[s] = value
+        return ApproxProcess(points.get, horizon, label)
 
 
 def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:

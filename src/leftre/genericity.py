@@ -100,7 +100,8 @@ def least_satisfying_end(sigma: str, A: Prefix, strings: frozenset[str],
 def interval_function_values(A: Prefix, Ws: RequirementList, levels: int) -> list[int]:
     """f(0)=0; each next value covers the worst segment end over all prefixed
     strings and requirement indices bounded by the previous value.  Strictly
-    increasing by construction (empty bound sets advance by one)."""
+    increasing by construction (empty bound sets advance by one).  A string
+    as long as e's longest settles e at its own end, so none is tried."""
     bits = A.length
     f = [0]
     cache: dict[tuple[str, int], int] = {}
@@ -109,7 +110,8 @@ def interval_function_values(A: Prefix, Ws: RequirementList, levels: int) -> lis
         worst = 0
         for e in range(min(bound + 1, Ws.count)):
             strings = Ws.strings_at(e)
-            for length in range(bound + 1):
+            longest = max(map(len, strings), default=0)
+            for length in range(min(bound + 1, longest)):
                 for sig_bits in product("01", repeat=length):
                     sigma = "".join(sig_bits)
                     key = (sigma, e)

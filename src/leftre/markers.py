@@ -14,7 +14,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError, Schedule,
-                   UsageError, change_stages, validate_monotone_membership)
+                   UsageError, derived_process, validate_monotone_membership)
 
 if TYPE_CHECKING:
     from .cli import TraceWriter
@@ -52,13 +52,9 @@ class MarkerSystem:
 
     def membership_process(self) -> ApproxProcess:
         """Characteristic process of the surviving set (1 until removed)."""
-        hz = self.horizon
-        full = (1 << hz.bits) - 1
-        removed = self.complement_schedule().as_process(hz)
-        moves = change_stages([removed])
-        return ApproxProcess(
-            lambda s: full & ~removed.value(s) if s in moves else None, hz,
-            "marker-set")
+        full = (1 << self.horizon.bits) - 1
+        removed = self.complement_schedule().as_process(self.horizon)
+        return derived_process(removed, lambda v: full & ~v, "marker-set")
 
     def complement_schedule(self) -> Schedule:
         """Removal events as an enumeration schedule (the r.e. complement)."""

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import sys
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Record,
-                   Schedule, UsageError, change_stages, finite_set_process,
-                   limit_estimate, read_param)
+                   Schedule, UsageError, change_stages, derived_process,
+                   finite_set_process, limit_estimate, one_bits, read_param)
 
 if TYPE_CHECKING:
     from .cli import TraceWriter
@@ -28,14 +28,6 @@ if TYPE_CHECKING:
 
 def pair_code(i: int, j: int) -> int:
     return (i + j) * (i + j + 1) // 2 + j
-
-
-def _members(bits: int) -> Iterator[int]:
-    """Indices of the 1 bits of a bitset, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 class RelationOracle(Record):
@@ -76,17 +68,17 @@ class RelationOracle(Record):
             return self.groups
         return tuple(sorted((pair_code(i, j), i, 1 << j)
                             for i, bits in enumerate(self.rows)
-                            for j in _members(bits)))
+                            for j in one_bits(bits)))
 
     @property
     def entries(self) -> tuple[tuple[tuple[int, int], int], ...]:
         """((i, j), stage) of every enumerated pair, by stage, i and j."""
         return tuple(((i, j), t) for t, i, bits in self.stage_groups()
-                     for j in _members(bits))
+                     for j in one_bits(bits))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, bits in enumerate(self.rows)
-                         for j in _members(bits))
+                         for j in one_bits(bits))
 
     def has(self, i: int, j: int) -> bool:
         return 0 <= i < len(self.rows) and self.rows[i] >> j & 1 == 1
@@ -156,9 +148,13 @@ def b_from_k(K: Schedule, horizon: Horizon) -> ApproxProcess:
     # Entering x flips the pair 2x, 2x+1 from 01 to 10.
     flips = Schedule.from_pairs([(2 * x + r, t) for x, t in K.entries
                                  for r in (0, 1)]).as_process(horizon)
-    moves = change_stages([flips])
-    return ApproxProcess(lambda s: odds ^ flips.value(s) if s in moves else None,
-                         horizon, "coded-k")
+    return derived_process(flips, lambda v: odds ^ v, "coded-k")
+
+
+def _check_decode_bits(x: int, bits: int) -> None:
+    if 2 * x > bits:  # y = x - 1 codes at 2x - 1, which no candidate shows
+        raise CapacityError(f"decoding below {x} needs {2 * x} bits, got "
+                            f"{bits}")
 
 
 def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
@@ -169,36 +165,40 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
     other index is a candidate.  Searches for a candidate set E and a stage
     at which both E-inside-odds and E-inside-coded-set pairs are out, and
     every y below x sits in exactly one of the stage view of K and the
-    doubled-shifted view of E.  The result is audited against the schedule's
-    final content.  Only stage 0 and the stages where something the test
-    reads changed are searched: a candidate's value (its `changes`), an
-    emitted pair with right side 0 or 1, or the view of K.
+    doubled-shifted view of E: `E & odd == odd ^ k_odd`, for the positions
+    2y + 1 of every y < x and of those in K's view.  The result is audited
+    against the schedule's final content.  Only stage 0 and the stages where
+    something the test reads changed are searched: a candidate's value, the
+    stage from which both its pairs are out, or the view of K.  Raises
+    CapacityError when 2x exceeds the bit horizon.
     """
     if x == 0:
         return set()
-    S = nu.horizon.stages
-    candidates = range(2, nu.index_range)
-    # The stage-s views grow by the entries of stage s, taken in stage order.
-    emissions = oracle.entries
-    k_entries = sorted(K.entries, key=lambda e: e[1])
-    stages = change_stages(nu.at(e) for e in candidates).union(
-        (t for (_, j), t in emissions if j < 2), (t for _, t in k_entries))
-    emitted: set[tuple[int, int]] = set()
-    k_view: set[int] = set()
-    i = k = 0
+    S, N = nu.horizon.stages, nu.horizon.bits
+    _check_decode_bits(x, N)
+    first: dict[tuple[int, int], int] = {}  # (e, j) -> its first stage, j < 2
+    for t, e, bits in oracle.stage_groups():
+        for j in one_bits(bits & 3):
+            first.setdefault((e, j), t)
+    # Candidate -> the stage from which both of its pairs are out.
+    ready = {e: max(first[e, 0], first[e, 1]) for e in range(2, nu.index_range)
+             if (e, 0) in first and (e, 1) in first}
+    k_entries = sorted((t, y) for y, t in K.entries if y < x)
+    stages = change_stages(nu.at(e) for e in ready).union(
+        ready.values(), (t for t, _ in k_entries))
+    odd = Prefix.from_set(range(1, 2 * x, 2), N).value
+    k_odd = k = 0
     for s in sorted(stages):
-        while i < len(emissions) and emissions[i][1] <= s:
-            emitted.add(emissions[i][0])
-            i += 1
-        while k < len(k_entries) and k_entries[k][1] <= s:
-            k_view.add(k_entries[k][0])
+        while k < len(k_entries) and k_entries[k][0] <= s:
+            k_odd |= 1 << (N - 2 - 2 * k_entries[k][1])
             k += 1
-        for e in candidates:
-            if (e, 0) not in emitted or (e, 1) not in emitted:
+        want = odd ^ k_odd
+        for e, t in ready.items():
+            if t > s:
                 continue
-            E = nu.at(e).prefix(min(s, S - 1)).members()
-            if all((y in k_view) != (2 * y + 1 in E) for y in range(x)):
-                result = {y for y in range(x) if 2 * y + 1 not in E}
+            E = nu.at(e).value(min(s, S - 1))
+            if E & odd == want:
+                result = {y for y in range(x) if not E >> (N - 2 - 2 * y) & 1}
                 expected = {y for y in K.final_members() if y < x}
                 if result != expected:
                     raise InternalInvariantError(
@@ -224,7 +224,7 @@ class GazeboState:
     def emissions(self) -> list[tuple[tuple[int, int], int]]:
         """Every emitted ((a, b), stage), by stage and then pair."""
         return [((a, b), s) for s, a, bits in self.groups
-                for b in _members(bits)]
+                for b in one_bits(bits)]
 
 
 def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
@@ -259,27 +259,24 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     right_of = state.right_of  # one slot per follower established so far
     right_of.extend([0] * n)
 
-    def emit_stage(s: int, fresh_from: int, killed: int, dead: int) -> None:
-        # Pairs with a dead left side never emit; a pair with a dead right
-        # side emits once both sides are defined; live pairs follow beta, so
-        # a live left side's right sides are the live followers whose value
-        # is at least its own.
+    def emit_stage(s: int, dead: int) -> None:
+        # Every earlier death was emitted to each left side defined then, so
+        # `dead` adds this stage's deaths, and all of them for a fresh left
+        # side.  A live left side's right sides are the live followers whose
+        # value is at least its own.
         live = [(a, bv[b][s]) for b, a in followers.items()]
         at_least = _at_least(live)
         rights = {a: at_least[v] for a, v in live}
-        for a in range(len(right_of)) if killed else sorted(rights):
-            bits = rights.get(a, 0) | killed
-            if a >= fresh_from:
-                bits |= dead
-            bits &= ~right_of[a]
+        for a, emitted in enumerate(right_of):
+            bits = (rights.get(a, 0) | dead) & ~emitted
             if bits:
                 right_of[a] |= bits
                 state.groups.append((s, a, bits))
 
-    emit_stage(0, 0, 0, 0)
+    dead = 0  # bitset of the obliterated followers
+    emit_stage(0, dead)
     state.trace.append({"stage": 0, "followers": dict(followers),
                         "obliterated": []})
-    dead = 0  # bitset of the obliterated followers
     for s in range(1, hz.stages):
         killed = 0
         if s in changed:
@@ -294,12 +291,11 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         frontier = killed
         while frontier:
             reach = 0
-            for a in _members(frontier):
+            for a in one_bits(frontier):
                 reach |= right_of[a]
             frontier = reach & ~(dead | killed)
             killed |= frontier
-        obliterated = list(_members(killed))
-        fresh_from = len(right_of)
+        obliterated = list(one_bits(killed))
         if killed:
             dead |= killed
             for a in obliterated:
@@ -309,7 +305,8 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                 followers[j] = a = len(right_of)
                 state.established[a] = (j, s)
                 right_of.append(0)
-        emit_stage(s, fresh_from, killed, dead)
+        if s in changed:  # elsewhere no beta value moved and no one died
+            emit_stage(s, dead)
         state.trace.append({"stage": s, "followers": dict(followers),
                             "obliterated": obliterated})
 
@@ -367,11 +364,7 @@ def check_persistence(oracle: RelationOracle, alpha: Numbering) -> Optional[tupl
 # CLI runners, dispatched from cli.RUNNERS.
 
 def _decode_family(K: Schedule, x: int, hz: Horizon) -> Numbering:
-    if 2 * x > hz.bits:
-        # y = x - 1 codes at 2x - 1, past the horizon, where no candidate
-        # can show it, so the decoding search would run out of stages.
-        raise CapacityError(f"decoding below {x} needs {2 * x} bits, got "
-                            f"{hz.bits}")
+    _check_decode_bits(x, hz.bits)
     odds = finite_set_process(range(1, hz.bits, 2), hz, "odds")
     B = b_from_k(K, hz)
     final_k = K.final_members()

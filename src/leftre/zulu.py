@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Prefix, Record, Runs, Schedule,
-                   UsageError, ValidationReport, change_stages, complement_runs, join,
-                   mirror_mismatch, rank_parity, read_param, stage_runs,
-                   validate_left_re)
+                   UsageError, ValidationReport, change_stages, complement_runs,
+                   derived_process, join, mirror_mismatch, rank_parity,
+                   read_param, stage_runs, validate_left_re)
 
 if TYPE_CHECKING:
     from .cli import TraceWriter
@@ -272,16 +272,12 @@ def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
                     "exactly one per stage is required")
     N = horizon.bits
     full = (1 << N) - 1
-    members = A.as_process(horizon)
-    moves = change_stages([members])
 
-    def stage_value(s: int) -> int:
-        M = members.value(s)
+    def stage_value(M: int) -> int:
         C = full & ~M
         return M | (C & ~rank_parity(C, N))
 
-    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
-                         horizon, "strict-superset")
+    return derived_process(A.as_process(horizon), stage_value, "strict-superset")
 
 
 def _even_positions(N: int) -> int:
@@ -302,16 +298,13 @@ def split_subset(A: ApproxProcess) -> ApproxProcess:
     where A changes."""
     N = A.horizon.bits
     evens = _even_positions(N)
-    moves = change_stages([A])
 
-    def stage_value(s: int) -> int:
-        members = A.value(s)
+    def stage_value(members: int) -> int:
         if members & evens:
             raise InputError("splitting requires all members odd at every stage")
         return _split(members, N)
 
-    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
-                         A.horizon, "split-E")
+    return derived_process(A, stage_value, "split-E")
 
 
 def split_superset(B: ApproxProcess) -> ApproxProcess:
@@ -321,16 +314,14 @@ def split_superset(B: ApproxProcess) -> ApproxProcess:
     N = B.horizon.bits
     full = (1 << N) - 1
     evens = _even_positions(N)
-    moves = change_stages([B])
 
-    def stage_value(s: int) -> int:
-        non_members = full & ~B.value(s)
+    def stage_value(value: int) -> int:
+        non_members = full & ~value
         if non_members & evens:
             raise InputError("dual splitting requires all non-members odd")
         return full & ~_split(non_members, N)
 
-    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
-                         B.horizon, "split-F")
+    return derived_process(B, stage_value, "split-F")
 
 
 def lowerfarm_witness(B: ApproxProcess, R: frozenset[int]) -> ApproxProcess:

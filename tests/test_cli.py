@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,18 +26,21 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python_process(*argv, timeout=60):
+def run_python_process(*argv, timeout=60, preexec_fn=None):
     """`python argv...` in a child process with this leftre on its path,
-    killed if it outlives `timeout` seconds."""
+    killed if it outlives `timeout` seconds; `preexec_fn` runs in the child
+    before it starts."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path},
+                          preexec_fn=preexec_fn)
 
 
-def run_cli_process(*argv, timeout=60):
+def run_cli_process(*argv, timeout=60, preexec_fn=None):
     """The CLI in a child process, killed if it outlives `timeout` seconds."""
-    return run_python_process("-m", "leftre.cli", *argv, timeout=timeout)
+    return run_python_process("-m", "leftre.cli", *argv, timeout=timeout,
+                              preexec_fn=preexec_fn)
 
 
 class TestRun:
@@ -176,6 +180,19 @@ class TestRun:
         done = run_cli_process("run", *argv)
         assert done.returncode == 2
         assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_out_of_memory_exits_2(self):
+        # One 4e9-bit stage value is 500 MB, past a 512 MB address space
+        # that limits the child only.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        done = run_cli_process("run", "split", "--stages", "16", "--bits",
+                               "4000000000", preexec_fn=limit)
+        assert done.returncode == 2
+        assert done.stderr == ("error: out of memory running split at 16 "
+                               "stages x 4000000000 bits\n")
         assert "Traceback" not in done.stderr
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from leftre.core import (EQUAL, GREATER, LESS, STABILITY_WINDOW,
                          ApproxProcess, Horizon, InputError, Numbering,
                          Prefix, Schedule, UsageError, ValidationReport,
-                         change_stages, complement_runs, first_difference,
-                         first_mismatch, join, lex_cmp, limit_estimate,
-                         mirror_mismatch, stage_runs, validate_left_re,
-                         validate_monotone_membership)
+                         change_stages, complement_runs, derived_process,
+                         first_difference, first_mismatch, join, lex_cmp,
+                         limit_estimate, mirror_mismatch, stage_runs,
+                         validate_left_re, validate_monotone_membership)
 from leftre.fixtures import bambam_infinite_process, random_catalog
 from leftre.genericity import IndifferenceReport, RequirementList
 from leftre.relations import RelationOracle
@@ -359,6 +359,56 @@ class TestChanges:
             p = ApproxProcess(lambda s: int(s >= t), HZ)
             assert tuple(p.changes) == (t,)
             assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)
+
+
+def as_process_reference(W, hz):
+    """Slow oracle for Schedule.as_process: each stage's members packed on
+    their own, dropping elements at or past the bit horizon."""
+    return [Prefix.from_set(W.members_at(s), hz.bits).value
+            for s in range(hz.stages)]
+
+
+class TestScheduleProcess:
+    def test_edge_entries(self):
+        # Two entries at stage 2, element 1 entered twice, element 4 past
+        # the bits, stages 4 and 9 past the horizon.
+        W = Schedule.from_pairs([(1, 2), (3, 2), (1, 1), (4, 0), (0, 4),
+                                 (2, 9)])
+        p = W.as_process(Horizon(4, 4))
+        assert [p.value(s) for s in range(4)] == [0, 0b0100, 0b0101, 0b0101]
+        assert tuple(p.changes) == (1, 2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_matches_per_stage_reference(self, S, N, data):
+        # Few distinct elements and stages, up to 3 past either horizon, so
+        # stages hold several entries and elements repeat.
+        hz = Horizon(S, N)
+        W = Schedule.from_pairs(data.draw(st.lists(st.tuples(
+            st.integers(0, N + 2), st.integers(0, S + 2)), max_size=16)))
+        p = W.as_process(hz)
+        assert [p.value(s) for s in range(S)] == as_process_reference(W, hz)
+
+
+class TestDerivedProcess:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 6), st.data())
+    def test_fn_at_stage_0_and_source_changes(self, bits, data):
+        values = data.draw(stage_values(bits))
+        source = ApproxProcess(values.__getitem__, Horizon(len(values), bits))
+        table = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                   min_size=1 << bits, max_size=1 << bits))
+        calls = []
+
+        def fn(v):
+            calls.append(v)
+            return table[v]
+
+        p = derived_process(source, fn, "derived")
+        assert [p.value(s) for s in range(len(values))] == \
+            [table[v] for v in values]
+        assert calls == [values[s] for s in sorted(change_stages([source]))]
+        assert p.horizon == source.horizon and p.label == "derived"
 
 
 class TestStorage:

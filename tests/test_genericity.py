@@ -1,4 +1,7 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leftre.core import CapacityError, Horizon, Prefix, UsageError
 from leftre.fixtures import requirement_fixture
@@ -56,7 +59,53 @@ class TestForcing:
                 [[format(v, "06b") for v in range(1 << 6)]]), 4)
 
 
+def interval_function_values_reference(A, Ws, levels):
+    """Slow oracle for interval_function_values: every string up to the
+    bound's length, for every requirement index up to the bound, no memo."""
+    f = [0]
+    for _ in range(levels):
+        bound = f[-1]
+        worst = max((least_satisfying_end("".join(sigma), A, Ws.strings_at(e),
+                                          A.length)
+                     for e in range(min(bound + 1, Ws.count))
+                     for length in range(bound + 1)
+                     for sigma in product("01", repeat=length)), default=0)
+        if max(bound + 1, worst) >= A.length:
+            raise CapacityError("past the bit horizon")
+        f.append(max(bound + 1, worst))
+    return f
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapacityError:
+        return "capacity"
+
+
 class TestIntervalFunction:
+    def test_short_sigma_settled_two_past_the_bound(self):
+        # At bound 1, sigma "0" followed by A's 0 at position 1 is settled
+        # only when "0000" is complete, at 3, two past the bound: a search
+        # that skipped sigmas of length 1 would give f(2) = 2.
+        A = Prefix.from_string("10000000")
+        Ws = RequirementList.from_strings([["0000"]])
+        assert interval_function_values(A, Ws, 2) == [0, 1, 3] == \
+            interval_function_values_reference(A, Ws, 2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(2, 10), st.data())
+    def test_matches_full_enumeration(self, bits, data):
+        # Strings up to two past a small bit horizon, so some requirements
+        # are settled only vacuously and some strings are never reached.
+        strings = st.text("01", min_size=1, max_size=min(bits + 2, 7))
+        Ws = RequirementList.from_strings(data.draw(st.lists(
+            st.lists(strings, max_size=4), max_size=3)))
+        A = Prefix(bits, data.draw(st.integers(0, (1 << bits) - 1)))
+        levels = data.draw(st.integers(0, 8))
+        assert outcome(interval_function_values, A, Ws, levels) == \
+            outcome(interval_function_values_reference, A, Ws, levels)
+
     def test_minimal_growth_without_requirements(self):
         A = Prefix.zeros(16)
         f = interval_function_values(A, RequirementList(()), 5)

@@ -236,6 +236,19 @@ class TestDecoding:
         assert expected == K.final_members()
         assert decide_k_below(oracle, nu, 1, K) == expected
 
+    def test_waits_for_both_pairs(self):
+        # Candidate 3 ({1}) passes while K is empty, but then only its pair
+        # with the odds is out; when its pair with the coded set is out at
+        # stage 4, K holds 0 and the empty candidate 2 passes instead.
+        K = Schedule.from_pairs([(0, 3)])
+        odds = finite_set_process(range(1, HZ.bits, 2), HZ)
+        nu = Numbering([odds, b_from_k(K, HZ), finite_set_process((), HZ),
+                        finite_set_process({1}, HZ)])
+        oracle = RelationOracle.from_entries(
+            [((2, 0), 4), ((2, 1), 4), ((3, 0), 0), ((3, 1), 4)])
+        assert decide_k_below_reference(oracle, nu, 1, K) == {0}
+        assert decide_k_below(oracle, nu, 1, K) == {0}
+
     @pytest.mark.parametrize("back_at", [None, 6], ids=["stays", "transient"])
     def test_decides_at_a_later_candidate_change(self, back_at):
         # Every pair is out at stage 0 and K is empty.  Candidate 2 never
@@ -253,6 +266,30 @@ class TestDecoding:
             [((e, r), 0) for e in (2, 3) for r in (0, 1)])
         assert decide_k_below_reference(oracle, nu, 1, K) == set()
         assert decide_k_below(oracle, nu, 1, K) == set()
+
+
+class TestDecodingCapacity:
+    @pytest.mark.parametrize("i", range(5))
+    def test_matches_reference_up_to_half_the_bits(self, i):
+        # Every x up to N / 2 on 16 bits, where y = x - 1 codes at the last
+        # bit; 40 stages let every fixture's last entry settle.
+        hz = Horizon(40, 16)
+        K = k_fixtures(hz)[i]
+        for x in range(hz.bits // 2 + 1):
+            nu = decode_family(K, x, hz)
+            oracle = inc_oracle_bruteforce(nu)
+            assert decide_k_below(oracle, nu, x, K) == \
+                decide_k_below_reference(oracle, nu, x, K), x
+
+    def test_past_half_the_bits_raises(self):
+        # y = 4 codes at position 9, past an 8-bit horizon, so no candidate
+        # can show it; K holds 4, which an unguarded search would take as
+        # "2y + 1 not in E" and decode.
+        hz = Horizon(16, 8)
+        K = Schedule.from_pairs([(4, 0)])
+        nu = decode_family(K, 5, hz)
+        with pytest.raises(CapacityError, match="needs 10 bits, got 8"):
+            decide_k_below(inc_oracle_bruteforce(nu), nu, 5, K)
 
 
 class TestGazebo:

@@ -25,7 +25,8 @@ from leftre.diagonal import build_diagonal
 from leftre.markers import MarkerSystem
 from leftre.relations import b_from_k
 from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
-                         maxsep_superset, split_subset, tilde_set)
+                         maxsep_superset, split_subset, split_superset,
+                         tilde_set)
 
 
 @st.composite
@@ -120,6 +121,25 @@ def test_split_subset(hzs, data):
         return ApproxProcess(values.__getitem__, h)
 
     assert_restricts(split_subset(process(hz)), split_subset(process(wide)))
+
+
+@settings(deadline=None)
+@given(horizon_pairs(), st.data())
+def test_split_superset(hzs, data):
+    # Any odd non-members below N at each of the S' stages; every other
+    # position, those in [N, N') too, is a member.
+    hz, wide = hzs
+    odds = range(1, hz.bits, 2)
+    non_members = st.sets(st.sampled_from(odds)) if odds else st.just(set())
+    stages = data.draw(st.lists(non_members, min_size=wide.stages,
+                                max_size=wide.stages))
+
+    def process(h: Horizon) -> ApproxProcess:
+        full = (1 << h.bits) - 1
+        values = [full & ~Prefix.from_set(m, h.bits).value for m in stages]
+        return ApproxProcess(values.__getitem__, h)
+
+    assert_restricts(split_superset(process(hz)), split_superset(process(wide)))
 
 
 @st.composite
