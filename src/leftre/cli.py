@@ -8,11 +8,10 @@ arguments, writes the trace and dispatches to the runner.
 """
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import sys
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 from typing import Callable, Optional, TextIO
 
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
@@ -22,12 +21,9 @@ from .core import (ApproxProcess, CapacityError, Horizon, InputError,
 
 def _load_on_first_use(name: str) -> ModuleType:
     """The module leftre.<name>, whose body runs when a caller first reads
-    one of its attributes, so a run executes only the modules it uses.
-
-    The module object sits in sys.modules and on the package from the start,
-    so every importer (and anything that looks the module up there) shares
-    it; a module already in sys.modules is reused as it is.
-    """
+    one of its attributes, so a run executes only the modules it uses.  It
+    sits in sys.modules and on the package from the start, so every importer
+    shares it; a module already in sys.modules is reused as it is."""
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
     if module is None:
@@ -135,7 +131,7 @@ def _reject_unknown(obj: dict, allowed: tuple, what: str) -> None:
                          f"it reads {', '.join(allowed) or 'none'}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: SimpleNamespace) -> int:
     config = {}
     if args.config:
         with open(args.config) as fh:
@@ -144,16 +140,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(f"config must be a JSON object, got "
                              f"{json.dumps(config)}")
         _reject_unknown(config, CONFIG_KEYS, "the config")
-    construction = (args.construction if args.construction is not None
-                    else config.get("construction"))
+    config.update((key, getattr(args, key)) for key in CONFIG_KEYS[:4]
+                  if getattr(args, key) is not None)  # flags override the config
+    construction = config.get("construction")
     if construction not in CONSTRUCTIONS:
         raise UsageError(f"unknown construction {construction!r}; "
                          f"choose from {', '.join(CONSTRUCTIONS)}")
-    hz = Horizon(read_param(config, "stages", 256) if args.stages is None
-                 else args.stages,
-                 read_param(config, "bits", 512) if args.bits is None
-                 else args.bits)
-    seed = args.seed if args.seed is not None else read_param(config, "seed", 0)
+    hz = Horizon(read_param(config, "stages", 256), read_param(config, "bits", 512))
+    seed = read_param(config, "seed", 0)
     params = read_param(config, "params", {})
     _reject_unknown(params, PARAMS.get(construction, ()),
                     f"{construction} params")
@@ -180,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     nu = load_numbering(args.path)
     all_ok = True
     for e in range(nu.index_range):
@@ -193,7 +187,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: SimpleNamespace) -> int:
     nu = load_numbering(args.path)
     oracle = (relations.inc_oracle_bruteforce(nu) if args.mode == "inc"
               else relations.lex_oracle_bruteforce(nu))
@@ -208,38 +202,64 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="leftre",
-        description="Finite-horizon constructions over lex-monotone set "
-                    "approximations")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's function, its positional argument (in brackets when it may
+# be left out) and its options.  An option's value is read by its function,
+# or must be one of its tuple of values, the first of which is the default.
+COMMANDS = {
+    "run": (cmd_run, "[CONSTRUCTION]", {"config": str, "stages": int,
+                                        "bits": int, "seed": int, "out": str}),
+    "validate": (cmd_validate, "PATH", {}),
+    "oracle": (cmd_oracle, "PATH", {"mode": ("inc", "lex"), "out": str}),
+}
 
-    run_p = sub.add_parser("run", help="run one construction and emit a trace")
-    run_p.add_argument("construction", nargs="?", choices=CONSTRUCTIONS)
-    run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--stages", type=int)
-    run_p.add_argument("--bits", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out", help="trace output path (default stdout)")
-    run_p.set_defaults(fn=cmd_run)
 
-    val_p = sub.add_parser("validate", help="validate a numbering file")
-    val_p.add_argument("path")
-    val_p.set_defaults(fn=cmd_validate)
+def usage() -> str:
+    return "usage: " + "\n       ".join(" ".join([f"leftre {command} {pos}"] + [
+        f"[--{name} {'|'.join(r) if type(r) is tuple else r.__name__.upper()}]"
+        for name, r in options.items()]) for command, (_, pos, options)
+        in COMMANDS.items()) + f"\nconstructions: {' '.join(CONSTRUCTIONS)}"
 
-    orc_p = sub.add_parser("oracle", help="dump a brute-force relation oracle")
-    orc_p.add_argument("path", help="numbering file")
-    orc_p.add_argument("--mode", choices=("inc", "lex"), default="inc")
-    orc_p.add_argument("--out", help="CSV output path (default stdout)")
-    orc_p.set_defaults(fn=cmd_oracle)
-    return parser
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, its function and its arguments, as COMMANDS reads them.
+    `-h` or `--help` anywhere asks for the usage; any other bad command line
+    raises UsageError with the usage text."""
+    def bad(message: str) -> UsageError:
+        return UsageError(f"{message}\n{usage()}")
+    if any(a == "-h" or len(a) > 2 and "--help".startswith(a) for a in argv):
+        return SimpleNamespace(command="help", fn=lambda _: print(usage()) or 0)
+    if not argv or argv[0] not in COMMANDS:
+        raise bad(f"choose a command from {', '.join(COMMANDS)}")
+    (fn, positional, options), rest, given = COMMANDS[argv[0]], iter(argv[1:]), []
+    args = SimpleNamespace(command=argv[0], fn=fn, **{
+        name: r[0] if type(r) is tuple else None for name, r in options.items()})
+    for arg in rest:  # `--name value` or `--name=value`; the last one wins
+        if not arg.startswith("-"):
+            given.append(arg)
+            continue
+        name, eq, value = arg.partition("=")  # a name may be cut to a prefix
+        matches = [o for o in options if len(name) > 2 and f"--{o}".startswith(name)]
+        if len(matches) != 1:
+            raise bad(f"{'ambiguous' if matches else 'unknown'} option {name}")
+        option, read = matches[0], options[matches[0]]
+        if not eq and (value := next(rest, "-"))[:1] == "-" and not value[1:].isdigit():
+            raise bad(f"--{option} needs a value")  # not the next option
+        try:
+            setattr(args, option, read[read.index(value)] if type(read) is tuple
+                    else read(value))
+        except ValueError:
+            kind = " or ".join(read) if type(read) is tuple else "an integer"
+            raise bad(f"--{option} must be {kind}, got {value!r}") from None
+    if len(given) > 1 or not given and positional[0] != "[":
+        raise bad(f"{args.command} takes one {positional}, got {len(given)}")
+    setattr(args, positional.strip("[]").lower(), given[0] if given else None)
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    args.out_of_memory = f"error: out of memory in {args.command}"
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args.out_of_memory = f"error: out of memory in {args.command}"
         return args.fn(args)
     except (UsageError, InputError, CapacityError, OSError,
             json.JSONDecodeError) as exc:

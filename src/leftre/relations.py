@@ -176,8 +176,10 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
         return set()
     S, N = nu.horizon.stages, nu.horizon.bits
     _check_decode_bits(x, N)
-    first: dict[tuple[int, int], int] = {}  # (e, j) -> its first stage, j < 2
-    for t, e, bits in oracle.stage_groups():
+    # (e, j) -> its first stage, j < 2; without groups, that is its pair code.
+    first = {(e, j): pair_code(e, j) for e, bits in enumerate(oracle.rows)
+             for j in one_bits(bits & 3)} if oracle.groups is None else {}
+    for t, e, bits in oracle.groups or ():
         for j in one_bits(bits & 3):
             first.setdefault((e, j), t)
     # Candidate -> the stage from which both of its pairs are out.
