@@ -23,7 +23,7 @@ def _load_on_first_use(name: str) -> ModuleType:
     """The module leftre.<name>, whose body runs when a caller first reads
     one of its attributes, so a run executes only the modules it uses.  It
     sits in sys.modules and on the package from the start, so every importer
-    shares it; a module already in sys.modules is reused as it is."""
+    and every lookup there shares it; one already there is reused as it is."""
     full = f"{__package__}.{name}"
     module = sys.modules.get(full)
     if module is None:

@@ -176,12 +176,15 @@ def decide_k_below(oracle: RelationOracle, nu: Numbering, x: int,
         return set()
     S, N = nu.horizon.stages, nu.horizon.bits
     _check_decode_bits(x, N)
-    # (e, j) -> its first stage, j < 2; without groups, that is its pair code.
-    first = {(e, j): pair_code(e, j) for e, bits in enumerate(oracle.rows)
-             for j in one_bits(bits & 3)} if oracle.groups is None else {}
-    for t, e, bits in oracle.groups or ():
-        for j in one_bits(bits & 3):
-            first.setdefault((e, j), t)
+    # (e, j) -> its first stage, j < 2.
+    if oracle.groups is None:  # a pair's stage is its pair code
+        first = {(e, j): pair_code(e, j) for e, bits in enumerate(oracle.rows)
+                 for j in one_bits(bits & 3)}
+    else:
+        first = {}
+        for t, e, bits in oracle.groups:
+            for j in one_bits(bits & 3):
+                first.setdefault((e, j), t)
     # Candidate -> the stage from which both of its pairs are out.
     ready = {e: max(first[e, 0], first[e, 1]) for e in range(2, nu.index_range)
              if (e, 0) in first and (e, 1) in first}

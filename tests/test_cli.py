@@ -295,6 +295,109 @@ class TestRunParams:
         assert code in (0, 2), err.getvalue()
 
 
+class TestParser:
+    """`--name value` or `--name=value`, with any unique prefix of the name,
+    on either side of the positional, the last repeat winning; `-h` or
+    `--help` anywhere prints the usage and exits 0, and any other bad
+    command line exits 2 with one error line and the usage."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["run", "--help"], ["oracle", "nu.json", "--he"],
+        ["run", "gazebo", "--stages", "x", "-h"]])
+    def test_help_prints_the_usage(self, argv, capsys):
+        assert run_cli(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.startswith("usage: leftre run [CONSTRUCTION] [--config STR]")
+        for word in ("leftre validate PATH", "leftre oracle PATH",
+                     "[--mode inc|lex]", "[--stages INT]", *CONSTRUCTIONS):
+            assert word in out
+
+    def test_help_in_a_child(self, capsys):
+        assert run_cli("--help") == 0
+        done = run_cli_process("--help")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["diagonal", "--stages=8", "--bits", "16"],
+        ["diagonal", "--stag", "8", "--bits", "16"],
+        ["--stages", "8", "--bi=16", "diagonal"],
+        ["diagonal", "--stages", "3", "--bits", "16", "--stages", "8"],
+    ], ids=["equals", "prefix", "before-positional", "last-repeat"])
+    def test_spellings_give_the_same_trace(self, argv, capsys):
+        assert run_cli("run", "diagonal", "--stages", "8", "--bits", "16",
+                       "--seed", "2") == 0
+        expected = capsys.readouterr().out
+        assert run_cli("run", *argv, "--seed", "2") == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "diagonal", "--colour", "red"], "unknown option --colour"),
+        (["run", "diagonal", "-s", "8"], "unknown option -s"),
+        (["run", "diagonal", "--s", "8"], "ambiguous option --s"),
+        (["run", "diagonal", "--stages"], "--stages needs a value"),
+        (["run", "diagonal", "--out", "--seed", "3"], "--out needs a value"),
+        (["run", "diagonal", "--seed", "x"], "--seed must be an integer, got 'x'"),
+        (["run", "diagonal", "--bits", "1.5"],
+         "--bits must be an integer, got '1.5'"),
+        (["run", "diagonal", "--stages=eight"],
+         "--stages must be an integer, got 'eight'"),
+        (["run", "diagonal", "gazebo"], "run takes one [CONSTRUCTION], got 2"),
+        (["validate"], "validate takes one PATH, got 0"),
+        ([], "choose a command from run, validate, oracle"),
+        (["draw"], "choose a command from run, validate, oracle"),
+        (["oracle", "nu.json", "--mode", "xyz"],
+         "--mode must be inc or lex, got 'xyz'"),
+    ], ids=["unknown", "short", "ambiguous", "missing-value", "option-as-value",
+            "seed", "bits", "stages", "extra-positional", "no-positional",
+            "no-command", "unknown-command", "mode"])
+    def test_bad_command_line_exits_2(self, argv, message):
+        done = run_cli_process(*argv)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and done.stdout == ""
+        first, *usage = done.stderr.splitlines()
+        assert first == f"error: {message}"
+        assert usage[0].startswith("usage: leftre run")
+        assert not any(line.startswith("error:") for line in usage)
+
+
+# Values within and just outside each run parameter's read_param range: x
+# and checkpoint up to one past the widest horizon of the sweep below.
+PARAM_VALUES = {
+    "n_cap": st.integers(0, 14), "size": st.integers(0, 8),
+    "x": st.integers(-1, 81), "bits": st.integers(0, 40),
+    "levels": st.integers(1, 30), "checkpoint": st.integers(-1, 161),
+    "fixed": st.lists(st.integers(-1, 161), max_size=4),
+}
+
+
+class TestParamSweep:
+    """Any construction, with any values of the run parameters it reads, on
+    any horizon up to 80x160, ends in a verdict (exit 0) or a typed error
+    (exit 2): never exit 1 and never an exception."""
+
+    def test_every_param_has_values(self):
+        assert {k for keys in cli.PARAMS.values() for k in keys} == \
+            set(PARAM_VALUES)
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.sampled_from(CONSTRUCTIONS), st.integers(1, 80),
+           st.integers(1, 160), st.integers(0, 1000), st.data())
+    def test_exit_0_or_2(self, tmp_path_factory, construction, stages, bits,
+                         seed, data):
+        params = data.draw(st.fixed_dictionaries(
+            {k: PARAM_VALUES[k] for k in cli.PARAMS.get(construction, ())}))
+        cfg = tmp_path_factory.mktemp("sweep") / "cfg.json"
+        cfg.write_text(json.dumps({"params": params}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("run", construction, "--stages", str(stages),
+                           "--bits", str(bits), "--seed", str(seed),
+                           "--config", str(cfg))
+        assert code in (0, 2), err.getvalue()
+
+
 class TestSmallHorizonSweep:
     """Any construction on any horizon from 1x1 to 64x128 ends in a verdict
     (exit 0) or a typed error (exit 2).  No fixture here fails a check, so an
@@ -476,7 +579,7 @@ class TestGazeboWitness:
 # Prints, after `from leftre import cli` and the statements substituted for
 # {run}, which leftre modules sit in sys.modules, which of them have run their
 # body (a module still waiting for its first use is not a plain ModuleType),
-# and whether dataclasses was imported.
+# and which of the modules that no run needs were imported.
 COLD_START = """
 import contextlib, io, json, sys, types
 from leftre import cli
@@ -485,7 +588,8 @@ leftre = {{n: m for n, m in sys.modules.items() if n.startswith("leftre.")}}
 print(json.dumps({{
     "loaded": sorted(leftre),
     "executed": sorted(n for n, m in leftre.items() if type(m) is types.ModuleType),
-    "dataclasses": "dataclasses" in sys.modules}}))
+    "unneeded": [n for n in ("argparse", "dataclasses", "gettext")
+                 if n in sys.modules]}}))
 """
 
 
@@ -501,7 +605,7 @@ def cold_start(run=""):
 
 class TestColdStart:
     """A fresh `leftre run` executes only the modules its construction uses
-    and imports no dataclasses."""
+    and imports no dataclasses, argparse or gettext."""
 
     # The leftre modules a run of each construction executes besides cli and
     # core: its runner's module, the fixtures and what they import eagerly.
@@ -528,7 +632,7 @@ class TestColdStart:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main(['run', {construction!r}, '--stages', '64',"
             f" '--bits', '128', '--seed', '3']) == 0")
-        assert not state["dataclasses"]
+        assert state["unneeded"] == []
         uses = {f"leftre.{name}"
                 for name in ("cli", "core", *self.USES[construction])}
         assert set(state["executed"]) == uses
@@ -553,4 +657,4 @@ class TestColdStart:
         targets = {f"leftre.{t[0]}" for t in tracer.TARGETS} | {"leftre.cli"}
         state = cold_start()
         assert targets <= set(state["loaded"])
-        assert not state["dataclasses"]
+        assert state["unneeded"] == []

@@ -190,6 +190,8 @@ class TestDecoding:
                                     min_size=len(pairs), max_size=len(pairs)))
         oracle = RelationOracle.from_entries(
             data.draw(st.permutations(list(zip(pairs, stages)))))
+        if data.draw(st.booleans()):  # no groups: the stages are pair codes
+            oracle = RelationOracle(oracle.rows)
         expected = decide_k_below_reference(oracle, nu, x, K)
         if expected is not None and expected != \
                 {y for y in K.final_members() if y < x}:
@@ -210,6 +212,19 @@ class TestDecoding:
         oracle = inc_oracle_bruteforce(nu)
         assert decide_k_below(oracle, nu, x, K) == \
             {y for y in K.final_members() if y < x}
+
+    @pytest.mark.parametrize("i", range(5))
+    @pytest.mark.parametrize("x", [1, 3, 16, 48])
+    def test_pair_codes_match_explicit_groups(self, i, x):
+        # Without groups, the first stage of a pair is its pair code: the same
+        # oracle with one explicit group per pair decides the same way.
+        K = k_fixtures(HZ)[i]
+        nu = decode_family(K, x)
+        oracle = inc_oracle_bruteforce(nu)
+        grouped = RelationOracle.from_entries(oracle.entries)
+        assert oracle.groups is None and grouped.groups is not None
+        assert decide_k_below(oracle, nu, x, K) == \
+            decide_k_below(grouped, nu, x, K)
 
     def test_worked_example(self):
         K = Schedule.from_pairs([(0, 3), (2, 5)])
