@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect_right
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Runs = Sequence[tuple[int, int]]  # ascending inclusive (start, end) runs
@@ -154,22 +156,6 @@ class Prefix(Record):
         return self.value & ~other.value == 0
 
 
-def rank_parity(value: int, length: int) -> int:
-    """Prefix XOR of a packed stage value from position 0.
-
-    Bit x of the result (position 0 most significant) is the parity of the
-    1 bits of `value` at positions 0..x, so a 1 bit of `value` keeps a 1 in
-    the result exactly when an even number of 1 bits precede it:
-    `value & rank_parity(value, length)` holds every second 1 bit, starting
-    with the first.  Takes log2(length) shift/xor steps.
-    """
-    shift = 1
-    while shift < length:
-        value ^= value >> shift
-        shift <<= 1
-    return value
-
-
 def lex_cmp(a: Prefix, b: Prefix) -> int:
     """Lexicographic comparison of equal-length prefixes.
 
@@ -194,44 +180,40 @@ def first_difference(a: Prefix, b: Prefix) -> Optional[int]:
 
 
 class ApproxProcess:
-    """A stage-indexed approximation of a set: its packed stage values.
+    """A stage-indexed approximation of a set, stored as its change points.
 
-    `prefix_fn(s)` is called once per stage s < horizon.stages, when the
-    process is built, and must return the stage-s prefix as a packed integer
-    of horizon.bits bits; a value out of that range raises UsageError.  At a
-    stage s >= 1 it may instead return None, meaning "the value of stage
-    s - 1": a writer that knows where its value can move (the zulu sets,
-    tilde, diagonal) computes it only there.
-    One int is stored per stage; a stage that repeats its predecessor's
-    value, or returns None, stores the predecessor's int object, so a writer
-    that copies another process's values shares its ints.  `value(s)` reads
-    that int; `prefix(s)` and `final_prefix()` wrap it in a `Prefix` on each
-    call, and `bit(s, n)` for n < horizon.bits shifts it.
-    `changes` is the ascending sequence of the stages s >= 1 whose value
-    differs from stage s - 1's, stored as 8-byte machine ints; every other
-    stage repeats its predecessor.
+    `prefix_fn(s)` returns the stage-s prefix as a packed int of horizon.bits
+    bits (out of range raises UsageError).  It is called at stage 0 and at
+    each of `moves`, strictly ascending ints in [1, horizon.stages), or at
+    every stage when `moves` is None; a stage between two moves repeats the
+    one before.  Only the change points are kept: their stages as 8-byte
+    machine ints and the ints `prefix_fn` returned there, which a copy of
+    another process shares.  `value(s)` is a bisect; `changes` holds the
+    ascending stages s >= 1 whose value differs from stage s - 1's.
     Positions at or past the bit horizon are answered by the optional
-    `bit_fn(s, n)`, which sparse constructions give to decide membership
-    arithmetically for huge positions, and, over a whole range, by the
-    optional `runs_fn(s, lo, hi)`: the ascending maximal inclusive
-    (start, end) runs of members in [max(lo, N), hi].  Both must describe
-    the same set; reading past the horizon without the one a read needs
-    raises UsageError.
+    `bit_fn(s, n)` and, over a range, by the optional `runs_fn(s, lo, hi)`:
+    the ascending maximal inclusive (start, end) runs of members in
+    [max(lo, N), hi].  Both must describe the same set; a read past the
+    horizon without the one it needs raises UsageError.
     """
 
-    def __init__(self, prefix_fn: Callable[[int], Optional[int]],
-                 horizon: Horizon, label: str = "",
+    def __init__(self, prefix_fn: Callable[[int], int], horizon: Horizon,
+                 label: str = "",
                  bit_fn: Optional[Callable[[int, int], int]] = None,
-                 runs_fn: Optional[Callable[[int, int, int], Runs]] = None):
+                 runs_fn: Optional[Callable[[int, int, int], Runs]] = None,
+                 moves: Optional[Iterable[int]] = None):
+        S = horizon.stages
         top = 1 << horizon.bits
+        stages = bytearray()
         values = []
-        changes = bytearray()
-        v = None
-        for s in range(horizon.stages):
+        last = -1
+        for s in chain((0,), range(1, S) if moves is None else moves):
+            if type(s) is not int or not last < s < S:
+                raise UsageError(f"process {label!r}: move {s!r} is not an int "
+                                 f"stage after {last} and below {S}")
+            last = s
             value = prefix_fn(s)
-            # A stage that repeats its predecessor's value shares its int;
-            # None at stage 0 still reaches the range check.
-            if not s or (value is not None and value != v):
+            if not values or value != values[-1]:
                 try:
                     fits = 0 <= value < top
                 except TypeError:
@@ -239,14 +221,13 @@ class ApproxProcess:
                 if not fits:
                     raise UsageError(f"process {label!r}: stage {s} value "
                                      f"does not fit {horizon.bits} bits")
-                v = value
-                if s:
-                    changes += s.to_bytes(8, sys.byteorder)
-            values.append(v)
-        self._values = tuple(values)
+                stages += s.to_bytes(8, sys.byteorder)
+                values.append(value)
         # A read-only view of 8-byte ints: a sequence like a tuple, without
         # an int object per entry, and with no extension module to load.
-        self.changes = memoryview(bytes(changes)).cast("q")
+        self._stages = memoryview(bytes(stages)).cast("q")
+        self._values = tuple(values)
+        self.changes = self._stages[1:]
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
@@ -256,7 +237,10 @@ class ApproxProcess:
         """The packed stage-s value."""
         if not 0 <= s < self.horizon.stages:
             raise UsageError(f"stage {s} outside horizon of {self.horizon.stages}")
-        return self._values[s]
+        values = self._values
+        if len(values) == self.horizon.stages:  # a change at every stage
+            return values[s]
+        return values[bisect_right(self._stages, s) - 1]
 
     def prefix(self, s: int) -> Prefix:
         return Prefix(self.horizon.bits, self.value(s))
@@ -361,20 +345,36 @@ def change_stages(processes: Iterable[ApproxProcess]) -> set[int]:
     return {0}.union(*(p.changes for p in processes))
 
 
+def moves_within(stages: Iterable[int], horizon: Horizon) -> list[int]:
+    """The given stages that lie in [1, horizon.stages), ascending and once
+    each: the `moves` of a writer that can move only at those stages."""
+    return sorted({s for s in stages if 0 < s < horizon.stages})
+
+
+def points_process(points: dict[int, int], horizon: Horizon,
+                   label: str = "") -> ApproxProcess:
+    """The process whose value from each stage of `points` on is the value
+    it maps to.  The stages are inserted in ascending order, stage 0 first,
+    and all lie inside the horizon."""
+    stages = list(points)
+    values = list(points.values())
+    return ApproxProcess(lambda s: values[bisect_right(stages, s) - 1],
+                         horizon, label, moves=stages[1:])
+
+
 def derived_process(source: ApproxProcess, fn: Callable[[int], int],
                     label: str = "") -> ApproxProcess:
     """The process whose stage-s value is `fn(source.value(s))`; `fn` is
     called only at stage 0 and at `source.changes`."""
-    moves = change_stages([source])
-    return ApproxProcess(lambda s: fn(source.value(s)) if s in moves else None,
-                         source.horizon, label)
+    return ApproxProcess(lambda s: fn(source.value(s)), source.horizon, label,
+                         moves=source.changes)
 
 
 def finite_set_process(members: Iterable[int], horizon: Horizon,
                        label: str = "") -> ApproxProcess:
     """The process that shows the same set of positions at every stage."""
     value = Prefix.from_set(members, horizon.bits).value
-    return ApproxProcess(lambda s: value, horizon, label)
+    return ApproxProcess(lambda s: value, horizon, label, moves=())
 
 
 class ValidationReport(Record):
@@ -395,11 +395,12 @@ def validate_left_re(p: ApproxProcess) -> ValidationReport:
     """Check stage-wise lex monotonicity.
 
     Reports the earliest violating (stage, position) pair; `stage` is the
-    stage whose prefix exceeds its successor's.  Only `p.changes` is walked.
+    stage whose prefix exceeds its successor's.  Only the change points are
+    walked.
     """
     values = p._values
-    for s in p.changes:
-        prev, cur = values[s - 1], values[s]
+    for i, s in enumerate(p.changes, 1):
+        prev, cur = values[i - 1], values[i]
         if prev > cur:
             pos = p.horizon.bits - (prev ^ cur).bit_length()
             return ValidationReport(False, s - 1, pos,
@@ -416,8 +417,8 @@ def validate_monotone_membership(p: ApproxProcess, direction: str = "up") -> Val
     if direction not in ("up", "down"):
         raise UsageError(f"direction must be 'up' or 'down', not {direction!r}")
     values = p._values
-    for s in p.changes:
-        prev, cur = values[s - 1], values[s]
+    for i, s in enumerate(p.changes, 1):
+        prev, cur = values[i - 1], values[i]
         bad = prev & ~cur if direction == "up" else cur & ~prev
         if bad:
             pos = p.horizon.bits - bad.bit_length()
@@ -503,7 +504,7 @@ class Schedule(Record):
             if s < horizon.stages and x < N:
                 value |= 1 << (N - 1 - x)
                 points[s] = value
-        return ApproxProcess(points.get, horizon, label)
+        return points_process(points, horizon, label)
 
 
 def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
@@ -517,7 +518,8 @@ def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
         odds = [2 * y + 1 for y in f.prefix(s).members()]
         return Prefix.from_set(evens + odds, hz.bits).value
 
-    return ApproxProcess(prefix_value, hz, label or f"join({e.label},{f.label})")
+    return ApproxProcess(prefix_value, hz, label or f"join({e.label},{f.label})",
+                         moves=moves_within(change_stages([e, f]), hz))
 
 
 STABILITY_WINDOW = 8  # trailing stages a limit estimate must hold still over

@@ -115,10 +115,11 @@ def build_diagonal(nu: Numbering,
     # B is the complement of row x: its value moves only where the row does,
     # which is where the row is a new list.
     full = (1 << hz.bits) - 1
+    rows = state.x
     B = ApproxProcess(
-        lambda s: full & ~Prefix.from_set(state.x[s], hz.bits).value
-        if s == 0 or state.x[s] is not state.x[s - 1] else None,
-        hz, "diagonal", bit_fn=lambda s, y: 0 if y in state.x[s] else 1)
+        lambda s: full & ~Prefix.from_set(rows[s], hz.bits).value,
+        hz, "diagonal", bit_fn=lambda s, y: 0 if y in rows[s] else 1,
+        moves=[s for s in range(1, hz.stages) if rows[s] is not rows[s - 1]])
     return B, state
 
 

@@ -11,7 +11,7 @@ from random import Random
 
 from . import genericity, markers, selfref
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
-                   Numbering, Schedule)
+                   Numbering, Schedule, moves_within, points_process)
 
 
 FREEZE_TAIL = 10  # stages at the end of a random process with no moves
@@ -35,15 +35,14 @@ def random_leftre_process(seed: int, horizon: Horizon, label: str = "",
             f"no position past the {head_zeros}-bit protected head on a "
             f"{N}-bit horizon")
     value = 0
-    values = []
-    for s in range(horizon.stages):
-        if s < horizon.stages - FREEZE_TAIL and rng.random() < MOVE_CHANCE:
+    points = {0: 0}  # move stage -> value from that stage on
+    for s in range(horizon.stages - FREEZE_TAIL):
+        if rng.random() < MOVE_CHANCE:
             p = rng.randrange(head_zeros, N)
             if not (value >> (N - 1 - p)) & 1:
                 keep = value >> (N - p) << (N - p) if p else 0
-                value = keep | (1 << (N - 1 - p))
-        values.append(value)
-    return ApproxProcess(lambda s: values[s], horizon, label or f"rand-{seed}")
+                value = points[s] = keep | (1 << (N - 1 - p))
+    return points_process(points, horizon, label or f"rand-{seed}")
 
 
 def random_catalog(seed: int, size: int, horizon: Horizon,
@@ -166,7 +165,7 @@ def late_boundary_process(horizon: Horizon, checkpoint: int) -> ApproxProcess:
     final = horizon.stages - 1
     return ApproxProcess(
         lambda s: 1 << (N - 1 - checkpoint) if s == final else 0, horizon,
-        "late-boundary")
+        "late-boundary", moves=moves_within([final], horizon))
 
 
 def selfref_fixture(seed: int, horizon: Horizon) -> selfref.SelfRefPlan:
@@ -200,8 +199,8 @@ def diagonal_catalog(horizon: Horizon) -> Numbering:
     N = horizon.bits
     values = [int((p * (N // len(p) + 1))[:N], 2)
               for p in ("0", "10", "100", "0" * 8 + "1" * N)]
-    return Numbering([ApproxProcess(lambda s, v=v: v, horizon, f"diag-{i}")
-                      for i, v in enumerate(values)])
+    return Numbering([ApproxProcess(lambda s, v=v: v, horizon, f"diag-{i}",
+                                    moves=()) for i, v in enumerate(values)])
 
 
 def diagonal_schedules(state_points: list[int], horizon: Horizon,

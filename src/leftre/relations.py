@@ -13,6 +13,7 @@ established, so no emitted comparison is ever invalidated.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -20,7 +21,8 @@ from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Numbering, Prefix, Record,
                    Schedule, UsageError, change_stages, derived_process,
-                   finite_set_process, limit_estimate, one_bits, read_param)
+                   finite_set_process, limit_estimate, moves_within, one_bits,
+                   read_param)
 
 if TYPE_CHECKING:
     from .cli import TraceWriter
@@ -239,10 +241,10 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     emitted-pair cascade then takes down right-hand followers whose left
     partner died, and every affected index gets a fresh follower.
 
-    The run is incremental: beta's stage values are read once as packed ints,
-    emitted pairs are kept as one bitset of right sides per left side, and
-    each stage only tests the pairs that can change there (none where no beta
-    process changed).  At every stage end an emitted pair with a dead left
+    The run is incremental: beta's stage values are read as packed ints at
+    stage 0 and where one of them changes, emitted pairs are kept as one
+    bitset of right sides per left side, and each stage only tests the pairs
+    that can change there (none where no beta process changed).  At every stage end an emitted pair with a dead left
     side has a dead right side too, so the cascade starts from this stage's
     kills alone.
     """
@@ -256,8 +258,8 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         for j in range(i):
             if finals[j].value == f.value:
                 raise InputError(f"catalog indices {j} and {i} coincide")
-    bv = [[beta.at(i).value(s) for s in range(hz.stages)] for i in range(n)]
     changed = change_stages(beta)
+    cur = [p.value(0) for p in beta]  # beta's values at the current stage
 
     state = GazeboState({j: (j, 0) for j in range(n)})
     followers = {j: j for j in range(n)}  # beta idx -> alpha idx
@@ -269,7 +271,7 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
         # `dead` adds this stage's deaths, and all of them for a fresh left
         # side.  A live left side's right sides are the live followers whose
         # value is at least its own.
-        live = [(a, bv[b][s]) for b, a in followers.items()]
+        live = [(a, cur[b]) for b, a in followers.items()]
         at_least = _at_least(live)
         rights = {a: at_least[v] for a, v in live}
         for a, emitted in enumerate(right_of):
@@ -285,10 +287,10 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     for s in range(1, hz.stages):
         killed = 0
         if s in changed:
+            prev, cur = cur, [p.value(s) for p in beta]
             # i overtook j: the follower of j and every live index above it go.
             overtaken = [followers[j] for i in range(n) for j in range(n)
-                         if i != j and bv[i][s - 1] <= bv[j][s - 1]
-                         and bv[i][s] > bv[j][s]]
+                         if i != j and prev[i] <= prev[j] and cur[i] > cur[j]]
             if overtaken:
                 killed = ((1 << len(right_of)) - (1 << min(overtaken))) & ~dead
         # Cascade: an emitted pair with a dead left side must not outlive its
@@ -316,13 +318,17 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
                             "obliterated": obliterated})
 
     # A follower reads 0 before it is established, follows its beta index
-    # until obliterated, and is all-ones from then on.
+    # until obliterated, and is all-ones from then on; it moves only at those
+    # two stages and where its beta index changes in between.
     S = hz.stages
     processes = []
     for a, (i, t) in state.established.items():
+        p = beta.at(i)
         o = max(t, state.obliterated.get(a, S))
-        values = [0] * t + bv[i][t:o] + [ones] * (S - o)
-        processes.append(ApproxProcess(values.__getitem__, hz, f"alpha-{a}"))
+        followed = p.changes[bisect_right(p.changes, t):bisect_left(p.changes, o)]
+        processes.append(ApproxProcess(
+            lambda s, p=p, t=t, o=o: 0 if s < t else p.value(s) if s < o else ones,
+            hz, f"alpha-{a}", moves=moves_within([t, *followed, o], hz)))
     return Numbering(processes), state
 
 

@@ -11,13 +11,14 @@ here too, all on the same freezing machinery.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    Numbering, Prefix, Schedule, UsageError, finite_set_process,
                    first_difference, index_set_estimate, lex_cmp, LESS,
-                   limit_estimate, read_param)
+                   limit_estimate, moves_within, read_param)
 from .markers import MarkerSystem, count_h
 
 if TYPE_CHECKING:
@@ -97,7 +98,9 @@ def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
                         X: ApproxProcess, tail_stage: Sequence[int],
                         label: str) -> ApproxProcess:
     """Follow alpha before stage r; from r on, show sig followed by the bits
-    of X past sig's length at stage tail_stage[s]."""
+    of X past sig's length at stage tail_stage[s].  `tail_stage` does not
+    decrease, so from r on the value moves only at the first stage whose
+    tail stage reaches a change of X."""
     N = alpha.horizon.bits
     L = sig.length
     head = sig.value << (N - L)
@@ -107,17 +110,22 @@ def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
             return alpha.value(s)
         return head | X.value(tail_stage[s]) >> L
 
-    return ApproxProcess(prefix_value, alpha.horizon, label)
+    moves = [*alpha.changes[:bisect_left(alpha.changes, r)], r]
+    moves += (bisect_left(tail_stage, c, r) for c in X.changes)
+    return ApproxProcess(prefix_value, alpha.horizon, label,
+                         moves=moves_within(moves, alpha.horizon))
 
 
 def _last_shown(A: ApproxProcess, e: int) -> list[int]:
-    """For each stage s, the last stage <= s at which A shows e, or 0."""
+    """For each stage s, the last stage <= s at which A shows e, or 0.  A
+    shows e or not from one change of A to the next."""
+    bounds = [0, *A.changes, A.horizon.stages]
     stages = []
-    u = 0
-    for s in range(A.horizon.stages):
-        if A.bit(s, e) == 1:
-            u = s
-        stages.append(u)
+    for start, end in zip(bounds, bounds[1:]):
+        if A.bit(start, e) == 1:
+            stages += range(start, end)
+        else:
+            stages += [stages[-1] if stages else 0] * (end - start)
     return stages
 
 
@@ -194,8 +202,10 @@ def singleton_numbering_infinite(A: ApproxProcess, R: Sequence[int],
             processes.append(base.at(place[e]))
             continue
         # Each stage holds A's own int, not a copy of it.
-        values = [A.value(u) for u in _last_shown(A, e)]
-        processes.append(ApproxProcess(lambda s: values[s], hz, f"gamma-{e}"))
+        last = _last_shown(A, e)
+        processes.append(ApproxProcess(
+            lambda s, last=last: A.value(last[s]), hz, f"gamma-{e}",
+            moves=[s for s in range(1, S) if last[s] != last[s - 1]]))
     return Numbering(processes)
 
 
@@ -221,18 +231,17 @@ def infinite_indexset_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:
     """Restrict a process below the running maximum of an enumeration."""
     hz = B.horizon
     N = hz.bits
-    cutoffs = [max(W.members_at(s), default=None)
-               for s in range(hz.stages)]
 
     def prefix_value(s: int) -> int:
-        c = cutoffs[s]
+        c = max(W.members_at(s), default=None)
         if c is None:
             return 0
         keep = min(c, N)
         mask = ((1 << keep) - 1) << (N - keep) if keep else 0
         return B.value(s) & mask
 
-    return ApproxProcess(prefix_value, hz, "cutoff")
+    moves = moves_within([*B.changes, *(t for _, t in W.entries)], hz)
+    return ApproxProcess(prefix_value, hz, "cutoff", moves=moves)
 
 
 def excise(alpha: Numbering, R: Schedule, X: ApproxProcess) -> Numbering:

@@ -15,9 +15,10 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Prefix, Record, Runs, Schedule,
-                   UsageError, ValidationReport, change_stages, complement_runs,
-                   derived_process, join, mirror_mismatch, rank_parity,
-                   read_param, stage_runs, validate_left_re)
+                   UsageError, ValidationReport, complement_runs,
+                   derived_process, join, mirror_mismatch, moves_within,
+                   points_process, read_param, stage_runs,
+                   validate_left_re)
 
 if TYPE_CHECKING:
     from .cli import TraceWriter
@@ -159,7 +160,6 @@ def build_minimal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     """The set holding exactly the member markers of the covered intervals.
     A stage value is computed only where the markers can move."""
     N = horizon.bits
-    moves = set(state._moves)
 
     def bit(s: int, u: int) -> int:
         return 1 if u in state.markers(s) else 0
@@ -168,8 +168,9 @@ def build_minimal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
         return [(u, u) for u in state.markers(s) if max(lo, N) <= u <= hi]
 
     return ApproxProcess(
-        lambda s: Prefix.from_set(state.markers(s), N).value
-        if s in moves else None, horizon, "minimal", bit_fn=bit, runs_fn=runs)
+        lambda s: Prefix.from_set(state.markers(s), N).value, horizon,
+        "minimal", bit_fn=bit, runs_fn=runs,
+        moves=moves_within(state._moves, horizon))
 
 
 def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
@@ -177,7 +178,6 @@ def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
     A stage value is computed only where the mirrors can move."""
     layout = state.layout
     N = horizon.bits
-    moves = set(state._moves)
 
     def end(s: int) -> int:
         """The first position past the intervals covered at stage s."""
@@ -192,14 +192,12 @@ def build_maximal(state: ZuluState, horizon: Horizon) -> ApproxProcess:
             [(b, b) for b in state.mirrors(s) if lo <= b <= hi],
             lo, min(hi, end(s) - 1))
 
-    def prefix_value(s: int) -> Optional[int]:
-        if s not in moves:
-            return None
+    def prefix_value(s: int) -> int:
         covered = (1 << N) - (1 << max(N - end(s), 0))
         return covered & ~Prefix.from_set(state.mirrors(s), N).value
 
     return ApproxProcess(prefix_value, horizon, "maximal", bit_fn=bit,
-                         runs_fn=runs)
+                         runs_fn=runs, moves=moves_within(state._moves, horizon))
 
 
 RUNS_FROM = 3  # btt_check reads I_n across the horizon as runs from n = 3 on
@@ -272,12 +270,33 @@ def maxsep_superset(A: Schedule, horizon: Horizon) -> ApproxProcess:
                     "exactly one per stage is required")
     N = horizon.bits
     full = (1 << N) - 1
+    # Bit x of rp is the parity of the complement's members at positions
+    # 0..x (`rank_parity`); entering x flips it at x and every later position.
+    M = 0
+    rp = _even_positions(N)
+    points = {0: full & ~rp}  # entry stage -> value from that stage on
+    for x, t in sorted(A.entries, key=lambda e: e[1]):
+        if t < horizon.stages and x < N and not M >> (N - 1 - x) & 1:
+            M |= 1 << (N - 1 - x)
+            rp ^= (1 << (N - x)) - 1
+            points[t] = M | (full & ~M & ~rp)
+    return points_process(points, horizon, "strict-superset")
 
-    def stage_value(M: int) -> int:
-        C = full & ~M
-        return M | (C & ~rank_parity(C, N))
 
-    return derived_process(A.as_process(horizon), stage_value, "strict-superset")
+def rank_parity(value: int, length: int) -> int:
+    """Prefix XOR of a packed stage value from position 0.
+
+    Bit x of the result (position 0 most significant) is the parity of the
+    1 bits of `value` at positions 0..x, so a 1 bit of `value` keeps a 1 in
+    the result exactly when an even number of 1 bits precede it:
+    `value & rank_parity(value, length)` holds every second 1 bit, starting
+    with the first.  Takes log2(length) shift/xor steps.
+    """
+    shift = 1
+    while shift < length:
+        value ^= value >> shift
+        shift <<= 1
+    return value
 
 
 def _even_positions(N: int) -> int:
@@ -390,9 +409,9 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
             return 0
         return 1 - in_w
 
-    moves = change_stages([A]).union(t for _, t in W.entries)
-    return ApproxProcess(lambda s: stage_value(s) if s in moves else None,
-                         A.horizon, "tilde", bit_fn=bit)
+    moves = moves_within([*A.changes, *(t for _, t in W.entries)], A.horizon)
+    return ApproxProcess(stage_value, A.horizon, "tilde", bit_fn=bit,
+                         moves=moves)
 
 
 def max_join_gadget(B: ApproxProcess, W: Schedule) -> ApproxProcess:

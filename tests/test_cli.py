@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,22 @@ class TestRun:
         assert done.stderr == ("error: out of memory running split at 16 "
                                "stages x 4000000000 bits\n")
         assert "Traceback" not in done.stderr
+
+    def test_markers_costs_nothing_where_nothing_changes(self):
+        # 2^40 stages in a 1 GB address space: a run that stored or visited
+        # every stage would run out of memory or time.  zulu-min, tilde-a and
+        # diagonal still walk every stage, so only markers runs here.
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        done = run_cli_process("run", "markers", "--stages", str(1 << 40),
+                               "--bits", "512", preexec_fn=limit)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        verdict = json.loads(done.stdout.splitlines()[-1])
+        assert verdict["type"] == "verdict" and verdict["ok"]
+        assert elapsed < 1.0, elapsed
 
 
 class TestRunParams:

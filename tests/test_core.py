@@ -334,31 +334,69 @@ class TestChanges:
         assert change_stages([p]) == {0}
         assert limit_estimate(p) == (Prefix(4, 5), True)
 
-    def test_none_repeats_the_stage_before(self):
-        # Stages 1-3 and 5-6 return None: each shares its predecessor's int
-        # object and records no change; stage 4's new value after a run of
-        # Nones is a change, and stage 7 repeats it by value with an int of
-        # its own.  The values are wider than the interpreter's cached small
-        # ints, so sharing is not an accident of caching.
-        a, b = 5 << 100, 9 << 100
-        values = [a, None, None, None, b, None, None, int(str(b))]
-        assert values[7] is not b
-        p = ApproxProcess(values.__getitem__, Horizon(8, 104))
-        assert tuple(p.changes) == (4,)
-        assert [p.prefix(s).value for s in range(8)] == [a] * 4 + [b] * 4
-        for s in (1, 2, 3, 5, 6, 7):
-            assert p.value(s) is p.value(s - 1)
-
-    def test_none_at_stage_0_raises(self):
-        with pytest.raises(UsageError, match="stage 0"):
-            ApproxProcess(lambda s: None, Horizon(2, 4), "bad")
-
     def test_stable_iff_the_last_change_precedes_the_window(self):
         S = HZ.stages
         for t in range(1, S):
             p = ApproxProcess(lambda s: int(s >= t), HZ)
             assert tuple(p.changes) == (t,)
             assert limit_estimate(p)[1] == (t < S - STABILITY_WINDOW)
+
+
+class TestMoves:
+    """The `moves` contract: `prefix_fn` runs at stage 0 and at each move,
+    and every stage in between repeats the move before it."""
+
+    def test_a_move_that_repeats_its_predecessor_is_no_change(self):
+        # Stage 2 is a move whose value equals stage 0's, by value with an
+        # int of its own; stage 5 changes, stage 6 repeats it.  The values
+        # are wider than the interpreter's cached small ints, so sharing is
+        # not an accident of caching.
+        a, b = 5 << 100, 9 << 100
+        table = {0: a, 2: int(str(a)), 5: b, 6: int(str(b))}
+        calls = []
+
+        def fn(s):
+            calls.append(s)
+            return table[s]
+
+        p = ApproxProcess(fn, Horizon(8, 104), "p", moves=[2, 5, 6])
+        assert calls == [0, 2, 5, 6]
+        assert tuple(p.changes) == (5,)
+        assert [p.value(s) for s in range(8)] == [a] * 5 + [b] * 3
+        assert all(p.value(s) is a for s in range(5))
+        assert all(p.value(s) is b for s in range(5, 8))
+
+    def test_no_moves_calls_stage_0_only(self):
+        calls = []
+        p = ApproxProcess(lambda s: calls.append(s) or 3, Horizon(1 << 40, 4),
+                          "still", moves=())
+        assert calls == [0] and tuple(p.changes) == ()
+        assert p.value((1 << 40) - 1) == 3 and p.final_prefix() == Prefix(4, 3)
+
+    @pytest.mark.parametrize("moves", [[3, 2], [2, 2], [0, 1], [1, 8], [-1],
+                                       [1.0], ["1"], [True], [None]],
+                             ids=["descending", "repeated", "stage-0",
+                                  "past-horizon", "negative", "float", "str",
+                                  "bool", "none"])
+    def test_bad_moves_raise_naming_the_label(self, moves):
+        with pytest.raises(UsageError, match="process 'bad': move"):
+            ApproxProcess(lambda s: 0, Horizon(8, 4), "bad", moves=moves)
+
+    @pytest.mark.parametrize("value", [-1, 1 << 4, None],
+                             ids=["negative", "too-wide", "none"])
+    def test_every_stored_value_is_range_checked(self, value):
+        with pytest.raises(UsageError, match="'bad': stage 5 value"):
+            ApproxProcess(lambda s: value if s == 5 else 0, Horizon(8, 4),
+                          "bad", moves=[3, 5])
+        with pytest.raises(UsageError, match="'bad': stage 0 value"):
+            ApproxProcess(lambda s: value, Horizon(8, 4), "bad", moves=[3])
+
+    @pytest.mark.parametrize("stage", [-1, 8, 1 << 40])
+    def test_value_outside_the_horizon_raises(self, stage):
+        p = ApproxProcess(lambda s: s, Horizon(8, 4), "p", moves=[2, 7])
+        assert [p.value(s) for s in range(8)] == [0, 0, 2, 2, 2, 2, 2, 7]
+        with pytest.raises(UsageError, match="outside horizon of 8"):
+            p.value(stage)
 
 
 def as_process_reference(W, hz):
@@ -412,8 +450,8 @@ class TestDerivedProcess:
 
 
 class TestStorage:
-    """A process stores one int per stage and no `Prefix`; a copy of another
-    process's values holds that process's int objects."""
+    """A process stores one int per change point and no `Prefix`; a copy of
+    another process's values holds that process's int objects."""
 
     def test_a_process_holds_its_ints_not_wrappers(self):
         hz = Horizon(256, 4096)
@@ -425,8 +463,8 @@ class TestStorage:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 256 stage slots and 255 change stages take about 4 KB; a Prefix
-        # per stage would add about 100 B each.
+        # 256 change points, each a stage and a value slot, take about 4 KB;
+        # a Prefix per stage would add about 100 B each.
         assert held < 8192, held
         assert all(p.value(s) is values[s] for s in range(256))
 
@@ -439,7 +477,7 @@ class TestStorage:
             p = ApproxProcess(values.__getitem__, Horizon(2048, 12))
             assert len(p.changes) == 2047
             before = tracemalloc.get_traced_memory()[0]
-            del p.changes
+            del p.changes, p._stages  # `changes` is a view of the stages
             held = before - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.zulu import _zulu_state
-from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule,
-                         rank_parity)
+from leftre.core import (ApproxProcess, Horizon, InputError, Prefix, Schedule)
 from leftre.diagonal import build_diagonal
 from leftre.fixtures import (diagonal_catalog, diagonal_schedules, k_fixtures,
                              marker_fixture, omega_fixture,
@@ -22,8 +21,8 @@ from leftre.fixtures import (diagonal_catalog, diagonal_schedules, k_fixtures,
 from leftre.markers import MarkerSystem
 from leftre.relations import b_from_k
 from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
-                         maxsep_superset, split_subset, split_superset,
-                         tilde_set)
+                         maxsep_superset, rank_parity, split_subset,
+                         split_superset, tilde_set)
 
 
 # -- reference implementations (per-bit loops) ------------------------------

@@ -15,7 +15,11 @@ read over [N, N'), must equal the packed bits of the same stage at S x N'.
 
 `build_diagonal` is checked only where the smaller horizon raises no
 `CapacityError`: F(e) reads the (e+1)-st zero of each catalog stage value,
-and a catalog index may have fewer zeros below N than below N'.
+and a catalog index may have fewer zeros below N than below N'.  So are
+`excise` and `make_into_itself`, whose switch string copies a stage prefix
+up to its first 0, which a prefix that is all ones below N lacks.  Their
+boundary set is a schedule's process here: the fixture's late boundary set
+moves at the last stage, which is not the same stage at S and at S'.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -24,9 +28,11 @@ from leftre.core import (ApproxProcess, CapacityError, Horizon, Numbering,
 from leftre.diagonal import build_diagonal
 from leftre.markers import MarkerSystem
 from leftre.relations import b_from_k
+from leftre.selfref import (SelfRefPlan, build_selfref_plan, excise,
+                            infinite_indexset_gadget, make_into_itself)
 from leftre.zulu import (BlockLayout, ZuluState, build_maximal, build_minimal,
-                         maxsep_superset, split_subset, split_superset,
-                         tilde_set)
+                         max_join_gadget, maxsep_superset, split_subset,
+                         split_superset, tilde_set)
 
 
 @st.composite
@@ -198,3 +204,74 @@ def test_diagonal(hzs, data):
         return
     assert_restricts(small, diagonal(wide))
     assert_past_matches(small, diagonal(Horizon(hz.stages, wide.bits)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(horizon_pairs(), st.data())
+def test_max_join_gadget(hzs, data):
+    # B's members lie below N; W enumerates any position below N'.
+    hz, wide = hzs
+    B = Schedule.from_pairs(entries(data, wide, hz.bits))
+    W = Schedule.from_pairs(entries(data, wide, wide.bits))
+    assert_restricts(max_join_gadget(B.as_process(hz), W),
+                     max_join_gadget(B.as_process(wide), W))
+
+
+@settings(deadline=None, max_examples=50)
+@given(horizon_pairs(), st.data())
+def test_infinite_indexset_gadget(hzs, data):
+    # The cutoff, W's running maximum, may lie past either bit horizon.
+    hz, wide = hzs
+    B = Schedule.from_pairs(entries(data, wide, hz.bits))
+    W = Schedule.from_pairs(entries(data, wide, wide.bits + 2))
+    assert_restricts(infinite_indexset_gadget(B.as_process(hz), W),
+                     infinite_indexset_gadget(B.as_process(wide), W))
+
+
+def schedule_numbering(catalog, h: Horizon) -> Numbering:
+    return Numbering([Schedule.from_pairs(c).as_process(h) for c in catalog])
+
+
+@settings(deadline=None, max_examples=50)
+@given(horizon_pairs(), st.data())
+def test_excise(hzs, data):
+    hz, wide = hzs
+    catalog = [entries(data, wide, hz.bits) for _ in range(4)]
+    R = Schedule.from_pairs(data.draw(st.lists(st.tuples(
+        st.integers(0, 3), st.integers(0, wide.stages)), max_size=4)))
+    X = Schedule.from_pairs(entries(data, wide, wide.bits))
+
+    def excised(h: Horizon) -> Numbering:
+        return excise(schedule_numbering(catalog, h), R, X.as_process(h))
+
+    try:
+        small = excised(hz)
+    except CapacityError:
+        return
+    for p, q in zip(small, excised(wide)):
+        assert_restricts(p, q)
+
+
+@settings(deadline=None, max_examples=50)
+@given(horizon_pairs(), st.data())
+def test_make_into_itself(hzs, data):
+    # A marker count h(e) is at most e, and the plan covers indices below
+    # min(8, S - 1), so an 8-process base catalog serves every h(e).
+    hz, wide = hzs
+    catalog = [entries(data, wide, hz.bits) for _ in range(8)]
+    driver = Schedule.from_pairs(entries(data, wide, hz.bits))
+    X = Schedule.from_pairs(entries(data, wide, wide.bits))
+    removals = dict(data.draw(st.lists(st.tuples(
+        st.integers(0, 7), st.integers(1, wide.stages)), max_size=6)))
+
+    def plan(h: Horizon) -> SelfRefPlan:
+        return build_selfref_plan(
+            schedule_numbering(catalog, h), driver.as_process(h),
+            MarkerSystem(h, dict(removals)), X.as_process(h), lambda p: True)
+
+    try:
+        small = make_into_itself(plan(hz))
+    except CapacityError:
+        return
+    for p, q in zip(small, make_into_itself(plan(wide))):
+        assert_restricts(p, q)
