@@ -186,10 +186,10 @@ class ApproxProcess:
     bits (out of range raises UsageError).  It is called at stage 0 and at
     each of `moves`, strictly ascending ints in [1, horizon.stages), or at
     every stage when `moves` is None; a stage between two moves repeats the
-    one before.  Only the change points are kept: their stages as 8-byte
-    machine ints and the ints `prefix_fn` returned there, which a copy of
-    another process shares.  `value(s)` is a bisect; `changes` holds the
-    ascending stages s >= 1 whose value differs from stage s - 1's.
+    one before.  Only the change points are kept: `changes`, the ascending
+    stages s >= 1 whose value differs from stage s - 1's, as 8-byte machine
+    ints, and the ints `prefix_fn` returned at stage 0 and at each change,
+    which a copy of another process shares.  `value(s)` is a bisect.
     Positions at or past the bit horizon are answered by the optional
     `bit_fn(s, n)` and, over a range, by the optional `runs_fn(s, lo, hi)`:
     the ascending maximal inclusive (start, end) runs of members in
@@ -204,7 +204,7 @@ class ApproxProcess:
                  moves: Optional[Iterable[int]] = None):
         S = horizon.stages
         top = 1 << horizon.bits
-        stages = bytearray()
+        changes = bytearray()
         values = []
         last = -1
         for s in chain((0,), range(1, S) if moves is None else moves):
@@ -221,13 +221,13 @@ class ApproxProcess:
                 if not fits:
                     raise UsageError(f"process {label!r}: stage {s} value "
                                      f"does not fit {horizon.bits} bits")
-                stages += s.to_bytes(8, sys.byteorder)
+                if s:
+                    changes += s.to_bytes(8, sys.byteorder)
                 values.append(value)
         # A read-only view of 8-byte ints: a sequence like a tuple, without
         # an int object per entry, and with no extension module to load.
-        self._stages = memoryview(bytes(stages)).cast("q")
-        self._values = tuple(values)
-        self.changes = self._stages[1:]
+        self.changes = memoryview(bytes(changes)).cast("q")
+        self._values = tuple(values)  # stage 0's, then one per change
         self.horizon = horizon
         self.label = label
         self.bit_fn = bit_fn
@@ -240,7 +240,7 @@ class ApproxProcess:
         values = self._values
         if len(values) == self.horizon.stages:  # a change at every stage
             return values[s]
-        return values[bisect_right(self._stages, s) - 1]
+        return values[bisect_right(self.changes, s)]
 
     def prefix(self, s: int) -> Prefix:
         return Prefix(self.horizon.bits, self.value(s))

@@ -13,7 +13,6 @@ established, so no emitted comparison is ever invalidated.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterable, Optional
 
@@ -244,9 +243,9 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     The run is incremental: beta's stage values are read as packed ints at
     stage 0 and where one of them changes, emitted pairs are kept as one
     bitset of right sides per left side, and each stage only tests the pairs
-    that can change there (none where no beta process changed).  At every stage end an emitted pair with a dead left
-    side has a dead right side too, so the cascade starts from this stage's
-    kills alone.
+    that can change there (none where no beta process changed).  At every
+    stage end an emitted pair with a dead left side has a dead right side
+    too, so the cascade starts from this stage's kills alone.
     """
     hz = beta.horizon
     n = beta.index_range
@@ -325,7 +324,7 @@ def gazebo_run(beta: Numbering) -> tuple[Numbering, GazeboState]:
     for a, (i, t) in state.established.items():
         p = beta.at(i)
         o = max(t, state.obliterated.get(a, S))
-        followed = p.changes[bisect_right(p.changes, t):bisect_left(p.changes, o)]
+        followed = [c for c in p.changes if t < c < o]
         processes.append(ApproxProcess(
             lambda s, p=p, t=t, o=o: 0 if s < t else p.value(s) if s < o else ones,
             hz, f"alpha-{a}", moves=moves_within([t, *followed, o], hz)))

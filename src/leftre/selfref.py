@@ -110,7 +110,7 @@ def _follow_then_switch(alpha: ApproxProcess, r: int, sig: Prefix,
             return alpha.value(s)
         return head | X.value(tail_stage[s]) >> L
 
-    moves = [*alpha.changes[:bisect_left(alpha.changes, r)], r]
+    moves = [c for c in alpha.changes if c < r] + [r]
     moves += (bisect_left(tail_stage, c, r) for c in X.changes)
     return ApproxProcess(prefix_value, alpha.horizon, label,
                          moves=moves_within(moves, alpha.horizon))

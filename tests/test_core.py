@@ -477,7 +477,7 @@ class TestStorage:
             p = ApproxProcess(values.__getitem__, Horizon(2048, 12))
             assert len(p.changes) == 2047
             before = tracemalloc.get_traced_memory()[0]
-            del p.changes, p._stages  # `changes` is a view of the stages
+            del p.changes
             held = before - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
