@@ -519,7 +519,7 @@ def join(e: ApproxProcess, f: ApproxProcess, label: str = "") -> ApproxProcess:
         return Prefix.from_set(evens + odds, hz.bits).value
 
     return ApproxProcess(prefix_value, hz, label or f"join({e.label},{f.label})",
-                         moves=moves_within(change_stages([e, f]), hz))
+                         moves=moves_within([*e.changes, *f.changes], hz))
 
 
 STABILITY_WINDOW = 8  # trailing stages a limit estimate must hold still over

@@ -259,14 +259,14 @@ def test_make_into_itself(hzs, data):
     # min(8, S - 1), so an 8-process base catalog serves every h(e).
     hz, wide = hzs
     catalog = [entries(data, wide, hz.bits) for _ in range(8)]
-    driver = Schedule.from_pairs(entries(data, wide, hz.bits))
+    driving = Schedule.from_pairs(entries(data, wide, hz.bits))
     X = Schedule.from_pairs(entries(data, wide, wide.bits))
     removals = dict(data.draw(st.lists(st.tuples(
         st.integers(0, 7), st.integers(1, wide.stages)), max_size=6)))
 
     def plan(h: Horizon) -> SelfRefPlan:
         return build_selfref_plan(
-            schedule_numbering(catalog, h), driver.as_process(h),
+            schedule_numbering(catalog, h), driving.as_process(h),
             MarkerSystem(h, dict(removals)), X.as_process(h), lambda p: True)
 
     try:
