@@ -9,6 +9,7 @@ vacated position rejoins the set at a smaller index than the one removed.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -44,13 +45,11 @@ def compute_F(nu: Numbering, e: int, s: int) -> int:
 
 
 class DiagonalState:
-    def __init__(self, e_cap: int):
+    def __init__(self, e_cap: int, stages: int):
         self.e_cap = e_cap
-        # Per stage, per e; a stage whose row equals the one before holds
-        # that row's list.
-        self.F: list[list[int]] = []
-        self.d: list[list[int]] = []
-        self.x: list[list[int]] = []
+        self.stages = stages
+        # (stage, F row, d row, x row) at stage 0 and wherever a row changes
+        self.points: list[tuple[int, list[int], list[int], list[int]]] = []
         self.trigger_stages: dict[int, list[int]] = {}
 
     def active(self) -> int:
@@ -62,10 +61,12 @@ class DiagonalState:
         return self.e_cap + 1
 
     def trace_rows(self) -> Iterator[dict]:
-        for s in range(len(self.x)):
-            for e in range(len(self.x[s])):
-                yield {"stage": s, "e": e, "F": self.F[s][e],
-                       "d": self.d[s][e], "x": self.x[s][e]}
+        """One row per stage and index, expanded from the points on demand."""
+        ends = [p[0] for p in self.points[1:]] + [self.stages]
+        for (start, row_F, row_d, row_x), end in zip(self.points, ends):
+            for s in range(start, end):
+                for e, (F, d, x) in enumerate(zip(row_F, row_d, row_x)):
+                    yield {"stage": s, "e": e, "F": F, "d": d, "x": x}
 
 
 def build_diagonal(nu: Numbering,
@@ -76,7 +77,7 @@ def build_diagonal(nu: Numbering,
     e_cap = min(nu.index_range, len(Ws)) - 1
     if e_cap < 0:
         raise UsageError("need at least one catalog index and one schedule")
-    state = DiagonalState(e_cap)
+    state = DiagonalState(e_cap, hz.stages)
     cur_F: dict[int, int] = {}
     cur_d: dict[int, int] = {}
     bumped: dict[int, bool] = {}
@@ -84,15 +85,16 @@ def build_diagonal(nu: Numbering,
     # descending, the least stage of a repeated element is written last), so
     # the trigger test is two lookups: y is in W_e at stage s iff
     # entered[e][y] <= s.
-    entered = [dict(sorted(W.entries, reverse=True))
-               for W in Ws[:state.active()]]
-    # F reads only the tracked processes: reuse the last row while none of
-    # them changes value.
-    fresh = change_stages(nu.at(e) for e in range(state.active()))
-    for s in range(hz.stages):
+    tracked = Ws[:state.active()]
+    entered = [dict(sorted(W.entries, reverse=True)) for W in tracked]
+    # A row reads only the tracked processes and schedules, so it can move
+    # only where one of them does.
+    events = change_stages(nu.at(e) for e in range(state.active()))
+    events.update(t for W in tracked for _, t in W.entries if t < hz.stages)
+    for s in sorted(events):
         row_F, row_d, row_x = [], [], []
         for e in range(state.active()):
-            F = compute_F(nu, e, s) if s in fresh else state.F[-1][e]
+            F = compute_F(nu, e, s)
             if e not in cur_F or cur_F[e] != F:
                 cur_F[e] = F
                 bumped[e] = False
@@ -109,17 +111,20 @@ def build_diagonal(nu: Numbering,
             row_F.append(F)
             row_d.append(cur_d[e])
             row_x.append(x)
-        for rows, row in ((state.F, row_F), (state.d, row_d), (state.x, row_x)):
-            rows.append(rows[-1] if rows and rows[-1] == row else row)
+        if not state.points or state.points[-1][1:] != (row_F, row_d, row_x):
+            state.points.append((s, row_F, row_d, row_x))
 
-    # B is the complement of row x: its value moves only where the row does,
-    # which is where the row is a new list.
+    # B is the complement of row x: its value moves only at the points.
     full = (1 << hz.bits) - 1
-    rows = state.x
+    stages = [p[0] for p in state.points]
+
+    def row_x(s: int) -> list[int]:
+        return state.points[bisect_right(stages, s) - 1][3]
+
     B = ApproxProcess(
-        lambda s: full & ~Prefix.from_set(rows[s], hz.bits).value,
-        hz, "diagonal", bit_fn=lambda s, y: 0 if y in rows[s] else 1,
-        moves=[s for s in range(1, hz.stages) if rows[s] is not rows[s - 1]])
+        lambda s: full & ~Prefix.from_set(row_x(s), hz.bits).value,
+        hz, "diagonal", bit_fn=lambda s, y: 0 if y in row_x(s) else 1,
+        moves=stages[1:])
     return B, state
 
 

@@ -210,7 +210,7 @@ def test_11_diagonal_divergence_and_trigger_disjunction():
     nu = diagonal_catalog(FULL)
     empty = [Schedule.from_pairs([])] * 4
     _, settled = diagonal.build_diagonal(nu, empty)
-    Ws = diagonal_schedules(settled.x[-1], FULL, fire_for=(0, 2))
+    Ws = diagonal_schedules(settled.points[-1][3], FULL, fire_for=(0, 2))
     B, state = diagonal.build_diagonal(nu, Ws)
     assert validate_left_re(B).ok
     final = B.final_prefix()
@@ -220,7 +220,7 @@ def test_11_diagonal_divergence_and_trigger_disjunction():
     s_last = FULL.stages - 1
     for e, stages in state.trigger_stages.items():
         assert len(stages) == 1
-        x_e = state.x[s_last][e]
+        x_e = state.points[-1][3][e]
         W = Ws[e].final_members()
         assert (x_e in W) != (B.bit(s_last, x_e) == 1) \
             or (3 * x_e in W) != (B.bit(s_last, 3 * x_e) == 1)

@@ -89,7 +89,8 @@ def test_every_writer_is_compared(tmp_path):
         "odds", "cand-", "diag-",  # no moves at all
         "excise-base-", "gazebo-beta-", "selfref-base-",  # random processes
         "strict-superset", "minimal", "maximal", "tilde", "diagonal",
-        "alpha-", "beta-", "excised-", "gamma-", "late-boundary"}, kinds
+        "alpha-", "beta-", "tail-", "excised-", "gamma-",
+        "late-boundary"}, kinds
 
 
 @settings(deadline=None, max_examples=100)

@@ -196,15 +196,16 @@ class TestRun:
                                "stages x 4000000000 bits\n")
         assert "Traceback" not in done.stderr
 
-    def test_markers_costs_nothing_where_nothing_changes(self):
+    @pytest.mark.parametrize("construction", ["markers", "diagonal"])
+    def test_costs_nothing_where_nothing_changes(self, construction):
         # 2^40 stages in a 1 GB address space: a run that stored or visited
-        # every stage would run out of memory or time.  zulu-min, tilde-a and
-        # diagonal still walk every stage, so only markers runs here.
+        # every stage would run out of memory or time.  zulu-min and tilde-a
+        # still walk every stage, so they do not run here.
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         start = time.perf_counter()
-        done = run_cli_process("run", "markers", "--stages", str(1 << 40),
+        done = run_cli_process("run", construction, "--stages", str(1 << 40),
                                "--bits", "512", preexec_fn=limit)
         elapsed = time.perf_counter() - start
         assert done.returncode == 0, done.stderr

@@ -38,10 +38,14 @@ def compute_F_reference(nu: Numbering, e: int, s: int) -> int:
     return best
 
 
-def diagonal_value_reference(state, s, N):
-    """Slow oracle for build_diagonal's stage values: the complement of row
-    x of stage s, packed afresh at every stage."""
-    return ((1 << N) - 1) & ~Prefix.from_set(state.x[s], N).value
+def rows_at(state, s):
+    """The F, d and x rows of stage s: those of the last point at or
+    before it."""
+    return [p for p in state.points if p[0] <= s][-1][1:]
+
+
+def final_points(state):
+    return state.points[-1][3]
 
 
 def empty_ws(n):
@@ -110,31 +114,32 @@ class TestBuildDiagonal:
     def test_points_distinct_every_stage(self):
         nu = diagonal_catalog(HZ)
         _, state = build_diagonal(nu, empty_ws(4))
-        for row in state.x:
+        for _, _, _, row in state.points:
             assert len(set(row)) == len(row)
 
     def test_exponent_nondecreasing(self):
         nu = diagonal_catalog(HZ)
         _, state = build_diagonal(nu, empty_ws(4))
         for e in range(4):
-            series = [state.d[s][e] for s in range(HZ.stages)]
+            series = [rows_at(state, s)[1][e] for s in range(HZ.stages)]
             assert series == sorted(series)
 
     def test_point_formula(self):
         nu = diagonal_catalog(HZ)
         _, state = build_diagonal(nu, empty_ws(4))
         for s in (0, HZ.stages - 1):
+            _, row_d, row_x = rows_at(state, s)
             for e in range(4):
-                assert state.x[s][e] == (1 << e) * 3 ** state.d[s][e]
+                assert row_x[e] == (1 << e) * 3 ** row_d[e]
 
     def test_trigger_fires_once_and_disagrees(self):
         nu = diagonal_catalog(HZ)
         _, settled = build_diagonal(nu, empty_ws(4))
-        Ws = diagonal_schedules(settled.x[-1], HZ, fire_for=(0,))
+        Ws = diagonal_schedules(final_points(settled), HZ, fire_for=(0,))
         B, state = build_diagonal(nu, Ws)
         assert validate_left_re(B).ok
         assert len(state.trigger_stages.get(0, [])) == 1
-        x0 = state.x[-1][0]
+        x0 = final_points(state)[0]
         W = Ws[0].final_members()
         final = B.final_prefix()
 
@@ -154,16 +159,18 @@ class TestBuildDiagonal:
 
     def test_F_follows_a_changing_catalog(self):
         # Index 0 never changes; index i > 0 fills its first i positions at
-        # stage 7, 19 or 30, which moves F(e) for every e >= i.  F is reused
-        # between those stages and must still match a fresh compute.
+        # stage 7, 19 or 30, which moves F(e) for every e >= i.  F is
+        # computed only at those stages and must still match a fresh
+        # compute at every stage.
         hz = Horizon(40, 64)
         nu = Numbering([finite_set_process(set(), hz)] + [
             Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
             for i, t in ((1, 7), (2, 19), (3, 30))])
         _, state = build_diagonal(nu, empty_ws(4))
         for s in range(hz.stages):
-            assert state.F[s] == [compute_F(nu, e, s) for e in range(4)], s
-        assert len({tuple(row) for row in state.F}) == 4
+            assert rows_at(state, s)[0] == [compute_F(nu, e, s)
+                                            for e in range(4)], s
+        assert [p[0] for p in state.points] == [0, 7, 19, 30]
 
     def test_capacity_error_at_the_stage_zeros_run_out(self):
         hz = Horizon(40, 8)
@@ -185,31 +192,10 @@ class TestBuildDiagonal:
                    for e in range(4))
         assert main(["run", "diagonal", "--stages", "1", "--bits", "8"]) == 0
 
-
-class TestStageValuesAgainstReference:
-    """build_diagonal computes a stage value only where row x moves and
-    leaves every other stage to repeat the one before; every stage must
-    still equal the complement of its row."""
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(2, 48), st.integers(8, 96),
-           st.sets(st.integers(0, 3), min_size=1), st.data())
-    def test_firing_schedules(self, stages, bits, fire_for, data):
-        # Catalog index i fills its first i positions at a stage before
-        # S // 2, where the schedules fire on the points settled by then.
-        hz = Horizon(stages, bits)
-        fill = st.integers(0, stages // 2 - 1)
-        nu = Numbering([finite_set_process(set(), hz)] + [
-            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
-            for i, t in zip((1, 2, 3), data.draw(st.lists(
-                fill, min_size=3, max_size=3)))])
-        _, settled = build_diagonal(nu, empty_ws(4))
-        Ws = diagonal_schedules(settled.x[-1], hz, tuple(fire_for))
-        B, state = build_diagonal(nu, Ws)
-        assert sorted(state.trigger_stages) == sorted(fire_for)
-        for s in range(stages):
-            assert B.prefix(s).value == diagonal_value_reference(state, s,
-                                                                 bits), s
+    def test_a_still_catalog_keeps_one_point(self):
+        _, state = build_diagonal(diagonal_catalog(HZ), empty_ws(4))
+        assert [p[0] for p in state.points] == [0]
+        assert len(list(state.trace_rows())) == HZ.stages * 4
 
 
 def diagonal_reference(nu, Ws, stages):
@@ -235,61 +221,69 @@ def diagonal_reference(nu, Ws, stages):
     return rows, triggers
 
 
+def assert_matches_reference(nu, Ws, B, state):
+    """Trace rows, trigger stages and B's value at every stage against the
+    per-stage rebuild; B is the complement of the stage's x row."""
+    S, N = nu.horizon.stages, nu.horizon.bits
+    rows, triggers = diagonal_reference(nu, Ws, S)
+    assert list(state.trace_rows()) == rows
+    assert state.trigger_stages == triggers
+    for s in range(S):
+        points = [row["x"] for row in rows if row["stage"] == s]
+        assert B.value(s) == ((1 << N) - 1) & ~Prefix.from_set(points, N).value
+
+
+class TestStageValuesAgainstReference:
+    """build_diagonal computes a row only where a tracked catalog process
+    changes or a tracked schedule enters an element, and keeps a point only
+    where a row moves; every stage must still match a per-stage rebuild."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 48), st.integers(8, 96),
+           st.sets(st.integers(0, 3), min_size=1), st.data())
+    def test_firing_schedules(self, stages, bits, fire_for, data):
+        # Catalog index i fills its first i positions at a stage before
+        # S // 2, where the schedules fire on the points settled by then.
+        hz = Horizon(stages, bits)
+        fill = st.integers(0, stages // 2 - 1)
+        nu = Numbering([finite_set_process(set(), hz)] + [
+            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
+            for i, t in zip((1, 2, 3), data.draw(st.lists(
+                fill, min_size=3, max_size=3)))])
+        _, settled = build_diagonal(nu, empty_ws(4))
+        Ws = diagonal_schedules(final_points(settled), hz, tuple(fire_for))
+        B, state = build_diagonal(nu, Ws)
+        assert sorted(state.trigger_stages) == sorted(fire_for)
+        assert_matches_reference(nu, Ws, B, state)
+
+
 class TestTriggerAgainstReference:
     """build_diagonal reads each schedule's first entry stage per element
     once; the trigger must fire where per-stage Schedule.bit reads fire it,
-    also for repeated and out-of-order entries."""
+    also for repeated and out-of-order entries, and between or at the
+    stages where the catalog moves F."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(2, 40), st.data())
     def test_random_schedules(self, stages, data):
+        # Catalog index i fills its first i positions at a drawn stage, or
+        # never when the stage is past the horizon; the schedules hold the
+        # points of stage 0 and their triples, which fire the bump.
         hz = Horizon(stages, 64)
-        nu = diagonal_catalog(hz)
+        fill = st.integers(0, stages)
+        nu = Numbering([finite_set_process(set(), hz)] + [
+            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
+            for i, t in zip((1, 2, 3), data.draw(st.lists(
+                fill, min_size=3, max_size=3)))])
         _, settled = build_diagonal(nu, empty_ws(4))
         entry = st.tuples(st.sampled_from((0, 1, 2, 3)),
                           st.integers(0, stages - 1))
         Ws = [Schedule.from_pairs(
                   (3 ** k * x, t) for k, t in data.draw(st.lists(entry,
                                                                  max_size=6)))
-              for x in settled.x[0]]
-        _, state = build_diagonal(nu, Ws)
-        assert state.trigger_stages == diagonal_reference(nu, Ws, stages)[1]
-
-
-class TestSharedRows:
-    """A stage whose F, d or x row equals the row before stores that row's
-    list; the trace rows are still those of a per-stage rebuild."""
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(2, 40), st.data())
-    def test_equal_rows_are_one_list(self, stages, data):
-        # Catalog index i fills its first i positions at a drawn stage, which
-        # moves F; the schedules hold the points of the first F row and their
-        # triples, which fire the bump.
-        hz = Horizon(stages, 64)
-        fill = st.integers(0, stages - 1)
-        nu = Numbering([finite_set_process(set(), hz)] + [
-            Schedule.from_pairs([(x, t) for x in range(i)]).as_process(hz)
-            for i, t in zip((1, 2, 3), data.draw(st.lists(
-                fill, min_size=3, max_size=3)))])
-        _, settled = build_diagonal(nu, empty_ws(4))
-        entry = st.tuples(st.sampled_from((0, 1, 2)), fill)
-        Ws = [Schedule.from_pairs(
-                  (3 ** k * x, t) for k, t in data.draw(st.lists(entry,
-                                                                 max_size=4)))
-              for x in settled.x[0]]
-        _, state = build_diagonal(nu, Ws)
-        for rows in (state.F, state.d, state.x):
-            for s in range(1, stages):
-                assert (rows[s] is rows[s - 1]) == (rows[s] == rows[s - 1]), s
-        assert list(state.trace_rows()) == diagonal_reference(nu, Ws,
-                                                               stages)[0]
-
-    def test_a_still_catalog_keeps_one_row(self):
-        nu = diagonal_catalog(HZ)
-        _, state = build_diagonal(nu, empty_ws(4))
-        for rows in (state.F, state.d, state.x):
-            assert all(row is rows[0] for row in rows)
+              for x in settled.points[0][3]]
+        B, state = build_diagonal(nu, Ws)
+        assert_matches_reference(nu, Ws, B, state)
 
 
 class TestDiagonalCatalog:

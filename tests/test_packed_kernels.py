@@ -361,7 +361,8 @@ class TestBitFnBelowHorizon:
         nu = diagonal_catalog(self.HZ)
         empty = [Schedule.from_pairs([])] * 4
         _, settled = build_diagonal(nu, empty)
-        Ws = diagonal_schedules(settled.x[-1], self.HZ, fire_for=(0, 2))
+        Ws = diagonal_schedules(settled.points[-1][3], self.HZ,
+                                fire_for=(0, 2))
         B, state = build_diagonal(nu, Ws)
         assert state.trigger_stages
         assert_bit_fn_matches_stage_values(B)

@@ -19,8 +19,12 @@ and a catalog index may have fewer zeros below N than below N'.  So are
 `excise` and `make_into_itself`, whose switch string copies a stage prefix
 up to its first 0, which a prefix that is all ones below N lacks.  Their
 boundary set is a schedule's process here: the fixture's late boundary set
-moves at the last stage, which is not the same stage at S and at S'.
+moves at the last stage, which is not the same stage at S and at S'.  These
+three are compared with the run at S x N', which must build, and with the
+run at S' x N' unless that one runs out of capacity on a stage or an index
+the small run does not have (see `wider_runs`).
 """
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leftre.core import (ApproxProcess, CapacityError, Horizon, Numbering,
@@ -62,6 +66,13 @@ def assert_past_matches(small: ApproxProcess, wide: ApproxProcess) -> None:
             starts = [n for n in sorted(members) if n - 1 not in members]
             ends = [n for n in sorted(members) if n + 1 not in members]
             assert small.past_runs(s, N, wide_N - 1) == list(zip(starts, ends))
+
+
+def schedule_numbering(catalog, h: Horizon) -> Numbering:
+    return Numbering([Schedule.from_pairs(c).as_process(h) for c in catalog])
+
+
+EMPTY = Schedule.from_pairs([])
 
 
 def entries(data, wide: Horizon, elements: int) -> list[tuple[int, int]]:
@@ -180,6 +191,35 @@ def test_zulu_and_tilde(hzs, inputs, subset_form):
     assert_past_matches(tilde(hz), tilde(past))
 
 
+def wider_runs(build, hz: Horizon, wide: Horizon):
+    """`build` at S x N' and, unless it raises CapacityError, at S' x N'.
+
+    Each stage below S reads the same bits below N at S x N' as at S x N,
+    and more past them, so the S x N' run builds whenever the small run
+    does.  Stages below S are the same at S' x N' too, so a CapacityError
+    there comes from what the small run does not have: a stage S or later,
+    or an index that only the longer run's selfref plan covers.
+    """
+    yield build(Horizon(hz.stages, wide.bits))
+    try:
+        yield build(wide)
+    except CapacityError:
+        pass
+
+
+def check_diagonal(hz: Horizon, wide: Horizon, catalog, Ws) -> None:
+    def diagonal(h: Horizon) -> ApproxProcess:
+        return build_diagonal(schedule_numbering(catalog, h), Ws)[0]
+
+    try:
+        small = diagonal(hz)
+    except CapacityError:
+        return
+    for big in wider_runs(diagonal, hz, wide):
+        assert_restricts(small, big)
+    assert_past_matches(small, diagonal(Horizon(hz.stages, wide.bits)))
+
+
 @settings(deadline=None, max_examples=100)
 @given(horizon_pairs(bits=250), st.data())
 def test_diagonal(hzs, data):
@@ -193,17 +233,17 @@ def test_diagonal(hzs, data):
     Ws = [Schedule.from_pairs(data.draw(st.lists(st.tuples(
         st.sampled_from([(1 << e) * 3 ** d for d in range(5)]),
         st.integers(0, 16)), max_size=3))) for e in range(4)]
+    check_diagonal(hz, wide, catalog, Ws)
 
-    def diagonal(h: Horizon) -> ApproxProcess:
-        nu = Numbering([Schedule.from_pairs(c).as_process(h) for c in catalog])
-        return build_diagonal(nu, Ws)[0]
 
-    try:
-        small = diagonal(hz)
-    except CapacityError:
-        return
-    assert_restricts(small, diagonal(wide))
-    assert_past_matches(small, diagonal(Horizon(hz.stages, wide.bits)))
+def test_diagonal_zeros_run_out_past_the_small_run():
+    # Index 3 fills position 0 at stage 1: at 2 x 4 it has three zeros, too
+    # few for F(3), at a stage the 1 x 4 run does not have.
+    with pytest.raises(CapacityError, match="at stage 1"):
+        build_diagonal(schedule_numbering([[], [], [], [(0, 1)]],
+                                          Horizon(2, 4)), [EMPTY] * 4)
+    check_diagonal(Horizon(1, 4), Horizon(2, 4), [[], [], [], [(0, 1)]],
+                   [EMPTY] * 4)
 
 
 @settings(deadline=None, max_examples=50)
@@ -228,8 +268,18 @@ def test_infinite_indexset_gadget(hzs, data):
                      infinite_indexset_gadget(B.as_process(wide), W))
 
 
-def schedule_numbering(catalog, h: Horizon) -> Numbering:
-    return Numbering([Schedule.from_pairs(c).as_process(h) for c in catalog])
+def check_excise(hz: Horizon, wide: Horizon, catalog, R: Schedule,
+                 X: Schedule) -> None:
+    def excised(h: Horizon) -> Numbering:
+        return excise(schedule_numbering(catalog, h), R, X.as_process(h))
+
+    try:
+        small = excised(hz)
+    except CapacityError:
+        return
+    for big in wider_runs(excised, hz, wide):
+        for p, q in zip(small, big):
+            assert_restricts(p, q)
 
 
 @settings(deadline=None, max_examples=50)
@@ -240,30 +290,22 @@ def test_excise(hzs, data):
     R = Schedule.from_pairs(data.draw(st.lists(st.tuples(
         st.integers(0, 3), st.integers(0, wide.stages)), max_size=4)))
     X = Schedule.from_pairs(entries(data, wide, wide.bits))
-
-    def excised(h: Horizon) -> Numbering:
-        return excise(schedule_numbering(catalog, h), R, X.as_process(h))
-
-    try:
-        small = excised(hz)
-    except CapacityError:
-        return
-    for p, q in zip(small, excised(wide)):
-        assert_restricts(p, q)
+    check_excise(hz, wide, catalog, R, X)
 
 
-@settings(deadline=None, max_examples=50)
-@given(horizon_pairs(), st.data())
-def test_make_into_itself(hzs, data):
-    # A marker count h(e) is at most e, and the plan covers indices below
-    # min(8, S - 1), so an 8-process base catalog serves every h(e).
-    hz, wide = hzs
-    catalog = [entries(data, wide, hz.bits) for _ in range(8)]
-    driving = Schedule.from_pairs(entries(data, wide, hz.bits))
-    X = Schedule.from_pairs(entries(data, wide, wide.bits))
-    removals = dict(data.draw(st.lists(st.tuples(
-        st.integers(0, 7), st.integers(1, wide.stages)), max_size=6)))
+def test_excise_all_ones_past_the_small_run():
+    # Index 0 is all ones and is excised at stage 1, which the 1 x 1 run
+    # does not have: only the 2 x 1 run finds no string lex-above it.
+    catalog, R = [[(0, 0)], [], [], []], Schedule.from_pairs([(0, 1)])
+    with pytest.raises(CapacityError, match="all-ones"):
+        excise(schedule_numbering(catalog, Horizon(2, 1)), R,
+               EMPTY.as_process(Horizon(2, 1)))
+    check_excise(Horizon(1, 1), Horizon(2, 1), catalog, R, EMPTY)
 
+
+def check_make_into_itself(hz: Horizon, wide: Horizon, catalog,
+                           driving: Schedule, X: Schedule,
+                           removals: dict[int, int]) -> None:
     def plan(h: Horizon) -> SelfRefPlan:
         return build_selfref_plan(
             schedule_numbering(catalog, h), driving.as_process(h),
@@ -273,5 +315,27 @@ def test_make_into_itself(hzs, data):
         small = make_into_itself(plan(hz))
     except CapacityError:
         return
-    for p, q in zip(small, make_into_itself(plan(wide))):
-        assert_restricts(p, q)
+    for big in wider_runs(lambda h: make_into_itself(plan(h)), hz, wide):
+        for p, q in zip(small, big):
+            assert_restricts(p, q)
+
+
+@settings(deadline=None, max_examples=50)
+@given(horizon_pairs(), st.data())
+def test_make_into_itself(hzs, data):
+    # A marker count h(e) is at most e, and the plan covers indices below
+    # min(8, S - 1, N), so an 8-process base catalog serves every h(e).
+    hz, wide = hzs
+    catalog = [entries(data, wide, hz.bits) for _ in range(8)]
+    driving = Schedule.from_pairs(entries(data, wide, hz.bits))
+    X = Schedule.from_pairs(entries(data, wide, wide.bits))
+    removals = dict(data.draw(st.lists(st.tuples(
+        st.integers(0, 7), st.integers(1, wide.stages)), max_size=6)))
+    check_make_into_itself(hz, wide, catalog, driving, X, removals)
+
+
+def test_make_into_itself_covers_only_indices_below_the_bit_horizon():
+    # At 3 x 1 the plan covers index 0 only: index 1, removed at stage 1,
+    # has no bit in the driving set.
+    check_make_into_itself(Horizon(1, 1), Horizon(3, 1), [[]] * 8, EMPTY,
+                           EMPTY, {1: 1})

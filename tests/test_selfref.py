@@ -1,17 +1,51 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leftre.core import (CapacityError, Horizon, InputError, Numbering,
-                         Prefix, Schedule, index_set_estimate, limit_estimate,
-                         validate_left_re)
+from leftre.core import (ApproxProcess, CapacityError, Horizon, InputError,
+                         Numbering, Prefix, Schedule, index_set_estimate,
+                         limit_estimate, validate_left_re)
 from leftre.fixtures import (bambam_infinite_process, late_boundary_process,
                              random_catalog, selfref_fixture)
-from leftre.selfref import (excise, has_one_at_or_beyond,
-                            infinite_indexset_gadget, limit_equals,
-                            make_into_itself, sigma_above,
+from leftre.markers import MarkerSystem
+from leftre.selfref import (_while_shown, build_selfref_plan, excise,
+                            has_one_at_or_beyond, infinite_indexset_gadget,
+                            limit_equals, make_into_itself, sigma_above,
                             singleton_numbering_finite,
                             singleton_numbering_infinite, singleton_witness)
 
 HZ = Horizon(64, 128)
+
+
+def last_shown_reference(A, e):
+    """For each stage s, the last stage <= s at which A shows e, or 0,
+    found by reading A at every stage."""
+    stages, last = [], 0
+    for s in range(A.horizon.stages):
+        if A.bit(s, e):
+            last = s
+        stages.append(last)
+    return stages
+
+
+class TestWhileShown:
+    """_while_shown reads A and P only at their change stages; every stage
+    must still show P at the stage a per-stage scan of A finds."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 24), st.integers(1, 6), st.booleans(), st.data())
+    def test_matches_per_stage_scan(self, S, N, same, data):
+        # A is any table of values, not lex-monotone; P is A itself or
+        # another such table.
+        hz = Horizon(S, N)
+        values = st.lists(st.integers(0, (1 << N) - 1), min_size=S,
+                          max_size=S)
+        A = ApproxProcess(data.draw(values).__getitem__, hz, "A")
+        P = A if same else ApproxProcess(data.draw(values).__getitem__, hz)
+        for e in range(N):
+            last = last_shown_reference(A, e)
+            got = _while_shown(P, A, e, "t")
+            assert [got.value(s) for s in range(S)] == \
+                [P.value(last[s]) for s in range(S)], e
 
 
 class TestSigma:
@@ -70,6 +104,18 @@ class TestMakeIntoItself:
                 tail = x_final.value >> sig.length
                 assert got == Prefix(HZ.bits, sig.padded(HZ.bits).value | tail)
 
+    def test_plan_covers_only_indices_below_the_bit_horizon(self):
+        # Index 1 is removed at stage 1 of a 3 x 1 horizon, where the
+        # driving set has no bit for it.
+        hz = Horizon(3, 1)
+        empty = Schedule.from_pairs([]).as_process(hz)
+        plan = build_selfref_plan(Numbering([empty] * 8), empty,
+                                  MarkerSystem(hz, {1: 1}), empty,
+                                  lambda p: True)
+        assert plan.indices == 1
+        beta = make_into_itself(plan)
+        assert beta.index_range == 1 and beta.at(0) is empty
+
 
 class TestSingletonFinite:
     def test_small_example(self):
@@ -118,6 +164,23 @@ class TestSingletonInfinite:
         static = Schedule.from_pairs([(0, 1)]).as_process(hz)
         with pytest.raises(InputError):
             singleton_numbering_infinite(static, [1], random_catalog(2, 1, hz))
+
+    @pytest.mark.parametrize("values,ok", [
+        ([1], True),  # one stage has no earlier stage
+        ([0, 1, 2], True),
+        ([0, 2, 2], False),  # the limit is shown from stage 1 on
+        ([2, 0, 1, 2], False),  # the limit is shown at stage 0 too
+    ])
+    def test_differs_from_its_limit_at_every_earlier_stage(self, values,
+                                                             ok):
+        hz = Horizon(len(values), 4)
+        A = ApproxProcess(values.__getitem__, hz)
+        base = Numbering([Schedule.from_pairs([]).as_process(hz)])
+        if ok:
+            singleton_numbering_infinite(A, [0], base)
+        else:
+            with pytest.raises(InputError, match="every earlier stage"):
+                singleton_numbering_infinite(A, [0], base)
 
     def test_sequence_meeting_set_rejected(self):
         hz = Horizon(48, 128)
