@@ -129,13 +129,6 @@ class Prefix(Record):
         top = self.length - 1
         return frozenset(top - b for b in one_bits(self.value))
 
-    def window(self, lo: int, hi: int) -> int:
-        """Bits lo..hi, packed with position lo most significant."""
-        if not 0 <= lo <= hi < self.length:
-            raise UsageError(f"window [{lo}, {hi}] outside prefix of length "
-                             f"{self.length}")
-        return (self.value >> (self.length - 1 - hi)) & ((1 << (hi - lo + 1)) - 1)
-
     def to_string(self) -> str:
         return format(self.value, f"0{self.length}b") if self.length else ""
 
@@ -207,6 +200,8 @@ class ApproxProcess:
         changes = bytearray()
         values = []
         last = -1
+        if moves is not None and (bit_fn or runs_fn):
+            moves = tuple(moves)  # read twice: here and as the past moves
         for s in chain((0,), range(1, S) if moves is None else moves):
             if type(s) is not int or not last < s < S:
                 raise UsageError(f"process {label!r}: move {s!r} is not an int "
@@ -232,6 +227,8 @@ class ApproxProcess:
         self.label = label
         self.bit_fn = bit_fn
         self.runs_fn = runs_fn
+        self.past_moves = (() if not (bit_fn or runs_fn) else
+                           range(1, S) if moves is None else moves)
 
     def value(self, s: int) -> int:
         """The packed stage-s value."""
@@ -288,13 +285,14 @@ class ApproxProcess:
         return f"ApproxProcess({self.label!r}, {self.horizon})"
 
 
-def stage_runs(p: Prefix, lo: int, hi: int, past: Runs) -> Runs:
-    """Ascending maximal runs of members in [lo, hi]: those of the packed
-    value of `p` below its length, joined to `past`, the runs at or past it."""
-    top = min(hi, p.length - 1)
+def stage_runs(value: int, length: int, lo: int, hi: int, past: Runs) -> Runs:
+    """Ascending maximal runs of members in [lo, hi]: those of a packed
+    value of `length` bits below that length, joined to `past`, the runs
+    at or past it."""
+    top = min(hi, length - 1)
     runs = []
     if lo <= top:
-        w = p.window(lo, top)
+        w = (value >> (length - 1 - top)) & ((1 << (top - lo + 1)) - 1)
         while w:
             # Bits k - 1 down to z of w are the next run of 1s; bit i of w
             # is position top - i.

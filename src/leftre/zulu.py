@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import fixtures
 from .core import (ApproxProcess, CapacityError, Horizon, InputError,
                    InternalInvariantError, Prefix, Record, Runs, Schedule,
-                   UsageError, ValidationReport, complement_runs,
-                   derived_process, join, mirror_mismatch, moves_within,
-                   points_process, read_param, stage_runs,
+                   UsageError, ValidationReport, change_stages,
+                   complement_runs, derived_process, join, mirror_mismatch,
+                   moves_within, points_process, read_param, stage_runs,
                    validate_left_re)
 
 if TYPE_CHECKING:
@@ -111,10 +111,10 @@ class ZuluState:
                 "bound c_n <= 2^(2^n) fails otherwise")
         self.omega = omega
         self.layout = layout
-        self._tables: dict[int, tuple] = {}
+        self._tables: dict[tuple[int, int], tuple] = {}
+        self._entries = sorted(t for _, t in omega.entries)
         # The stages whose markers may differ from the stage before's.
-        self._moves = sorted({0, *range(1, layout.n_cap + 1),
-                              *(t for _, t in omega.entries)})
+        self._moves = sorted({0, *range(1, layout.n_cap + 1), *self._entries})
 
     def _marker(self, n: int, s: int, c_prev: int, c_n: int) -> int:
         """a_n at stage s from the block sums c(n - 1, s) and c(n, s)."""
@@ -138,14 +138,13 @@ class ZuluState:
         return min(s, self.layout.n_cap)
 
     def _table(self, s: int) -> tuple:
-        s = self._moves[bisect_right(self._moves, s) - 1]
-        if s not in self._tables:
-            sums = [compute_c(self.omega, n, s)
-                    for n in range(self.covered(s) + 1)]
+        key = self.covered(s), bisect_right(self._entries, s)
+        if key not in self._tables:
+            sums = [compute_c(self.omega, n, s) for n in range(key[0] + 1)]
             marks = tuple(self._marker(n, s, sums[n - 1], sums[n])
                           for n in range(1, len(sums)))
-            self._tables[s] = marks, tuple(map(self.layout.mirror, marks))
-        return self._tables[s]
+            self._tables[key] = marks, tuple(map(self.layout.mirror, marks))
+        return self._tables[key]
 
     def markers(self, s: int) -> tuple[int, ...]:
         """(a_1, ..., a_k) at stage s, for the k = covered(s) intervals."""
@@ -210,46 +209,43 @@ def btt_check(A: ApproxProcess, B: ApproxProcess, layout: BlockLayout,
     failing position; `checked` counts the positions verified.
 
     Each interval is compared as runs: `mirror_mismatch` of A's and B's
-    `stage_runs`.  An interval whose inputs, the two stage values plus
-    both `past_runs` where it reaches past the bit horizon, equal those it
-    last passed with is counted, not compared; a stage's two `Prefix`es are
-    built only for an interval it compares.  Where I_1 or I_2 reaches
-    past the horizon it is read one `bit` per position at every stage
+    `stage_runs`.  Without `stages`, only stage 0, the changes and past
+    moves of A and B and the stages up to n_cap, where the covered
+    intervals grow, are compared; every other stage repeats the one before,
+    so its positions are counted with the compared stage before it.  Where
+    I_1 or I_2 reaches past the horizon it is read one `bit` per position
     instead, so that small horizons still call `bit_fn`: the traced
     zulu-min run of `perfbench/test_perfbench.py` (16x32) counts them.
     """
     if A.horizon != B.horizon:
         raise UsageError("processes must share a horizon")
-    N = A.horizon.bits
-    if stages is None:
-        stages = range(A.horizon.stages)
+    N, S = A.horizon.bits, A.horizon.stages
     bounds = [layout.interval(n) for n in range(1, layout.n_cap + 1)]
-    passed = [None] * len(bounds)  # the inputs each interval last passed with
+    if stages is None:
+        stages = sorted(change_stages((A, B)).union(
+            A.past_moves, B.past_moves, range(1, min(len(bounds) + 1, S))))
+        repeats = [t - s for s, t in zip(stages, [*stages[1:], S])]
+    else:
+        repeats = [1] * len(stages)
     checked = 0
-    for s in stages:
+    for s, repeat in zip(stages, repeats):
         va, vb = A.value(s), B.value(s)
-        pa = pb = None
+        done = 0
         for n, (lo, hi) in enumerate(bounds[:s]):
             if hi >= N and n + 1 < RUNS_FROM:
                 # Not `a == b`: a bit_fn answering neither 0 nor 1 fails.
                 u = next((u for u in range(lo, hi + 1)
                           if A.bit(s, u) != 1 - B.bit(s, hi + lo - u)), None)
             else:
-                past = ((A.past_runs(s, lo, hi), B.past_runs(s, lo, hi))
-                        if hi >= N else ([], []))
-                key = va, vb, past
-                u = None
-                if key != passed[n]:
-                    if pa is None:
-                        pa, pb = Prefix(N, va), Prefix(N, vb)
-                    u = mirror_mismatch(stage_runs(pa, lo, hi, past[0]),
-                                        stage_runs(pb, lo, hi, past[1]), lo, hi)
-                passed[n] = key
+                u = mirror_mismatch(
+                    stage_runs(va, N, lo, hi, A.past_runs(s, lo, hi)),
+                    stage_runs(vb, N, lo, hi, B.past_runs(s, lo, hi)), lo, hi)
             if u is not None:
                 return ValidationReport(
                     False, s, u, f"A at {u} equals B at its mirror {hi + lo - u}",
-                    checked + u - lo + 1)
-            checked += hi - lo + 1
+                    checked + done + u - lo + 1)
+            done += hi - lo + 1
+        checked += repeat * done
     return ValidationReport(True, checked=checked)
 
 
@@ -381,8 +377,8 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
     """Triple-coded recombination of a one-marker-per-interval set with an
     enumeration over interval indices: members x with enumerated interval
     index contribute 3x, the others contribute 3x+1 and 3x+2 (the subset form
-    drops the 3x+2 leg).  A stage value is computed only where A changes
-    or W gains an entry."""
+    drops the 3x+2 leg).  Its moves are where A's value or past answer
+    moves (`bit` reads A past the horizon) or W gains an entry."""
     N = A.horizon.bits
 
     def stage_value(s: int) -> int:
@@ -409,7 +405,8 @@ def tilde_set(A: ApproxProcess, W: Schedule, layout: BlockLayout,
             return 0
         return 1 - in_w
 
-    moves = moves_within([*A.changes, *(t for _, t in W.entries)], A.horizon)
+    moves = moves_within([*A.changes, *A.past_moves,
+                          *(t for _, t in W.entries)], A.horizon)
     return ApproxProcess(stage_value, A.horizon, "tilde", bit_fn=bit,
                          moves=moves)
 

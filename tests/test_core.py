@@ -391,6 +391,24 @@ class TestMoves:
         with pytest.raises(UsageError, match="'bad': stage 0 value"):
             ApproxProcess(lambda s: value, Horizon(8, 4), "bad", moves=[3])
 
+    @pytest.mark.parametrize("past", ["bit_fn", "runs_fn", "both", "none"])
+    @pytest.mark.parametrize("kind", ["generator", "iterator", "list", "None"])
+    def test_past_moves_are_the_moves(self, past, kind):
+        # A generator or iterator is read once; a process with a past answer
+        # keeps its moves as given, and without moves every stage is one.
+        hz = Horizon(16, 4)
+        fns = {"bit_fn": lambda s, n: s // 5 & 1,
+               "runs_fn": lambda s, lo, hi: []}
+        given = {"generator": (s for s in (5, 10, 15)),
+                 "iterator": iter([5, 10, 15]), "list": [5, 10, 15],
+                 "None": None}[kind]
+        p = ApproxProcess(lambda s: s // 5, hz, "p", moves=given,
+                          **{k: v for k, v in fns.items() if past in (k, "both")})
+        assert tuple(p.changes) == (5, 10, 15)
+        assert tuple(p.past_moves) == (
+            () if past == "none" else tuple(range(1, 16)) if kind == "None"
+            else (5, 10, 15))
+
     @pytest.mark.parametrize("stage", [-1, 8, 1 << 40])
     def test_value_outside_the_horizon_raises(self, stage):
         p = ApproxProcess(lambda s: s, Horizon(8, 4), "p", moves=[2, 7])
@@ -533,7 +551,7 @@ class TestRuns:
         below = {u for u in members if u < length}
         p = Prefix.from_set(below, length)
         past_runs = runs_of_set({u for u in past if u >= length}, lo, hi)
-        got = stage_runs(p, lo, hi, past_runs)
+        got = stage_runs(p.value, length, lo, hi, past_runs)
         assert got == runs_of_set(
             below | {u for u in past if u >= length}, lo, hi)
 
@@ -547,14 +565,6 @@ class TestRuns:
         assert first_mismatch(x, y) == min(a ^ b, default=None)
         link = {u for u in range(lo, hi + 1) if (u in a) == (hi + lo - u in b)}
         assert mirror_mismatch(x, y, lo, hi) == min(link, default=None)
-
-    def test_window(self):
-        p = Prefix.from_string("0110100")
-        assert p.window(1, 4) == 0b1101
-        assert p.window(6, 6) == 0
-        for lo, hi in [(-1, 2), (3, 2), (0, 7)]:
-            with pytest.raises(UsageError):
-                p.window(lo, hi)
 
     def test_past_runs_checks_its_answer(self):
         answers = {0: [(10, 12), (15, 15)], 1: [(10, 12), (13, 15)],

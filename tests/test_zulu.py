@@ -454,9 +454,9 @@ class TestBttAgainstReference:
            st.sampled_from(["clean", "flip A", "flip B", "past A", "past B"]),
            st.data())
     def test_any_stage_list(self, bits, seed, n_cap, mutant, data):
-        # Stage lists out of order, with repeats and gaps: an interval is
-        # counted unchecked only when its inputs equal those it last passed
-        # with, wherever that stage stood in the list.  I_3, covered when
+        # Stage lists out of order, with repeats and gaps: every listed
+        # stage is compared and counted where it stands in the list, even a
+        # neighbour that shares the mutated stage's inputs.  I_3, covered when
         # n_cap is 3, costs the oracle 65,537 reads per stage, so there the
         # list holds the mutated stage and one neighbour.
         _, A, B, layout = zulu_pair(64, bits, seed, n_cap)
